@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 from .cosets import ALGORITHM_VERSION, CosetTable, DEFAULT_COSET_CAP, enumerate_cosets
@@ -110,8 +111,14 @@ class TableCache:
         table = enumerate_cosets(pres, spec, cap=cap, provenance=provenance)
         self.misses += 1
         os.makedirs(self.directory, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(serialize_table(table))
-        os.replace(tmp, path)
+        # A private temp file per writer: concurrent writers of one key each
+        # replace the entry atomically instead of racing on a shared name.
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(serialize_table(table))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return table

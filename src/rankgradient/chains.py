@@ -13,12 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cosets import (
-    CosetTable,
     enumerate_cosets,
     coset_action,
     intersect,
@@ -26,10 +24,10 @@ from .cosets import (
     low_index,
     normal_core,
 )
-from .errors import BudgetError
+from .errors import BudgetError, InternalInvariantError
 from .homology import DEFAULT_PRIMES
 from .subgroups import rank_bounds, subgroup_homology
-from .words import Presentation, SubgroupSpec, Word, free_reduce
+from .words import Presentation, SubgroupSpec, Word, frac_str, free_reduce
 
 DEFAULT_CHAIN_INDEX_CAP = 10_000
 
@@ -169,12 +167,12 @@ def hnn_chain(pres: Presentation, stable: str, depth: int) -> Chain:
         spec = SubgroupSpec(generators=base_letters + ((t_letter,) * n,), name=f"G{n}")
         table = enumerate_cosets(pres, spec, provenance=f"hnn level {n}")
         if table.index != n:
-            raise BudgetError(
+            raise ValueError(
                 f"level {n} has index {table.index}, expected {n}; "
                 "the stable letter does not map onto Z in this presentation"
             )
         if not is_normal(table):
-            raise BudgetError(f"level {n} is not normal")
+            raise ValueError(f"level {n} is not normal")
         levels.append((table, spec))
     return _finish_chain(pres, levels, f"hnn(stable={stable}, depth={depth})")
 
@@ -208,7 +206,9 @@ def lamplighter_chain(m: int, depth: int) -> Chain:
         spec = SubgroupSpec(generators=gens, name=f"G{n}")
         table = enumerate_cosets(pres, spec, provenance=f"lamplighter level {n}")
         if table.index != 2 ** n:
-            raise BudgetError(f"level {n} has index {table.index}, expected {2 ** n}")
+            raise InternalInvariantError(
+                f"level {n} has index {table.index}, expected {2 ** n}"
+            )
         levels.append((table, spec))
     return _finish_chain(pres, levels, f"lamplighter(m={m}, depth={depth})")
 
@@ -251,19 +251,17 @@ class GradientReport:
     levels: tuple  # of LevelStats
     schema_version: int = REPORT_SCHEMA_VERSION
 
-    def ratio_sequence(self, key):
-        return [stats.ratios().get(key) for stats in self.levels]
-
 
 def _level_stats(pres, table, spec, level, primes, effort):
     try:
-        lower, tietze_upper = rank_bounds(pres, table, primes=primes, effort=effort)
-        upper = tietze_upper
+        report = subgroup_homology(table, primes)
+        lower, upper = rank_bounds(
+            pres, table, primes=primes, effort=effort, report=report
+        )
         if not spec.normal and spec.generators:
             # the spec words generate the subgroup by construction, so their
             # count is a certified upper bound too
             upper = max(min(upper, len(spec.generators)), lower)
-        report = subgroup_homology(table, primes)
         return LevelStats(
             level=level,
             index=table.index,
@@ -279,26 +277,21 @@ def _level_stats(pres, table, spec, level, primes, effort):
 
 
 def gradient_sequence(
-    chain: Chain, primes=DEFAULT_PRIMES, effort: int = 2, jobs: int = 1
+    chain: Chain, primes=DEFAULT_PRIMES, effort: int = 2
 ) -> GradientReport:
     """Per-level rank bounds, homology and exact-rational gradient ratios.
 
-    Levels are evaluated independently (optionally in a thread pool) and a
-    failed level is reported in place, never aborting its neighbours.  The
-    schreier_upper column chains the Schreier bound through the levels:
+    Levels are evaluated independently and a failed level is reported in
+    place, never aborting its neighbours.  The schreier_upper column chains
+    the Schreier bound through the levels:
     s_n = 1 + [G_{n-1}:G_n] * (best known upper at level n-1 minus 1), which
     makes (schreier_upper - 1)/index non-increasing whenever consecutive
     levels are nested.
     """
-    args = [
-        (chain.ambient, table, spec, i, primes, effort)
+    stats = [
+        _level_stats(chain.ambient, table, spec, i, primes, effort)
         for i, (table, spec) in enumerate(chain.levels)
     ]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            stats = list(pool.map(lambda a: _level_stats(*a), args))
-    else:
-        stats = [_level_stats(*a) for a in args]
 
     # Chain the Schreier bound through the levels in order.
     prev_best = None
@@ -320,16 +313,7 @@ def gradient_sequence(
         else:
             # not nested in the previous level; bound inside the whole group
             schreier = 1 + st.index * (base_best - 1)
-        st = LevelStats(
-            level=st.level,
-            index=st.index,
-            rank_lower=st.rank_lower,
-            rank_upper=st.rank_upper,
-            schreier_upper=schreier,
-            beta1=st.beta1,
-            b1p=st.b1p,
-            exact=st.exact,
-        )
+        st = replace(st, schreier_upper=schreier)
         out.append(st)
         prev_best = min(schreier, st.rank_upper)
         prev_index = st.index
@@ -362,11 +346,7 @@ def farber_defect(chain: Chain, w: Word, level: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def report_to_json(report: GradientReport) -> str:
+def report_to_obj(report: GradientReport) -> dict:
     levels = []
     for st in report.levels:
         entry = {"level": st.level, "index": st.index}
@@ -380,18 +360,19 @@ def report_to_json(report: GradientReport) -> str:
                 beta1=st.beta1,
                 b1p={str(p): b for p, b in sorted(st.b1p.items())},
                 exact=st.exact,
-                ratios={k: _frac_str(v) for k, v in st.ratios().items()},
+                ratios={k: frac_str(v) for k, v in st.ratios().items()},
             )
         levels.append(entry)
-    return json.dumps(
-        {
-            "schema_version": report.schema_version,
-            "chain": report.chain_provenance,
-            "primes": list(report.primes),
-            "levels": levels,
-        },
-        indent=2,
-    )
+    return {
+        "schema_version": report.schema_version,
+        "chain": report.chain_provenance,
+        "primes": list(report.primes),
+        "levels": levels,
+    }
+
+
+def report_to_json(report: GradientReport) -> str:
+    return json.dumps(report_to_obj(report), indent=2)
 
 
 def report_to_csv(report: GradientReport) -> str:
@@ -417,7 +398,7 @@ def report_to_csv(report: GradientReport) -> str:
             row = (
                 [st.level, st.index, st.rank_lower, st.rank_upper, st.schreier_upper, st.beta1]
                 + [st.b1p[p] for p in report.primes]
-                + [_frac_str(ratios[k]) for k in ratio_keys]
+                + [frac_str(ratios[k]) for k in ratio_keys]
                 + [f"{float(ratios[k]):.6f}" for k in ratio_keys]
                 + [st.exact, ""]
             )

@@ -25,7 +25,7 @@ from .chains import (
     hnn_chain,
     lamplighter_chain,
     report_to_csv,
-    report_to_json,
+    report_to_obj,
 )
 from .cosets import DEFAULT_COSET_CAP, low_index, validate
 from .errors import BudgetError, InternalInvariantError
@@ -37,9 +37,9 @@ from .towers import (
     cover_to_json_obj,
     tower_report,
     tower_report_to_csv,
-    tower_report_to_json,
+    tower_report_to_obj,
 )
-from .words import ParseError, parse_presentation, serialize_presentation
+from .words import ParseError, frac_str, parse_presentation, serialize_presentation
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -72,7 +72,6 @@ class RunConfig:
     format: str = "json"
     cache_dir: str = None
     seed: int = 0
-    jobs: int = 1
     extra: tuple = ()  # command-specific (flag, value) pairs, sorted
 
     def __post_init__(self):
@@ -128,7 +127,6 @@ def _config(args, source, **extra):
         format=args.format,
         cache_dir=args.cache_dir,
         seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", 1),
         extra=tuple(sorted((k, str(v)) for k, v in extra.items() if v is not None)),
     )
 
@@ -150,11 +148,6 @@ def emit(config: RunConfig, body_obj=None, body_csv=None, body_text=None) -> str
             raise ParseError(f"command {config.command!r} has no csv form")
         return header + body_csv
     return header + body_text
-
-
-def _frac(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +234,12 @@ def build_chain(args, pres, specs, source):
 def cmd_chain(args, gradient_only=False):
     pres, specs, source = load_source(args)
     chain = build_chain(args, pres, specs, source)
-    report = gradient_sequence(
-        chain, primes=tuple(args.primes), effort=args.effort, jobs=args.jobs
-    )
+    report = gradient_sequence(chain, primes=tuple(args.primes), effort=args.effort)
     config = _config(
         args, source, kind=args.kind, sub=getattr(args, "sub", None),
         stable=args.stable, m=args.m,
     )
-    body = json.loads(report_to_json(report))
+    body = report_to_obj(report)
     if not gradient_only:
         body["chain"] = {
             "provenance": body["chain"],
@@ -264,8 +255,7 @@ def cmd_chain(args, gradient_only=False):
         if st.error:
             lines.append(f"level {st.level}: index {st.index} ERROR {st.error}")
         else:
-            ratios = ", ".join(f"{k}={_frac(v)}" for k, v in st.ratios().items())
-
+            ratios = ", ".join(f"{k}={frac_str(v)}" for k, v in st.ratios().items())
             lines.append(
                 f"level {st.level}: index {st.index} rank [{st.rank_lower}, {st.rank_upper}] "
                 f"beta1 {st.beta1} | {ratios}"
@@ -285,11 +275,11 @@ def cmd_graphing(args):
         raise ParseError(f"level {args.level} out of range 0..{len(chain.levels) - 1}")
     kwargs = {} if args.label_cap is None else {"label_cap": args.label_cap}
     if args.gens:
-        sub_pres, sub_specs = parse_presentation(
+        _, sub_specs = parse_presentation(
             "gens " + " ".join(pres.generators) + "\nsub G " + args.gens + "\n"
         )
         kwargs["gens"] = sub_specs[0].generators
-    graphing, bound = minimize_graphing(chain, args.level, seed=args.seed, **kwargs)
+    graphing, bound = minimize_graphing(chain, args.level, **kwargs)
     config = _config(
         args, source, kind=args.kind, sub=getattr(args, "sub", None),
         stable=args.stable, m=args.m, level=args.level, gens=args.gens,
@@ -298,12 +288,12 @@ def cmd_graphing(args):
     obj = {
         "level": args.level,
         "index": graphing.index,
-        "edge_measure": _frac(measure),
+        "edge_measure": frac_str(measure),
         "rank_bound": bound,
         "fibers": graphing_to_json_obj(graphing, pres),
     }
     text = (
-        f"level {args.level}: index {graphing.index}, edge measure {_frac(measure)}, "
+        f"level {args.level}: index {graphing.index}, edge measure {frac_str(measure)}, "
         f"rank bound {bound}\n"
     )
     return emit(config, body_obj=obj, body_text=text)
@@ -317,21 +307,21 @@ def cmd_tower(args):
     ambient = ambient_presentation(a_pres)
     report = tower_report(levels, ambient, primes=tuple(args.primes), effort=args.effort)
     config = _config(args, source, group=args.group, mu=args.mu, scale=args.scale)
-    obj = json.loads(tower_report_to_json(report))
+    obj = tower_report_to_obj(report)
     if args.covers:
         obj["covers"] = [cover_to_json_obj(c) for c in levels]
     lines = []
     for i, lc in enumerate(report.levels):
         lines.append(
-            f"level {i}: n {lc.n} p {lc.p} mu {_frac(lc.mu)} radius {lc.radius} "
+            f"level {i}: n {lc.n} p {lc.p} mu {frac_str(lc.mu)} radius {lc.radius} "
             f"beta1 {lc.computed_beta1} ({lc.beta1_formula}) "
             f"b1p {{{', '.join(f'{q}: {v}' for q, v in sorted(lc.computed_b1p.items()))}}} "
             f"match {lc.b1p_match}"
         )
     lines.append(
-        f"limits: d {_frac(report.limit_d)}, "
-        + ", ".join(f"b1p_{q} {_frac(v)}" for q, v in sorted(report.limit_b1p.items()))
-        + f", beta1 {_frac(report.limit_beta1)}"
+        f"limits: d {frac_str(report.limit_d)}, "
+        + ", ".join(f"b1p_{q} {frac_str(v)}" for q, v in sorted(report.limit_b1p.items()))
+        + f", beta1 {frac_str(report.limit_beta1)}"
     )
     return emit(
         config,
@@ -387,8 +377,6 @@ def build_parser():
     common.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP)
     common.add_argument("--cache-dir", default=None,
                         help=f"coset table cache (or ${CACHE_DIR_ENV})")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
 
     chain_opts = argparse.ArgumentParser(add_help=False)
     chain_opts.add_argument("--kind", choices=("auto", "farber", "hnn", "lamplighter"),
@@ -431,6 +419,7 @@ def build_parser():
     p.add_argument("--mu", required=True, help="rational, e.g. 3/4")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--scale", type=int, default=12)
+    p.add_argument("--seed", type=int, default=0, help="tower search seed")
     p.add_argument("--effort", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--covers", action="store_true", help="embed the cover permutations")
 

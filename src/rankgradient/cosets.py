@@ -76,11 +76,12 @@ def _letters(rank):
     return out
 
 
-def canonicalize(table: CosetTable) -> CosetTable:
-    """Renumber cosets by BFS from 0 in letter order."""
-    n = table.index
+def _bfs(table: CosetTable):
+    """Cosets reachable from 0 in BFS order (letters g1, g1^-1, g2, ...),
+    and parent[d] = (coset, letter) of the edge that first reached d (None
+    for coset 0 and for unreached cosets)."""
     order = [0]
-    new_of = {0: 0}
+    parent = [None] * table.index
     letters = _letters(table.pres.rank)
     i = 0
     while i < len(order):
@@ -88,11 +89,21 @@ def canonicalize(table: CosetTable) -> CosetTable:
         i += 1
         for letter in letters:
             d = table.letter_perm(letter)[c]
-            if d not in new_of:
-                new_of[d] = len(order)
+            if d != 0 and parent[d] is None:
+                parent[d] = (c, letter)
                 order.append(d)
+    return order, parent
+
+
+def canonicalize(table: CosetTable) -> CosetTable:
+    """Renumber cosets by BFS from 0 in letter order."""
+    n = table.index
+    order, _ = _bfs(table)
     if len(order) != n:
         raise InternalInvariantError("coset table is not transitive")
+    new_of = [0] * n
+    for i, c in enumerate(order):
+        new_of[c] = i
     perms = tuple(
         tuple(new_of[p[order[c]]] for c in range(n)) for p in table.perms
     )
@@ -257,7 +268,7 @@ def enumerate_cosets(
 
 
 # ---------------------------------------------------------------------------
-# Schreier transversals (shared by low_index, intersect and normal_core)
+# Schreier transversals and generators
 # ---------------------------------------------------------------------------
 
 
@@ -267,58 +278,56 @@ def schreier_transversal(table: CosetTable):
     Returns (words, parent) where words[i] is the shortest-lex representative
     carrying coset 0 to i and parent[i] = (parent coset, letter) for i > 0.
     """
-    n = table.index
-    words = [None] * n
-    parent = [None] * n
+    order, parent = _bfs(table)
+    words = [None] * table.index
     words[0] = ()
-    order = [0]
-    letters = _letters(table.pres.rank)
-    i = 0
-    while i < len(order):
-        c = order[i]
-        i += 1
-        for letter in letters:
-            d = table.letter_perm(letter)[c]
-            if words[d] is None:
-                words[d] = words[c] + (letter,)
-                parent[d] = (c, letter)
-                order.append(d)
+    for d in order[1:]:
+        c, letter = parent[d]
+        words[d] = words[c] + (letter,)
     return words, parent
 
 
-def schreier_generator_words(table: CosetTable):
-    """Nontrivial Schreier generators of the subgroup of the table.
+@dataclass(frozen=True)
+class SchreierData:
+    """Transversal, spanning tree and nontrivial Schreier generators."""
 
-    One word t_c g t_{c.g}^-1 per non-tree pair (coset c, generator g).
+    transversal: tuple  # transversal[i] carries coset 0 to coset i
+    generators: tuple  # one word per non-tree (coset, generator) pair
+    tree: tuple  # parent pointers: tree[i] = (parent coset, letter), tree[0] = None
+    pairs: tuple  # the (coset, generator) pair behind each Schreier generator
+
+
+def schreier_generators(table: CosetTable) -> SchreierData:
+    """Schreier generators of the subgroup of a coset table.
+
+    One word t_c g t_{c.g}^-1 per non-tree pair (coset c, generator g) of the
+    shortest-lex BFS transversal, so the nontrivial generator count is
+    index * rank - (index - 1).
     """
     words, parent = schreier_transversal(table)
-    tree_edges = set()
-    for c in range(1, table.index):
-        pc, letter = parent[c]
-        if letter > 0:
-            tree_edges.add((pc, letter, c))
-        else:
-            tree_edges.add((c, -letter, pc))
     gens = []
+    pairs = []
     for c in range(table.index):
         for g in range(1, table.pres.rank + 1):
             d = table.perms[g - 1][c]
-            if (c, g, d) in tree_edges:
-                continue
-            w = free_reduce(words[c] + (g,) + invert(words[d]))
-            gens.append(w)
-    return gens
-
-
-def _spec_from_table(table: CosetTable, name="H") -> SubgroupSpec:
-    return SubgroupSpec(generators=tuple(schreier_generator_words(table)), name=name)
+            if parent[d] == (c, g) or parent[c] == (d, -g):
+                continue  # tree edge c -g-> d, reached from either end
+            gens.append(free_reduce(words[c] + (g,) + invert(words[d])))
+            pairs.append((c, g))
+    return SchreierData(
+        transversal=tuple(words),
+        generators=tuple(gens),
+        tree=tuple(parent),
+        pairs=tuple(pairs),
+    )
 
 
 def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:
+    spec = SubgroupSpec(generators=schreier_generators(table).generators, name=name)
     return CosetTable(
         pres=table.pres,
         perms=table.perms,
-        spec=_spec_from_table(table, name),
+        spec=spec,
         provenance=table.provenance,
     )
 
@@ -433,12 +442,10 @@ def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
     return with_schreier_spec(canonicalize(t))
 
 
-def normal_core(table: CosetTable, image_cap: int = DEFAULT_IMAGE_CAP) -> CosetTable:
-    """Table of the core of H: the regular representation of the image group.
-
-    The image of the generators in Sym(index) is closed up by BFS; the core
-    index equals the image order, which can reach index!, hence the cap.
-    """
+def _image_closure(table: CosetTable, limit: int):
+    """The image of the generators in Sym(index), closed up by BFS from the
+    identity: (elements, number of each element), or None as soon as it
+    would exceed ``limit`` elements."""
     identity = tuple(range(table.index))
     number = {identity: 0}
     elements = [identity]
@@ -449,10 +456,23 @@ def normal_core(table: CosetTable, image_cap: int = DEFAULT_IMAGE_CAP) -> CosetT
         for perm in table.perms:
             f = tuple(perm[x] for x in e)
             if f not in number:
-                if len(elements) >= image_cap:
-                    raise ImageTooLarge(image_cap)
+                if len(elements) >= limit:
+                    return None
                 number[f] = len(elements)
                 elements.append(f)
+    return elements, number
+
+
+def normal_core(table: CosetTable, image_cap: int = DEFAULT_IMAGE_CAP) -> CosetTable:
+    """Table of the core of H: the regular representation of the image group.
+
+    The core index equals the image order, which can reach index!, hence
+    the cap.
+    """
+    closure = _image_closure(table, image_cap)
+    if closure is None:
+        raise ImageTooLarge(image_cap)
+    elements, number = closure
     perms = tuple(
         tuple(number[tuple(perm[x] for x in e)] for e in elements)
         for perm in table.perms
@@ -462,25 +482,9 @@ def normal_core(table: CosetTable, image_cap: int = DEFAULT_IMAGE_CAP) -> CosetT
 
 
 def is_normal(table: CosetTable) -> bool:
-    """H is normal iff its core has the same index."""
-    letters = _letters(table.pres.rank)
-    # Equivalent cheap test: the stabilizer of every coset contains the
-    # stabilizer of 0 on Schreier generators, i.e. every Schreier generator
-    # of H fixes every coset it is conjugated into.  Simpler: compare orbits
-    # of the point stabilizer -- here we just check |image| == index.
-    identity = tuple(range(table.index))
-    seen = {identity}
-    queue = [identity]
-    while queue:
-        e = queue.pop()
-        for perm in table.perms:
-            f = tuple(perm[x] for x in e)
-            if f not in seen:
-                if len(seen) > table.index:
-                    return False
-                seen.add(f)
-                queue.append(f)
-    return len(seen) == table.index
+    """H is normal iff its core has the same index, i.e. iff the image of
+    the transitive action has order index (it never has less)."""
+    return _image_closure(table, table.index) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +500,7 @@ def validate(table: CosetTable):
         if sorted(perm) != list(range(n)):
             problems.append(f"generator {g}: action is not a bijection")
     if not problems:
-        seen = {0}
-        queue = [0]
-        letters = _letters(table.pres.rank)
-        while queue:
-            c = queue.pop()
-            for letter in letters:
-                d = table.letter_perm(letter)[c]
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-        if len(seen) != n:
+        if len(_bfs(table)[0]) != n:
             problems.append("action is not transitive on cosets")
         for r_i, relator in enumerate(table.pres.relators):
             if any(table.apply(relator, c) != c for c in range(n)):

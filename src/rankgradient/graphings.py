@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cosets import CosetTable, enumerate_cosets, schreier_transversal
 from .errors import IndexBoundExceeded, LabelLengthExceeded
-from .words import SubgroupSpec, Word, free_reduce, invert
+from .words import SubgroupSpec, free_reduce, invert
 
 DEFAULT_LABEL_CAP = 64
 
@@ -309,15 +309,14 @@ def rank_bound(m: Graphing, chain) -> int:
 
 
 def minimize_graphing(
-    chain, level: int, gens=None, label_cap: int = DEFAULT_LABEL_CAP, seed: int = 0
+    chain, level: int, gens=None, label_cap: int = DEFAULT_LABEL_CAP
 ):
     """Greedy edge-measure minimization over L-graphings at a level.
 
     Starts from the generating-set graphing and repeatedly tries deleting
     single incidences (largest fiber first, then lexicographic label order),
     keeping a deletion only when the result is still an L-graphing.  Always
-    returns at least the seed graphing.  ``seed`` is accepted for interface
-    stability; the deletion order itself is fully deterministic.
+    returns at least the seed graphing; the deletion order is deterministic.
     """
     table = chain.table(level)
     if gens is None:

@@ -1,6 +1,7 @@
-"""Subgroup analysis: Schreier generators, Reidemeister-Schreier rewriting,
-Tietze simplification for rank upper bounds, and Stallings folding as the
-exact-rank oracle inside free groups.
+"""Subgroup analysis: Reidemeister-Schreier rewriting, Tietze simplification
+for rank upper bounds, and Stallings folding as the exact-rank oracle inside
+free groups.  The Schreier generators themselves live in ``cosets`` and are
+re-exported here.
 
 Exact rank is uncomputable in general, so everything rank-shaped is reported
 as a [lower, upper] interval; the interval is degenerate exactly when the
@@ -12,60 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import CosetTable, schreier_transversal
+from .cosets import CosetTable, schreier_generators
 from .errors import RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES, report_from_matrix
 from .words import (
     Presentation,
     SubgroupSpec,
-    Word,
     cyclic_reduce,
     free_reduce,
     invert,
 )
 
 DEFAULT_RELATOR_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class SchreierData:
-    """Transversal, spanning tree and nontrivial Schreier generators."""
-
-    transversal: tuple  # transversal[i] carries coset 0 to coset i
-    generators: tuple  # one word per non-tree (coset, generator) pair
-    tree: tuple  # parent pointers: tree[i] = (parent coset, letter), tree[0] = None
-    pairs: tuple  # the (coset, generator) pair behind each Schreier generator
-
-
-def schreier_generators(table: CosetTable) -> SchreierData:
-    """Schreier generators of the subgroup of a coset table.
-
-    Uses the shortest-lex BFS transversal, so the nontrivial generator count
-    is index * rank - (index - 1).
-    """
-    words, parent = schreier_transversal(table)
-    tree_edges = set()
-    for c in range(1, table.index):
-        pc, letter = parent[c]
-        if letter > 0:
-            tree_edges.add((pc, letter, c))
-        else:
-            tree_edges.add((c, -letter, pc))
-    gens = []
-    pairs = []
-    for c in range(table.index):
-        for g in range(1, table.pres.rank + 1):
-            d = table.perms[g - 1][c]
-            if (c, g, d) in tree_edges:
-                continue
-            gens.append(free_reduce(words[c] + (g,) + invert(words[d])))
-            pairs.append((c, g))
-    return SchreierData(
-        transversal=tuple(words),
-        generators=tuple(gens),
-        tree=tuple(parent),
-        pairs=tuple(pairs),
-    )
 
 
 def _trace_relator(table, schreier_index, c, relator):
@@ -309,9 +268,8 @@ def rank_bounds(
     if report is None:
         report = subgroup_homology(table, primes)
     lower = max([report.beta1] + list(report.b1p.values()))
-    data = schreier_generators(table)
     if not pres.relators:
-        upper = len(data.generators)
+        upper = len(schreier_generators(table).generators)
     else:
         rewritten = rewrite_presentation(pres, table, length_cap)
         upper = tietze_simplify(rewritten, effort=effort, length_cap=length_cap).rank

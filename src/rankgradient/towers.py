@@ -21,11 +21,17 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cosets import CosetTable, enumerate_cosets, with_schreier_spec
+from .cosets import (
+    CosetTable,
+    _invert_perm,
+    enumerate_cosets,
+    schreier_transversal,
+    with_schreier_spec,
+)
 from .errors import BudgetError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import rank_bounds, subgroup_homology
-from .words import Presentation, SubgroupSpec, free_reduce
+from .words import Presentation, SubgroupSpec, frac_str
 
 DEFAULT_GROUP_ORDER_CAP = 1_000
 DEFAULT_RADIUS_CAP = 64
@@ -47,18 +53,6 @@ class FiniteGroupData:
     order: int
     rank: int  # minimal generating-set size, found by brute force
     b1p: dict
-    element_words: tuple  # word carrying element 0 to each element id
-
-    def multiply(self, x, y):
-        return self.table.apply(self.element_words[y], x)
-
-    def inverse(self, x):
-        target = 0
-        for y in range(self.order):
-            if self.multiply(x, y) == 0:
-                target = y
-                break
-        return target
 
 
 def _brute_force_rank(table):
@@ -67,7 +61,7 @@ def _brute_force_rank(table):
     n = table.index
     if n == 1:
         return 0
-    words, _ = _element_words(table)
+    words, _ = schreier_transversal(table)
 
     def closure(seed_ids):
         seen = {0}
@@ -90,12 +84,6 @@ def _brute_force_rank(table):
     raise AssertionError("unreachable: the full element set generates")
 
 
-def _element_words(table):
-    from .cosets import schreier_transversal
-
-    return schreier_transversal(table)
-
-
 def finite_group_data(pres: Presentation, order_cap: int = DEFAULT_GROUP_ORDER_CAP):
     """Enumerate a finite presented group and compute |A|, d(A), b1p(A)."""
     trivial = SubgroupSpec(generators=(), name="1")
@@ -103,14 +91,12 @@ def finite_group_data(pres: Presentation, order_cap: int = DEFAULT_GROUP_ORDER_C
     report = homology_report(pres)
     if report.beta1 != 0:
         raise ValueError("the base group is infinite (beta1 > 0)")
-    words, _ = _element_words(table)
     return FiniteGroupData(
         pres=pres,
         table=table,
         order=table.index,
         rank=_brute_force_rank(table),
         b1p=dict(report.b1p),
-        element_words=tuple(words),
     )
 
 
@@ -179,9 +165,7 @@ class CoverGraph:
         # transitivity of <A, sigma>
         seen = {0}
         frontier = [0]
-        perms = list(self.a_perms) + [self.sigma]
-        inv_sigma = _invert(self.sigma)
-        perms.append(inv_sigma)
+        perms = list(self.a_perms) + [self.sigma, _invert_perm(self.sigma)]
         while frontier:
             x = frontier.pop()
             for p in perms:
@@ -192,21 +176,15 @@ class CoverGraph:
         if len(seen) != self.n:
             raise ValueError("the (A, sigma)-action is not transitive")
         # A-action respects the relators
+        inverses = [_invert_perm(p) for p in self.a_perms]
         for relator in self.group.pres.relators:
             for x in range(self.n):
                 y = x
                 for letter in relator:
-                    p = self.a_perms[abs(letter) - 1]
-                    y = p[y] if letter > 0 else _invert(p)[y]
+                    g = abs(letter) - 1
+                    y = self.a_perms[g][y] if letter > 0 else inverses[g][y]
                 if y != x:
                     raise ValueError("A-action violates a relator")
-
-
-def _invert(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def ambient_presentation(a_pres: Presentation, stable: str = "t") -> Presentation:
@@ -223,18 +201,17 @@ def cover_table(cover: CoverGraph, ambient: Presentation) -> CosetTable:
     base-point stabilizer)."""
     if len(ambient.generators) != len(cover.a_perms) + 1:
         raise ValueError("ambient presentation does not match the cover")
-    table = CosetTable(
+    return CosetTable(
         pres=ambient,
         perms=cover.a_perms + (cover.sigma,),
         provenance=cover.provenance,
     )
-    return with_schreier_spec(table)
 
 
 def subgroup_from_cover(cover: CoverGraph, ambient: Presentation) -> SubgroupSpec:
     """Schreier generators of the base-point stabilizer; the index of the
     subgroup they generate is re-verified to equal n by enumeration."""
-    spec = cover_table(cover, ambient).spec
+    spec = with_schreier_spec(cover_table(cover, ambient)).spec
     check = enumerate_cosets(ambient, spec, provenance="cover stabilizer check")
     if check.index != cover.n:
         raise AssertionError(
@@ -259,28 +236,8 @@ def injectivity_radius(
     explored as non-backtracking edge walks from the base orbit.  Returns
     cap when the ball is still injective there (radius at least cap).
     """
-    radius, _, _ = _radius_with_witness(cover, cap)
-    return radius
-
-
-def _radius_with_witness(cover: CoverGraph, cap: int = DEFAULT_RADIUS_CAP):
-    """(radius, walk1, walk2): the walks are the earliest pair of distinct
-    non-backtracking edge paths from the base orbit that land on the same
-    vertex, or None when the cap was reached first."""
-    orbit_ids = cover.orbit_ids()
-    sigma = cover.sigma
-    # directed edge (x, +1): orbit(x) -> orbit(sigma(x)); (x, -1) reversed
-    out_edges = {}
-    for x in range(cover.n):
-        out_edges.setdefault(orbit_ids[x], []).append((x, 1))
-        out_edges.setdefault(orbit_ids[sigma[x]], []).append((x, -1))
-
-    def head(edge):
-        x, d = edge
-        return orbit_ids[sigma[x]] if d == 1 else orbit_ids[x]
-
-    base = orbit_ids[0]
-    paths = {base: ()}
+    base, out_edges, head = _edge_graph(cover)
+    seen = {base}
     frontier = [(base, None)]  # (vertex image, edge we arrived by)
     depth = 0
     while frontier and depth < cap:
@@ -290,14 +247,31 @@ def _radius_with_witness(cover: CoverGraph, cap: int = DEFAULT_RADIUS_CAP):
                 if arrived is not None and edge == (arrived[0], -arrived[1]):
                     continue  # backtracking
                 img = head(edge)
-                new_path = paths[vertex] + (edge,)
-                if img in paths:
-                    return depth, paths[img], new_path
-                paths[img] = new_path
+                if img in seen:
+                    return depth
+                seen.add(img)
                 nxt.append((img, edge))
         frontier = nxt
         depth += 1
-    return depth, None, None
+    return depth
+
+
+def _edge_graph(cover: CoverGraph):
+    """(base vertex, out-edges by vertex, head of an edge) of the covering
+    graph: the directed edge (x, +1) runs orbit(x) -> orbit(sigma(x)) and
+    (x, -1) runs back."""
+    ids = cover.orbit_ids()
+    sigma = cover.sigma
+    out_edges = {}
+    for x in range(cover.n):
+        out_edges.setdefault(ids[x], []).append((x, 1))
+        out_edges.setdefault(ids[sigma[x]], []).append((x, -1))
+
+    def head(edge):
+        x, d = edge
+        return ids[sigma[x]] if d == 1 else ids[x]
+
+    return ids[0], out_edges, head
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +495,13 @@ def _copy_orders(base, r0, depth):
 def _nb_walks(cover, maxlen):
     """All non-backtracking edge walks from the base vertex of length up to
     maxlen, as (endpoint vertex, path of (point, direction), length)."""
-    ids = cover.orbit_ids()
-    sigma = cover.sigma
-    out = {}
-    for x in range(cover.n):
-        out.setdefault(ids[x], []).append((x, 1))
-        out.setdefault(ids[sigma[x]], []).append((x, -1))
-
-    def head(edge):
-        x, d = edge
-        return ids[sigma[x]] if d == 1 else ids[x]
-
-    base = ids[0]
+    base, out_edges, head = _edge_graph(cover)
     walks = [(base, (), 0)]
     frontier = [(base, None, ())]
     for length in range(1, maxlen + 1):
         nxt = []
         for vertex, arrived, path in frontier:
-            for edge in out.get(vertex, ()):
+            for edge in out_edges.get(vertex, ()):
                 if arrived is not None and edge == (arrived[0], -arrived[1]):
                     continue
                 new_path = path + (edge,)
@@ -561,7 +524,6 @@ class _TwistSearch:
     radii to exactly r0, r0 + 1, ..., r0 + depth - 1, >= r0 + depth."""
 
     def __init__(self, base, r0, depth, orders):
-        self.base = base
         self.r0 = r0
         self.depth = depth
         self.orders = orders
@@ -945,7 +907,6 @@ class LevelComparison:
     computed_b1p: dict
     b1p_match: bool
     beta1_formula: str  # which closed form the computed beta1 matches
-    error: str = None
 
 
 def verify_level(
@@ -1012,11 +973,6 @@ def tower_report(
     )
 
 
-def _frac(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def cover_to_json_obj(cover: CoverGraph):
     return {
         "n": cover.n,
@@ -1051,35 +1007,35 @@ def tower_report_to_csv(report: TowerReport) -> str:
             Fraction(lc.computed_beta1 - 1, lc.n),
         )
         writer.writerow(
-            [i, lc.n, lc.p, _frac(lc.mu), lc.radius, _frac(lc.predicted.d), _frac(lc.predicted.beta1)]
-            + [_frac(lc.predicted.b1p[q]) for q in primes]
+            [i, lc.n, lc.p, frac_str(lc.mu), lc.radius, frac_str(lc.predicted.d), frac_str(lc.predicted.beta1)]
+            + [frac_str(lc.predicted.b1p[q]) for q in primes]
             + [lc.computed_beta1]
             + [lc.computed_b1p[q] for q in primes]
             + [lc.computed_rank[0], lc.computed_rank[1], lc.b1p_match, lc.beta1_formula]
-            + [_frac(g) for g in grads]
+            + [frac_str(g) for g in grads]
             + [f"{float(g):.6f}" for g in grads]
         )
     writer.writerow([])
     writer.writerow(
-        ["limit", "", "", "", "", _frac(report.limit_d), _frac(report.limit_beta1)]
-        + [_frac(report.limit_b1p[q]) for q in primes]
+        ["limit", "", "", "", "", frac_str(report.limit_d), frac_str(report.limit_beta1)]
+        + [frac_str(report.limit_b1p[q]) for q in primes]
     )
     return buf.getvalue()
 
 
-def tower_report_to_json(report: TowerReport) -> str:
+def tower_report_to_obj(report: TowerReport) -> dict:
     levels = []
     for lc in report.levels:
         levels.append(
             {
                 "n": lc.n,
                 "p": lc.p,
-                "mu": _frac(lc.mu),
+                "mu": frac_str(lc.mu),
                 "radius": lc.radius,
                 "predicted": {
-                    "d": _frac(lc.predicted.d),
-                    "beta1": _frac(lc.predicted.beta1),
-                    "b1p": {str(q): _frac(v) for q, v in sorted(lc.predicted.b1p.items())},
+                    "d": frac_str(lc.predicted.d),
+                    "beta1": frac_str(lc.predicted.beta1),
+                    "b1p": {str(q): frac_str(v) for q, v in sorted(lc.predicted.b1p.items())},
                 },
                 "computed": {
                     "index": lc.computed_index,
@@ -1091,15 +1047,16 @@ def tower_report_to_json(report: TowerReport) -> str:
                 "beta1_formula": lc.beta1_formula,
             }
         )
-    return json.dumps(
-        {
-            "mu_target": _frac(report.mu_target),
-            "levels": levels,
-            "limits": {
-                "d": _frac(report.limit_d),
-                "b1p": {str(q): _frac(v) for q, v in sorted(report.limit_b1p.items())},
-                "beta1": _frac(report.limit_beta1),
-            },
+    return {
+        "mu_target": frac_str(report.mu_target),
+        "levels": levels,
+        "limits": {
+            "d": frac_str(report.limit_d),
+            "b1p": {str(q): frac_str(v) for q, v in sorted(report.limit_b1p.items())},
+            "beta1": frac_str(report.limit_beta1),
         },
-        indent=2,
-    )
+    }
+
+
+def tower_report_to_json(report: TowerReport) -> str:
+    return json.dumps(tower_report_to_obj(report), indent=2)

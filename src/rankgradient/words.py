@@ -8,6 +8,7 @@ reduced everywhere; the empty tuple is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 Word = tuple  # tuple[int, ...], freely reduced
@@ -61,10 +62,6 @@ def cyclic_reduce(w: Word) -> Word:
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
     return w
-
-
-def cyclic_rotations(w: Word):
-    return [w[i:] + w[:i] for i in range(max(len(w), 1))]
 
 
 def max_generator(w: Word) -> int:
@@ -245,6 +242,12 @@ def serialize_presentation(pres: Presentation, specs=()) -> str:
         body = ", ".join(pres.word_str(w) for w in spec.generators)
         lines.append(head + " " + body if body else head)
     return "\n".join(lines) + "\n"
+
+
+def frac_str(q) -> str:
+    """Exact rational as "p/q"; integers come out as "n/1"."""
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def canonical_form(pres: Presentation, spec: SubgroupSpec | None = None) -> str:

@@ -1,7 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rankgradient
 
 from rankgradient.cache import (
     TableCache,
@@ -9,7 +14,7 @@ from rankgradient.cache import (
     deserialize_table,
     serialize_table,
 )
-from rankgradient.cosets import enumerate_cosets
+from rankgradient.cosets import enumerate_cosets, validate
 from rankgradient.words import parse_presentation
 
 TEXT = "gens a b\nrel a^3\nrel b^2\nrel a b a b\nsub H b\n"
@@ -119,3 +124,45 @@ def test_wrong_presentation_rejected(tmp_path):
     other_pres, other_spec = parsed(TEXT.replace("sub H b", "sub H a"))
     with pytest.raises(ValueError, match="different presentation"):
         deserialize_table(serialize_table(table), other_pres, other_spec)
+
+
+COLD_WRITER = """
+import os, sys
+from rankgradient.cache import TableCache, cache_key
+from rankgradient.words import parse_presentation
+
+pres, specs = parse_presentation(sys.argv[2])
+cache = TableCache(sys.argv[1])
+path = cache._path(cache_key(pres, specs[0]))
+for _ in range(int(sys.argv[3])):
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    cache.enumerate(pres, specs[0])
+"""
+
+
+def test_concurrent_cold_writers_of_one_key(tmp_path):
+    src = str(Path(rankgradient.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", COLD_WRITER, str(tmp_path), TEXT, "300"]
+    workers = [
+        subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    try:
+        for w in workers:
+            _, err = w.communicate(timeout=120)
+            assert w.returncode == 0, err
+    finally:
+        for w in workers:
+            w.kill()
+    cache = TableCache(str(tmp_path))
+    pres, spec = parsed()
+    table = cache.enumerate(pres, spec)
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert validate(table) == []
+    assert table.perms == enumerate_cosets(pres, spec).perms
+    assert not list(tmp_path.glob("*.tmp"))

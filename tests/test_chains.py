@@ -161,13 +161,6 @@ def test_gradient_report_serialization_round_trip():
     assert abs(approx - float(st.ratios()["rank_upper"])) < 1e-6
 
 
-def test_gradient_jobs_deterministic():
-    chain = hnn_chain(parsed(FIG8)[0], "t", 4)
-    a = report_to_json(gradient_sequence(chain, jobs=1))
-    b = report_to_json(gradient_sequence(chain, jobs=2))
-    assert a == b
-
-
 def test_fgnormal_bound():
     assert fgnormal_bound(2, 3, 4, 6) == Fraction(1)
     with pytest.raises(ValueError):

@@ -116,9 +116,29 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_hnn_input_without_a_z_quotient_is_a_parse_error(capsys, tmp_path):
+    # t^2 = 1, so t cannot map onto Z: <a, t^3> is the whole group
+    path = tmp_path / "k4.txt"
+    path.write_text("gens a t\nrel a^2\nrel t^2\nrel a t a^-1 t^-1\n")
+    code, _, err = run(capsys, "chain", "--input", str(path), "--depth", "3")
+    assert code == EXIT_PARSE
+    assert "does not map onto Z" in err
+
+
 def test_missing_source_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lowindex", "--max", "2"])
+    assert exc.value.code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ("chain", "--preset", "fig8", "--depth", "2", "--jobs", "2"),
+    ("chain", "--preset", "fig8", "--depth", "2", "--seed", "1"),
+    ("tower", "--group", "s3", "--mu", "3/4", "--depth", "1", "--jobs", "2"),
+])
+def test_jobs_and_non_tower_seed_are_not_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
     assert exc.value.code == EXIT_PARSE
 
 

@@ -11,7 +11,7 @@ from rankgradient.cosets import (
     is_normal,
     low_index,
     normal_core,
-    schreier_generator_words,
+    schreier_generators,
     schreier_transversal,
     validate,
     with_schreier_spec,
@@ -116,7 +116,7 @@ def test_schreier_transversal_prefix_closed():
 def test_schreier_generators_fix_base():
     pres, _ = parsed(S3 + "sub H b\n")
     table = enumerate_cosets(pres, parsed(S3 + "sub H b\n")[1])
-    gens = schreier_generator_words(table)
+    gens = schreier_generators(table).generators
     # Nielsen-Schreier count for a rank-2 ambient at index 3
     assert len(gens) == 2 * 3 - (3 - 1)
     for w in gens:
@@ -148,6 +148,15 @@ def test_normal_core_of_normal_subgroup_is_itself():
     table = enumerate_cosets(pres, spec)
     assert is_normal(table)
     assert normal_core(table).index == table.index
+
+
+def test_is_normal_agrees_with_core_on_all_f2_subgroups_of_index_at_most_4():
+    pres, _ = parsed("gens a b\n")
+    tables = low_index(pres, 4)
+    assert len(tables) == 88
+    verdicts = [is_normal(t) for t in tables]
+    assert verdicts == [normal_core(t).index == t.index for t in tables]
+    assert sum(verdicts) == 15
 
 
 def test_coset_action_matches_apply():

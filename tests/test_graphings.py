@@ -69,7 +69,7 @@ def test_round_trip_at_index_one():
 def test_minimize_graphing_is_deterministic_and_minimal_here():
     chain = f2_delta2_chain()
     m1, bound1 = minimize_graphing(chain, 2)
-    m2, bound2 = minimize_graphing(chain, 2, seed=99)
+    m2, bound2 = minimize_graphing(chain, 2)
     assert m1 == m2 and bound1 == bound2
     assert bound1 <= 5
     assert is_l_graphing(m1, chain).verdict is True
