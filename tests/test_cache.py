@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import rankgradient
-
 from rankgradient.cache import (
     TableCache,
     cache_key,
