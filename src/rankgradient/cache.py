@@ -2,8 +2,9 @@
 
 Keys hash the canonical presentation text (so whitespace-only edits still
 hit) together with the enumeration algorithm version; payloads carry their
-own checksum.  Anything off -- bad JSON, bad checksum, different version --
-is treated as a miss and recomputed, never trusted.
+own checksum.  Anything off -- bad JSON, bad checksum, different version,
+a table that fails ``cosets.validate`` -- is treated as a miss and
+recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -14,14 +15,26 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .cosets import ALGORITHM_VERSION, CosetTable, DEFAULT_COSET_CAP, enumerate_cosets
+from .cosets import (
+    ALGORITHM_VERSION,
+    CosetTable,
+    DEFAULT_COSET_CAP,
+    TRIVIAL_SUBGROUP,
+    enumerate_cosets,
+    validate,
+)
 from .words import Presentation, SubgroupSpec, canonical_form
 
 CACHE_DIR_ENV = "RANKGRADIENT_CACHE"
 
 
+def _canonical(pres: Presentation, spec: SubgroupSpec | None) -> str:
+    # A table enumerated without a spec carries TRIVIAL_SUBGROUP.
+    return canonical_form(pres, TRIVIAL_SUBGROUP if spec is None else spec)
+
+
 def cache_key(pres: Presentation, spec: SubgroupSpec | None = None) -> str:
-    text = ALGORITHM_VERSION + "\n" + canonical_form(pres, spec)
+    text = ALGORITHM_VERSION + "\n" + _canonical(pres, spec)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -33,7 +46,7 @@ def _checksum(payload) -> str:
 def serialize_table(table: CosetTable) -> str:
     payload = {
         "version": ALGORITHM_VERSION,
-        "presentation": canonical_form(table.pres, table.spec),
+        "presentation": _canonical(table.pres, table.spec),
         "perms": [list(p) for p in table.perms],
     }
     return json.dumps({"payload": payload, "checksum": _checksum(payload)})
@@ -56,14 +69,26 @@ def deserialize_table(
             f"cache entry written by {payload.get('version')!r}, "
             f"expected {ALGORITHM_VERSION!r}"
         )
-    if payload.get("presentation") != canonical_form(pres, spec):
+    if payload.get("presentation") != _canonical(pres, spec):
         raise ValueError("cache entry is for a different presentation")
-    return CosetTable(
+    perms = payload.get("perms")
+    if not (
+        isinstance(perms, list)
+        and len(perms) == pres.rank
+        and all(isinstance(p, list) and len(p) == len(perms[0]) > 0 for p in perms)
+        and all(type(x) is int and 0 <= x < len(p) for p in perms for x in p)
+    ):
+        raise ValueError("cache entry does not hold one permutation list per generator")
+    table = CosetTable(
         pres=pres,
-        perms=tuple(tuple(p) for p in payload["perms"]),
+        perms=tuple(tuple(p) for p in perms),
         spec=spec,
         provenance="cache",
     )
+    problems = validate(table)
+    if problems:
+        raise ValueError("cache entry is not a valid coset table: " + "; ".join(problems))
+    return table
 
 
 @dataclass

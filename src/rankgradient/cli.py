@@ -66,7 +66,6 @@ class RunConfig:
     depth: int = None
     coset_cap: int = DEFAULT_COSET_CAP
     index_cap: int = None
-    label_cap: int = None
     effort: int = 2
     primes: tuple = DEFAULT_PRIMES
     format: str = "json"
@@ -75,7 +74,7 @@ class RunConfig:
     extra: tuple = ()  # command-specific (flag, value) pairs, sorted
 
     def __post_init__(self):
-        for cap in (self.coset_cap, self.index_cap, self.label_cap):
+        for cap in (self.coset_cap, self.index_cap):
             if cap is not None and cap < 1:
                 raise ValueError("caps must be positive")
         if self.format not in ("json", "csv", "text"):
@@ -121,7 +120,6 @@ def _config(args, source, **extra):
         depth=getattr(args, "depth", None),
         coset_cap=args.coset_cap,
         index_cap=getattr(args, "index_cap", None),
-        label_cap=getattr(args, "label_cap", None),
         effort=getattr(args, "effort", 2),
         primes=tuple(args.primes),
         format=args.format,
@@ -273,13 +271,13 @@ def cmd_graphing(args):
     chain = build_chain(args, pres, specs, source)
     if not 0 <= args.level < len(chain.levels):
         raise ParseError(f"level {args.level} out of range 0..{len(chain.levels) - 1}")
-    kwargs = {} if args.label_cap is None else {"label_cap": args.label_cap}
+    gens = None
     if args.gens:
         _, sub_specs = parse_presentation(
             "gens " + " ".join(pres.generators) + "\nsub G " + args.gens + "\n"
         )
-        kwargs["gens"] = sub_specs[0].generators
-    graphing, bound = minimize_graphing(chain, args.level, **kwargs)
+        gens = sub_specs[0].generators
+    graphing, bound = minimize_graphing(chain, args.level, gens=gens)
     config = _config(
         args, source, kind=args.kind, sub=getattr(args, "sub", None),
         stable=args.stable, m=args.m, level=args.level, gens=args.gens,
@@ -409,7 +407,6 @@ def build_parser():
     p = subs.add_parser("graphing", parents=[common, chain_opts],
                         help="minimized graphing and rank bound at one chain level")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--label-cap", type=int, default=None)
     p.add_argument("--gens", default=None,
                    help="comma-separated generator words for the level subgroup")
 

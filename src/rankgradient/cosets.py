@@ -28,6 +28,9 @@ DEFAULT_NODE_CAP = 10_000_000
 
 ALGORITHM_VERSION = "rankgradient-cosets-1"
 
+# The subgroup a table without a spec enumerates.
+TRIVIAL_SUBGROUP = SubgroupSpec(generators=(), name="trivial")
+
 
 @dataclass(frozen=True)
 class CosetTable:
@@ -223,7 +226,7 @@ def enumerate_cosets(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if spec is None:
-        spec = SubgroupSpec(generators=(), name="trivial")
+        spec = TRIVIAL_SUBGROUP
     spec.validate_over(pres)
     relators = list(pres.relators)
     point_words = list(spec.generators)
@@ -289,11 +292,9 @@ def schreier_transversal(table: CosetTable):
 
 @dataclass(frozen=True)
 class SchreierData:
-    """Transversal, spanning tree and nontrivial Schreier generators."""
+    """Nontrivial Schreier generators of a coset table's subgroup."""
 
-    transversal: tuple  # transversal[i] carries coset 0 to coset i
     generators: tuple  # one word per non-tree (coset, generator) pair
-    tree: tuple  # parent pointers: tree[i] = (parent coset, letter), tree[0] = None
     pairs: tuple  # the (coset, generator) pair behind each Schreier generator
 
 
@@ -314,12 +315,7 @@ def schreier_generators(table: CosetTable) -> SchreierData:
                 continue  # tree edge c -g-> d, reached from either end
             gens.append(free_reduce(words[c] + (g,) + invert(words[d])))
             pairs.append((c, g))
-    return SchreierData(
-        transversal=tuple(words),
-        generators=tuple(gens),
-        tree=tuple(parent),
-        pairs=tuple(pairs),
-    )
+    return SchreierData(generators=tuple(gens), pairs=tuple(pairs))
 
 
 def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:

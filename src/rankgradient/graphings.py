@@ -308,9 +308,7 @@ def rank_bound(m: Graphing, chain) -> int:
     return int(total) - m.index + 1
 
 
-def minimize_graphing(
-    chain, level: int, gens=None, label_cap: int = DEFAULT_LABEL_CAP
-):
+def minimize_graphing(chain, level: int, gens=None):
     """Greedy edge-measure minimization over L-graphings at a level.
 
     Starts from the generating-set graphing and repeatedly tries deleting

@@ -1,7 +1,8 @@
 """Abelianization invariants via exact integer Smith normal form.
 
 Everything here runs on arbitrary-precision Python ints; there is no
-floating point or fixed-width path anywhere.
+floating point or fixed-width path anywhere.  Relation matrices are lists
+of sparse rows: (column, value) pairs sorted by column, no zero values.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ class HomologyReport:
 
 
 def abelianized_matrix(pres: Presentation):
-    """Relation matrix: entry (i, j) = exponent sum of generator j in relator i."""
+    """Relation matrix: row i holds (j, exponent sum of generator j in relator i)."""
     rows = []
     for relator in pres.relators:
-        row = [0] * pres.rank
+        sums = {}
         for letter in relator:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row)
+            j = abs(letter) - 1
+            sums[j] = sums.get(j, 0) + (1 if letter > 0 else -1)
+        rows.append(sorted((j, v) for j, v in sums.items() if v))
     return rows
 
 
@@ -140,21 +142,18 @@ def _unit_reduce(matrix):
 
     Pivoting on a +-1 entry is a unimodular change of basis contributing a
     diagonal 1, so SNF(input) = identity block of size ``units`` plus
-    SNF(remainder).  Reidemeister-Schreier relation matrices are huge but
-    have a handful of +-1 entries per row, so this collapses them to a core
-    the dense routine can afford; pivots are picked by Markowitz cost via a
+    SNF(remainder).  Fox matrices of finite covers are huge but have a
+    handful of +-1 entries per row, so this collapses them to a core the
+    dense routine can afford; pivots are picked by Markowitz cost via a
     lazily revalidated heap.
 
-    Returns (units, remainder) with the remainder as dense rows.
+    Returns (units, remainder), the remainder as {column: value} dict rows.
     """
-    rows = {}
+    rows = {i: dict(row) for i, row in enumerate(matrix) if row}
     cols = {}
-    for i, row in enumerate(matrix):
-        entries = {j: v for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
+    for i, entries in rows.items():
+        for j in entries:
+            cols.setdefault(j, set()).add(i)
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
@@ -198,24 +197,16 @@ def _unit_reduce(matrix):
             else:
                 del rows[r]
         units += 1
-    live_cols = sorted({j for entries in rows.values() for j in entries})
-    col_pos = {j: t for t, j in enumerate(live_cols)}
-    remainder = []
-    for i in sorted(rows):
-        row = [0] * len(live_cols)
-        for j, v in rows[i].items():
-            row[col_pos[j]] = v
-        remainder.append(row)
-    return units, remainder
+    return units, [rows[i] for i in sorted(rows)]
 
 
-def _snf_by_components(matrix):
-    """(nonzero SNF diagonal as a divisibility chain, rank), splitting the
-    matrix into its connected row/column blocks first.  Block-diagonal up to
-    permutation means the SNF is the union of the blocks' invariant factors;
-    the merged multiset is renormalized into a chain by gcd/lcm swaps, which
-    never needs to factor anything."""
-    if not matrix:
+def _snf_by_components(rows):
+    """(nonzero SNF diagonal as a divisibility chain, rank) of {column: value}
+    dict rows, split into connected row/column blocks that are densified one
+    at a time.  Block-diagonal up to permutation means the SNF is the union
+    of the blocks' invariant factors; the merged multiset is renormalized
+    into a chain by gcd/lcm swaps, which never needs to factor anything."""
+    if not rows:
         return [], 0
     parent = {}
 
@@ -225,22 +216,21 @@ def _snf_by_components(matrix):
             x = parent[x]
         return x
 
-    for i, row in enumerate(matrix):
+    for i, row in enumerate(rows):
         parent.setdefault(("r", i), ("r", i))
-        for j, v in enumerate(row):
-            if v:
-                parent.setdefault(("c", j), ("c", j))
-                a, b = find(("r", i)), find(("c", j))
-                if a != b:
-                    parent[a] = b
+        for j in row:
+            parent.setdefault(("c", j), ("c", j))
+            a, b = find(("r", i)), find(("c", j))
+            if a != b:
+                parent[a] = b
     blocks = {}
-    for i, row in enumerate(matrix):
+    for i, row in enumerate(rows):
         blocks.setdefault(find(("r", i)), []).append(row)
     entries = []
     rank = 0
-    for rows in blocks.values():
-        live = sorted({j for row in rows for j, v in enumerate(row) if v})
-        sub = [[row[j] for j in live] for row in rows]
+    for block in blocks.values():
+        live = sorted({j for row in block for j in row})
+        sub = [[row.get(j, 0) for j in live] for row in block]
         diag, r = smith_normal_form(sub) if live else ([], 0)
         entries.extend(d for d in diag if d)
         rank += r
@@ -262,7 +252,7 @@ def report_from_matrix(matrix, num_generators, primes=DEFAULT_PRIMES):
     """HomologyReport for an abelian group presented by the given relation matrix."""
     if not primes:
         raise ValueError("primes must be nonempty")
-    units, core = _unit_reduce(matrix) if matrix else (0, [])
+    units, core = _unit_reduce(matrix)
     diag, rank = _snf_by_components(core)
     rank += units
     beta1 = num_generators - rank

@@ -1,7 +1,8 @@
-"""Subgroup analysis: Reidemeister-Schreier rewriting, Tietze simplification
-for rank upper bounds, and Stallings folding as the exact-rank oracle inside
-free groups.  The Schreier generators themselves live in ``cosets`` and are
-re-exported here.
+"""Subgroup analysis: homology from the Fox matrix of the finite cover,
+Reidemeister-Schreier rewriting and Tietze simplification for rank upper
+bounds, and Stallings folding as the exact-rank oracle inside free groups.
+The Schreier generators themselves live in ``cosets`` and are re-exported
+here.
 
 Exact rank is uncomputable in general, so everything rank-shaped is reported
 as a [lower, upper] interval; the interval is degenerate exactly when the
@@ -27,24 +28,19 @@ from .words import (
 DEFAULT_RELATOR_CAP = 10_000
 
 
-def _trace_relator(table, schreier_index, c, relator):
-    """Rewrite one relator at one coset as a word over Schreier generators."""
-    out = []
+def _relator_edges(table: CosetTable, c: int, relator):
+    """The (coset d, generator g, sign) of each edge d -g-> d.g that the loop
+    of a relator at coset c crosses, in order: sign +1 forwards, -1
+    backwards."""
     d = c
     for letter in relator:
         if letter > 0:
-            pair = (d, letter)
+            yield d, letter, 1
             d = table.perms[letter - 1][d]
-            sign = 1
         else:
             d = table.letter_perm(letter)[d]
-            pair = (d, -letter)
-            sign = -1
-        idx = schreier_index.get(pair)
-        if idx is not None:
-            out.append(sign * (idx + 1))
+            yield d, -letter, -1
     assert d == c, "relator trace did not close"
-    return free_reduce(out)
 
 
 def rewrite_presentation(
@@ -60,7 +56,12 @@ def rewrite_presentation(
     relators = []
     for c in range(table.index):
         for relator in pres.relators:
-            w = cyclic_reduce(_trace_relator(table, schreier_index, c, relator))
+            w = []
+            for d, g, sign in _relator_edges(table, c, relator):
+                idx = schreier_index.get((d, g))
+                if idx is not None:
+                    w.append(sign * (idx + 1))
+            w = cyclic_reduce(w)
             if len(w) > length_cap:
                 raise RelatorLengthExceeded(length_cap, len(w), context=f"coset {c}")
             relators.append(w)
@@ -69,39 +70,31 @@ def rewrite_presentation(
 
 
 def subgroup_abelianized_matrix(table: CosetTable):
-    """Abelianized Reidemeister-Schreier relation matrix, built by tracing.
+    """Fox matrix of the subgroup H of a coset table: the boundary map
+    C2 -> C1 of the index-sheeted cover of the presentation complex.
 
-    Avoids materializing the rewritten relators, whose lengths can blow up;
-    the exponent-sum rows cannot.
+    Returns (rows, index * rank).  Row (c, R) holds, in column d * rank + g - 1,
+    the signed count of crossings of the edge d -g-> d.g by the loop of
+    relator R at coset c, as sparse (column, value) pairs.  The cokernel is
+    H1(H) + Z^(index - 1); no Schreier transversal is needed.
     """
-    data = schreier_generators(table)
-    schreier_index = {pair: i for i, pair in enumerate(data.pairs)}
-    cols = len(data.generators)
+    rank = table.pres.rank
     rows = []
     for c in range(table.index):
         for relator in table.pres.relators:
-            row = [0] * cols
-            d = c
-            for letter in relator:
-                if letter > 0:
-                    pair = (d, letter)
-                    d = table.perms[letter - 1][d]
-                    sign = 1
-                else:
-                    d = table.letter_perm(letter)[d]
-                    pair = (d, -letter)
-                    sign = -1
-                idx = schreier_index.get(pair)
-                if idx is not None:
-                    row[idx] += sign
-            rows.append(row)
-    return rows, cols
+            counts = {}
+            for d, g, sign in _relator_edges(table, c, relator):
+                col = d * rank + g - 1
+                counts[col] = counts.get(col, 0) + sign
+            rows.append(sorted((j, v) for j, v in counts.items() if v))
+    return rows, table.index * rank
 
 
 def subgroup_homology(table: CosetTable, primes=DEFAULT_PRIMES):
     """HomologyReport of the subgroup of a coset table."""
     matrix, cols = subgroup_abelianized_matrix(table)
-    return report_from_matrix(matrix, cols, primes)
+    # Cycles of the connected cover graph: cols - (index - 1) generators.
+    return report_from_matrix(matrix, cols - table.index + 1, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +262,7 @@ def rank_bounds(
         report = subgroup_homology(table, primes)
     lower = max([report.beta1] + list(report.b1p.values()))
     if not pres.relators:
-        upper = len(schreier_generators(table).generators)
+        upper = 1 + table.index * (table.pres.rank - 1)  # Nielsen-Schreier
     else:
         rewritten = rewrite_presentation(pres, table, length_cap)
         upper = tietze_simplify(rewritten, effort=effort, length_cap=length_cap).rank

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -1056,7 +1055,3 @@ def tower_report_to_obj(report: TowerReport) -> dict:
             "beta1": frac_str(report.limit_beta1),
         },
     }
-
-
-def tower_report_to_json(report: TowerReport) -> str:
-    return json.dumps(tower_report_to_obj(report), indent=2)

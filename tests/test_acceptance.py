@@ -35,7 +35,7 @@ from rankgradient.subgroups import rank_bounds, stallings_fold, subgroup_homolog
 from rankgradient.towers import ambient_presentation, build_tower, tower_report
 from rankgradient.words import free_reduce, parse_presentation
 
-from test_homology import minor_gcd_diagonal, mod_p_rank_oracle, random_matrix
+from test_homology import minor_gcd_diagonal, mod_p_rank_oracle, random_matrix, sparse
 
 
 @contextmanager
@@ -253,7 +253,7 @@ def test_criterion_10_snf_oracle():
             diag, _ = smith_normal_form(matrix)
             assert diag == minor_gcd_diagonal(matrix)
             n = len(matrix[0])
-            report = report_from_matrix(matrix, n)
+            report = report_from_matrix(sparse(matrix), n)
             for p in (2, 3, 5):
                 r = mod_p_rank(matrix, p)
                 assert r == mod_p_rank_oracle(matrix, p)

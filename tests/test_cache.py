@@ -165,3 +165,44 @@ def test_concurrent_cold_writers_of_one_key(tmp_path):
     assert validate(table) == []
     assert table.perms == enumerate_cosets(pres, spec).perms
     assert not list(tmp_path.glob("*.tmp"))
+
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        [[0, 5], [1, 0]],  # entries past the end of the list
+        [[0, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 0]],  # not a bijection
+        [[1, 2, 0, 4, 5, 3], [3, 4]],  # lists of different lengths
+    ],
+    ids=["out_of_range", "not_bijective", "ragged"],
+)
+def test_invalid_table_with_good_checksum_is_a_miss(tmp_path, capsys, perms):
+    from rankgradient.cache import _checksum
+    from rankgradient.cli import EXIT_OK, main
+
+    argv = ["enumerate", "--preset", "s3", "--cache-dir", str(tmp_path), "--format", "text"]
+
+    def run():
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out.splitlines()[-1]
+
+    assert run() == "index 6 (subgroup 1, cache miss)"
+    assert run() == "index 6 (subgroup 1, cache hit)"
+    pres, _ = parsed("gens a b\nrel a^3\nrel b^2\nrel a b a b\n")
+    path = os.path.join(str(tmp_path), cache_key(pres) + ".json")
+    good = enumerate_cosets(pres).perms
+
+    def forge(obj):
+        obj["payload"]["perms"] = perms
+        obj["checksum"] = _checksum(obj["payload"])  # only the table is wrong
+
+    corrupt(path, forge)
+    with pytest.raises(ValueError, match="permutation list|not a valid coset table"):
+        with open(path, encoding="utf-8") as fh:
+            deserialize_table(fh.read(), pres, None)
+    assert run() == "index 6 (subgroup 1, cache miss)"
+    with open(path, encoding="utf-8") as fh:
+        rewritten = deserialize_table(fh.read(), pres, None)
+    assert rewritten.perms == good
+    assert run() == "index 6 (subgroup 1, cache hit)"

@@ -142,6 +142,13 @@ def test_jobs_and_non_tower_seed_are_not_options(capsys, argv):
     assert exc.value.code == EXIT_PARSE
 
 
+def test_label_cap_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graphing", "--preset", "fig8", "--depth", "3", "--level", "3",
+              "--label-cap", "8"])
+    assert exc.value.code == EXIT_PARSE
+
+
 def test_csv_unavailable_for_validate(capsys):
     code, _, err = run(capsys, "validate", "--preset", "s3", "--format", "csv")
     assert code == EXIT_PARSE

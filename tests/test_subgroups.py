@@ -1,5 +1,9 @@
+from fractions import Fraction
+from importlib import resources
+
 import pytest
 
+from rankgradient.chains import hnn_chain, lamplighter_chain
 from rankgradient.cosets import enumerate_cosets, low_index
 from rankgradient.subgroups import (
     fold_subgroup_graph,
@@ -11,6 +15,7 @@ from rankgradient.subgroups import (
     tietze_simplify,
 )
 from rankgradient.homology import homology_report
+from rankgradient.towers import ambient_presentation, build_tower, cover_table
 from rankgradient.words import SubgroupSpec, parse_presentation
 
 
@@ -78,16 +83,39 @@ def test_rewrite_presentation_preserves_homology():
     assert report.torsion == ()
 
 
+def preset(name):
+    text = resources.files("rankgradient.presets").joinpath(name + ".txt").read_text()
+    return parse_presentation(text)[0]
+
+
+def homology_corpus():
+    """(ambient presentation, coset table) pairs: a small example, every
+    surface2 subgroup of index <= 4, fig8 HNN levels 1-8, the lamplighter
+    W3 levels and the z2z2 mu = 1/2 tower levels."""
+    s3, spec = parsed("gens a b\nrel a^3\nrel b^2\nrel a b a b\nsub H b\n")
+    yield s3, enumerate_cosets(s3, spec)
+    surface2 = preset("surface2")
+    for table in low_index(surface2, 4):
+        yield surface2, table
+    for chain, levels in ((hnn_chain(preset("fig8"), "t", 8), range(1, 9)),
+                          (lamplighter_chain(3, 2), range(3))):
+        for level in levels:
+            yield chain.ambient, chain.table(level)
+    z2z2 = preset("z2z2")
+    ambient = ambient_presentation(z2z2)
+    for cover in build_tower(z2z2, Fraction(1, 2), 1, scale=12, seed=0):
+        yield ambient, cover_table(cover, ambient)
+
+
 def test_subgroup_homology_matches_rewrite():
-    pres, spec = parsed(
-        "gens a b\nrel a^3\nrel b^2\nrel a b a b\nsub H b\n"
-    )
-    table = enumerate_cosets(pres, spec)
-    report = subgroup_homology(table)
-    rewritten = rewrite_presentation(pres, table)
-    direct = homology_report(rewritten)
-    assert report.beta1 == direct.beta1
-    assert report.b1p == direct.b1p
+    # The Fox matrix of the cover against the Reidemeister-Schreier
+    # presentation: beta1, torsion and b_{1,p} must all agree.
+    count = 0
+    for pres, table in homology_corpus():
+        direct = homology_report(rewrite_presentation(pres, table))
+        assert subgroup_homology(table) == direct, (pres, table.index)
+        count += 1
+    assert count == 1 + 5511 + 8 + 3 + 2
 
 
 def test_tietze_removes_redundant_generators():

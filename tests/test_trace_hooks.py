@@ -1,0 +1,51 @@
+"""The benchmark's span hooks still fit the library.
+
+``perfbench/spans.py`` wraps named rankgradient functions and reads counts
+off their arguments and return values, such as a relation matrix's
+nonzeros as ``len(row) - row.count(0)``.  A renamed function, a changed
+signature or a row format that breaks that count fails here.  The hooks
+rebind module attributes, so they run in a subprocess of their own.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, os, sys
+
+root, spans_path = sys.argv[1], sys.argv[2]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+import rankgradient.cli as cli
+import spans
+
+recorder = spans.install()
+codes = []
+for argv in (
+    ["tower", "--group", "z2z2", "--mu", "1/2", "--depth", "1"],
+    ["chain", "--preset", "fig8", "--depth", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+recorder.dump(spans_path, "hooks")
+metrics = spans.layer_metrics(spans.read_spans(spans_path))
+print(json.dumps({"codes": codes, "metrics": metrics}))
+"""
+
+
+def test_span_hooks_wrap_and_count(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "RANKGRADIENT_CACHE"}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(tmp_path / "spans.jsonl")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    metrics = result["metrics"]
+    assert metrics["subgroups.matrix_nnz"] > 0
+    assert metrics["homology.nnz_in"] >= metrics["subgroups.matrix_nnz"]
