@@ -34,6 +34,7 @@ COMMANDS = {
     "tower_z2z2_mu12_depth1_csv": "tower --group z2z2 --mu 1/2 --depth 1 --format csv",
     "tower_z2z2_mu12_depth1_text": "tower --group z2z2 --mu 1/2 --depth 1 --format text",
     "graphing_fig8_depth3_level3": "graphing --preset fig8 --depth 3 --level 3",
+    "graphing_f2_depth2_level2": "graphing --preset f2 --depth 2 --level 2",
     "validate_s3": "validate --preset s3",
     "enumerate_f2_sub_k_text": "enumerate --preset f2 --sub K --format text",
 }
