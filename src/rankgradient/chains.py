@@ -1,7 +1,7 @@
 """Chains of finite-index subgroups and their gradient sequences.
 
-A chain is a list of levels (coset table, subgroup spec) under a fixed
-ambient presentation; level 0 is always the whole group.  Three builders are
+A chain is a list of levels, one coset table each, under a fixed ambient
+presentation; level 0 is always the whole group.  Three builders are
 provided: normal-core chains seeded by a finite-index subgroup, cyclic-power
 chains over a designated stable letter, and the wreath-quotient family
 realizing a two-generator group whose level subgroups need at least 2^n
@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cosets import (
+    contains,
     enumerate_cosets,
-    coset_action,
     intersect,
     is_normal,
     low_index,
@@ -38,50 +38,41 @@ REPORT_SCHEMA_VERSION = 1
 class Chain:
     """Nested (or at least index-increasing) finite-index subgroups.
 
-    ``levels[0]`` is the whole group.  ``nested[i]`` certifies that every
-    spec generator of level i lies in level i-1 (membership via the level
-    i-1 table); ``stabilized`` lists levels whose index failed to grow;
-    ``truncated`` carries a human-readable marker when a budget stopped the
-    construction early.
+    ``levels[0]`` is the whole group.  A level's spec is ``table.spec``:
+    the words it was enumerated from, or None for a level derived by
+    intersection and normal core.  ``nested[i]`` certifies that level i lies
+    in level i-1 (``cosets.contains``); ``stabilized`` lists levels whose
+    index failed to grow; ``truncated`` carries a human-readable marker when
+    a budget stopped the construction early.
     """
 
     ambient: Presentation
-    levels: tuple  # of (CosetTable, SubgroupSpec)
+    levels: tuple  # of CosetTable
     provenance: str
     nested: tuple = ()
     stabilized: tuple = ()
     truncated: str = None
 
-    @property
-    def depth(self):
-        return len(self.levels) - 1
-
     def indices(self):
-        return tuple(table.index for table, _ in self.levels)
-
-    def table(self, level):
-        return self.levels[level][0]
+        return tuple(table.index for table in self.levels)
 
 
 def _whole_group_level(pres):
     spec = SubgroupSpec(generators=tuple((i + 1,) for i in range(pres.rank)), name="G")
-    return enumerate_cosets(pres, spec, provenance="whole group"), spec
+    return enumerate_cosets(pres, spec, provenance="whole group")
 
 
 def _certify(levels):
-    """Membership certificates: level i spec words fix the base coset of level i-1."""
-    nested = [True]
-    for i in range(1, len(levels)):
-        prev_table = levels[i - 1][0]
-        spec = levels[i][1]
-        nested.append(all(prev_table.fixes_base(w) for w in spec.generators))
-    return tuple(nested)
+    """Membership certificates: level i lies in level i-1."""
+    return (True,) + tuple(
+        contains(levels[i - 1], levels[i]) for i in range(1, len(levels))
+    )
 
 
 def _stabilization(levels):
     out = []
     for i in range(1, len(levels)):
-        if levels[i][0].index <= levels[i - 1][0].index:
+        if levels[i].index <= levels[i - 1].index:
             out.append(i)
     return tuple(out)
 
@@ -115,7 +106,7 @@ def farber_chain(
     kwargs = {} if coset_cap is None else {"cap": coset_cap}
     levels = [_whole_group_level(pres)]
     h_table = enumerate_cosets(pres, sub, provenance="chain seed", **kwargs)
-    levels.append((h_table, sub))
+    levels.append(h_table)
     truncated = None
     if depth >= 2:
         core = normal_core(h_table)
@@ -125,9 +116,7 @@ def farber_chain(
                 for t in low_index(pres, n):
                     if t.index != n:
                         continue
-                    if delta is not None and all(
-                        t.fixes_base(w) for w in delta.spec.generators
-                    ):
+                    if delta is not None and contains(t, delta):
                         continue  # intersection already inside t
                     delta = t if delta is None else intersect(delta, t)
                     if delta.index > index_cap:
@@ -142,7 +131,7 @@ def farber_chain(
             except BudgetError as exc:
                 truncated = f"stopped before level {n}: {exc}"
                 break
-            levels.append((level, level.spec))
+            levels.append(level)
     return _finish_chain(pres, levels, f"farber(H={sub.name}, depth={depth})", truncated)
 
 
@@ -173,7 +162,7 @@ def hnn_chain(pres: Presentation, stable: str, depth: int) -> Chain:
             )
         if not is_normal(table):
             raise ValueError(f"level {n} is not normal")
-        levels.append((table, spec))
+        levels.append(table)
     return _finish_chain(pres, levels, f"hnn(stable={stable}, depth={depth})")
 
 
@@ -209,7 +198,7 @@ def lamplighter_chain(m: int, depth: int) -> Chain:
             raise InternalInvariantError(
                 f"level {n} has index {table.index}, expected {2 ** n}"
             )
-        levels.append((table, spec))
+        levels.append(table)
     return _finish_chain(pres, levels, f"lamplighter(m={m}, depth={depth})")
 
 
@@ -252,13 +241,14 @@ class GradientReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
 
-def _level_stats(pres, table, spec, level, primes, effort):
+def _level_stats(pres, table, level, primes, effort):
     try:
         report = subgroup_homology(table, primes)
         lower, upper = rank_bounds(
             pres, table, primes=primes, effort=effort, report=report
         )
-        if not spec.normal and spec.generators:
+        spec = table.spec
+        if spec is not None and not spec.normal and spec.generators:
             # the spec words generate the subgroup by construction, so their
             # count is a certified upper bound too
             upper = max(min(upper, len(spec.generators)), lower)
@@ -289,8 +279,8 @@ def gradient_sequence(
     levels are nested.
     """
     stats = [
-        _level_stats(chain.ambient, table, spec, i, primes, effort)
-        for i, (table, spec) in enumerate(chain.levels)
+        _level_stats(chain.ambient, table, i, primes, effort)
+        for i, table in enumerate(chain.levels)
     ]
 
     # Chain the Schreier bound through the levels in order.
@@ -335,8 +325,8 @@ def farber_defect(chain: Chain, w: Word, level: int) -> Fraction:
     w = free_reduce(w)
     if not w:
         raise ValueError("the defect of the identity is always 1; pass a nontrivial word")
-    table = chain.table(level)
-    perm = coset_action(table, w)
+    table = chain.levels[level]
+    perm = table.word_perm(w)
     fixed = sum(1 for i, x in enumerate(perm) if x == i)
     return Fraction(fixed, table.index)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -72,13 +73,6 @@ class RunConfig:
     cache_dir: str = None
     seed: int = 0
     extra: tuple = ()  # command-specific (flag, value) pairs, sorted
-
-    def __post_init__(self):
-        for cap in (self.coset_cap, self.index_cap):
-            if cap is not None and cap < 1:
-                raise ValueError("caps must be positive")
-        if self.format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def load_source(args):
@@ -360,9 +354,27 @@ def cmd_validate(args):
 
 def _primes(text):
     out = tuple(int(p) for p in text.split(","))
-    if not out or any(p < 2 for p in out):
-        raise argparse.ArgumentTypeError("primes must be a comma list of ints >= 2")
+    if len(set(out)) != len(out) or not all(
+        p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in out
+    ):
+        raise argparse.ArgumentTypeError("primes must be a comma list of distinct primes")
     return out
+
+
+def _mu(text):
+    """Check that text is a rational; keep it as typed for the config echo."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"mu must be a rational such as 3/4, not {text!r}")
+    return text
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser():
@@ -372,7 +384,7 @@ def build_parser():
     src.add_argument("--input", help="presentation file")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--primes", type=_primes, default=DEFAULT_PRIMES)
-    common.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP)
+    common.add_argument("--coset-cap", type=_positive_int, default=DEFAULT_COSET_CAP)
     common.add_argument("--cache-dir", default=None,
                         help=f"coset table cache (or ${CACHE_DIR_ENV})")
 
@@ -383,7 +395,7 @@ def build_parser():
     chain_opts.add_argument("--stable", default="t", help="stable letter (hnn)")
     chain_opts.add_argument("--m", type=int, default=None, help="wreath exponent (lamplighter)")
     chain_opts.add_argument("--depth", type=int, required=True)
-    chain_opts.add_argument("--index-cap", type=int, default=None)
+    chain_opts.add_argument("--index-cap", type=_positive_int, default=None)
     chain_opts.add_argument("--effort", type=int, default=2, choices=(0, 1, 2))
 
     parser = argparse.ArgumentParser(
@@ -413,9 +425,9 @@ def build_parser():
     p = subs.add_parser("tower", parents=[common],
                         help="covering tower with prescribed fixed-vertex ratio")
     p.add_argument("--group", choices=("s3", "z2z2"), required=True)
-    p.add_argument("--mu", required=True, help="rational, e.g. 3/4")
+    p.add_argument("--mu", type=_mu, required=True, help="rational, e.g. 3/4")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--scale", type=int, default=12)
+    p.add_argument("--scale", type=_positive_int, default=12)
     p.add_argument("--seed", type=int, default=0, help="tower search seed")
     p.add_argument("--effort", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--covers", action="store_true", help="embed the cover permutations")

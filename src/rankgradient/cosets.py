@@ -8,6 +8,10 @@ Conventions: coset 0 is the subgroup itself, words act on the right, and a
 table's permutations are listed per generator.  All construction paths
 canonicalize the coset numbering by BFS from coset 0 in letter order
 (g1, g1^-1, g2, ...), so equal subgroups yield identical tables.
+
+A table alone fixes its subgroup.  Only ``enumerate_cosets`` attaches a
+spec, the one it enumerated; the tables of ``low_index``, ``intersect`` and
+``normal_core`` carry none, and Schreier generators are built on demand.
 """
 
 from __future__ import annotations
@@ -58,7 +62,12 @@ class CosetTable:
         return coset
 
     def word_perm(self, word: Word):
-        return tuple(self.apply(word, c) for c in range(self.index))
+        """Permutation of cosets induced by a word: c -> c.word."""
+        perm = range(self.index)
+        for letter in word:
+            p = self.letter_perm(letter)
+            perm = [p[c] for c in perm]
+        return tuple(perm)
 
     def fixes_base(self, word: Word) -> bool:
         """Subgroup membership: w is in the subgroup iff it fixes coset 0."""
@@ -290,36 +299,34 @@ def schreier_transversal(table: CosetTable):
     return words, parent
 
 
-@dataclass(frozen=True)
-class SchreierData:
-    """Nontrivial Schreier generators of a coset table's subgroup."""
-
-    generators: tuple  # one word per non-tree (coset, generator) pair
-    pairs: tuple  # the (coset, generator) pair behind each Schreier generator
-
-
-def schreier_generators(table: CosetTable) -> SchreierData:
-    """Schreier generators of the subgroup of a coset table.
-
-    One word t_c g t_{c.g}^-1 per non-tree pair (coset c, generator g) of the
-    shortest-lex BFS transversal, so the nontrivial generator count is
-    index * rank - (index - 1).
-    """
-    words, parent = schreier_transversal(table)
-    gens = []
+def cotree_pairs(table: CosetTable):
+    """The (coset c, generator g) of each edge c -g-> c.g off the BFS
+    spanning tree, in coset then generator order: index * rank - (index - 1)
+    pairs, one per nontrivial Schreier generator."""
+    _, parent = _bfs(table)
     pairs = []
     for c in range(table.index):
         for g in range(1, table.pres.rank + 1):
             d = table.perms[g - 1][c]
             if parent[d] == (c, g) or parent[c] == (d, -g):
                 continue  # tree edge c -g-> d, reached from either end
-            gens.append(free_reduce(words[c] + (g,) + invert(words[d])))
             pairs.append((c, g))
-    return SchreierData(generators=tuple(gens), pairs=tuple(pairs))
+    return pairs
+
+
+def schreier_generators(table: CosetTable) -> tuple:
+    """Schreier generators of the subgroup of a coset table: one word
+    t_c g t_{c.g}^-1 per cotree pair (c, g) of the shortest-lex BFS
+    transversal."""
+    words, _ = schreier_transversal(table)
+    return tuple(
+        free_reduce(words[c] + (g,) + invert(words[table.perms[g - 1][c]]))
+        for c, g in cotree_pairs(table)
+    )
 
 
 def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:
-    spec = SubgroupSpec(generators=schreier_generators(table).generators, name=name)
+    spec = SubgroupSpec(generators=schreier_generators(table), name=name)
     return CosetTable(
         pres=table.pres,
         perms=table.perms,
@@ -350,8 +357,7 @@ def low_index(pres: Presentation, n_max: int, node_cap: int = DEFAULT_NODE_CAP):
         _search_index(pres, k, tables, budget)
         tables.sort()
         for perms in tables:
-            t = CosetTable(pres=pres, perms=perms, provenance=f"low_index({k})")
-            found.append(with_schreier_spec(t))
+            found.append(CosetTable(pres=pres, perms=perms, provenance=f"low_index({k})"))
     return found
 
 
@@ -414,7 +420,8 @@ def _search_index(pres, k, out, budget):
 
 
 def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
-    """Table of H1 n H2: the component of (0, 0) in the product action."""
+    """Table of H1 n H2: the component of (0, 0) in the product action,
+    numbered by a BFS in the order ``canonicalize`` uses."""
     if t1.pres != t2.pres:
         raise ValueError("tables must share an ambient presentation")
     letters = _letters(t1.pres.rank)
@@ -434,8 +441,7 @@ def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
         tuple(number[(t1.perms[g][a], t2.perms[g][b])] for a, b in order)
         for g in range(t1.pres.rank)
     )
-    t = CosetTable(pres=t1.pres, perms=perms, provenance="intersect")
-    return with_schreier_spec(canonicalize(t))
+    return CosetTable(pres=t1.pres, perms=perms, provenance="intersect")
 
 
 def _image_closure(table: CosetTable, limit: int):
@@ -473,8 +479,25 @@ def normal_core(table: CosetTable, image_cap: int = DEFAULT_IMAGE_CAP) -> CosetT
         tuple(number[tuple(perm[x] for x in e)] for e in elements)
         for perm in table.perms
     )
-    t = CosetTable(pres=table.pres, perms=perms, provenance="normal_core")
-    return with_schreier_spec(canonicalize(t))
+    return canonicalize(CosetTable(pres=table.pres, perms=perms, provenance="normal_core"))
+
+
+def contains(table: CosetTable, sub: CosetTable) -> bool:
+    """True iff the subgroup of ``sub`` lies in the subgroup of ``table``,
+    i.e. iff the coset map sending 0 to 0 and commuting with every letter is
+    well defined; it is built along the BFS of ``sub``, checking every edge."""
+    image = [None] * sub.index
+    image[0] = 0
+    letters = _letters(sub.pres.rank)
+    for c in _bfs(sub)[0]:
+        for letter in letters:
+            d = sub.letter_perm(letter)[c]
+            e = table.letter_perm(letter)[image[c]]
+            if image[d] is None:
+                image[d] = e
+            elif image[d] != e:
+                return False
+    return True
 
 
 def is_normal(table: CosetTable) -> bool:
@@ -498,16 +521,12 @@ def validate(table: CosetTable):
     if not problems:
         if len(_bfs(table)[0]) != n:
             problems.append("action is not transitive on cosets")
+        identity = tuple(range(n))
         for r_i, relator in enumerate(table.pres.relators):
-            if any(table.apply(relator, c) != c for c in range(n)):
+            if table.word_perm(relator) != identity:
                 problems.append(f"relator {r_i} does not act as the identity")
         if table.spec is not None and not table.spec.normal:
             for w in table.spec.generators:
                 if not table.fixes_base(w):
                     problems.append(f"subgroup generator {w} does not fix coset 0")
     return problems
-
-
-def coset_action(table: CosetTable, word: Word):
-    """Permutation of cosets induced by a word."""
-    return table.word_perm(free_reduce(word))

@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cosets import CosetTable, enumerate_cosets, schreier_transversal
+from .cosets import (
+    CosetTable,
+    enumerate_cosets,
+    schreier_generators,
+    schreier_transversal,
+)
 from .errors import IndexBoundExceeded, LabelLengthExceeded
 from .words import SubgroupSpec, free_reduce, invert
 
@@ -38,7 +43,7 @@ class CosetTree:
         return len(self.chain.levels)
 
     def level_size(self, n):
-        return self.chain.table(n).index
+        return self.chain.levels[n].index
 
     def shadow_measure(self, n):
         return Fraction(1, self.level_size(n))
@@ -52,8 +57,8 @@ def build_coset_tree(chain) -> CosetTree:
     inside the level-n coset that w carries the base to."""
     parents = []
     for n in range(len(chain.levels) - 1):
-        upper = chain.table(n)
-        lower = chain.table(n + 1)
+        upper = chain.levels[n]
+        lower = chain.levels[n + 1]
         words, _ = schreier_transversal(lower)
         parents.append(tuple(upper.apply(w, 0) for w in words))
     tree = CosetTree(chain=chain, parents=tuple(parents))
@@ -182,7 +187,7 @@ def graphing_from_generators(chain, level: int, gens) -> Graphing:
 
     Its edge measure is (d + index - 1)/index for d distinct generator labels.
     """
-    table = chain.table(level)
+    table = chain.levels[level]
     fibers = {}
     for g in gens:
         g = free_reduce(g)
@@ -315,13 +320,15 @@ def minimize_graphing(chain, level: int, gens=None):
     single incidences (largest fiber first, then lexicographic label order),
     keeping a deletion only when the result is still an L-graphing.  Always
     returns at least the seed graphing; the deletion order is deterministic.
+    Without ``gens`` the seed uses the level's spec words, or the Schreier
+    generators of its table when the level carries no spec.
     """
-    table = chain.table(level)
+    table = chain.levels[level]
     if gens is None:
-        spec = chain.levels[level][1]
-        if spec.normal:
+        spec = table.spec
+        if spec is not None and spec.normal:
             raise ValueError("need explicit generators for a normal-closure level")
-        gens = spec.generators
+        gens = schreier_generators(table) if spec is None else spec.generators
     current = graphing_from_generators(chain, level, gens)
     changed = True
     while changed:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import CosetTable, schreier_generators
+from .cosets import CosetTable, cotree_pairs, schreier_generators
 from .errors import RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES, report_from_matrix
 from .words import (
@@ -51,8 +51,7 @@ def rewrite_presentation(
     Generators are the nontrivial Schreier generators; there is one rewritten
     relator per (coset, ambient relator) pair before reduction.
     """
-    data = schreier_generators(table)
-    schreier_index = {pair: i for i, pair in enumerate(data.pairs)}
+    schreier_index = {pair: i for i, pair in enumerate(cotree_pairs(table))}
     relators = []
     for c in range(table.index):
         for relator in pres.relators:
@@ -65,7 +64,7 @@ def rewrite_presentation(
             if len(w) > length_cap:
                 raise RelatorLengthExceeded(length_cap, len(w), context=f"coset {c}")
             relators.append(w)
-    names = tuple(f"x{i}" for i in range(len(data.generators)))
+    names = tuple(f"x{i}" for i in range(len(schreier_index)))
     return Presentation(generators=names, relators=tuple(relators))
 
 

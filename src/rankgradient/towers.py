@@ -20,13 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cosets import (
-    CosetTable,
-    _invert_perm,
-    enumerate_cosets,
-    schreier_transversal,
-    with_schreier_spec,
-)
+from .cosets import CosetTable, enumerate_cosets, schreier_transversal, validate
 from .errors import BudgetError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import rank_bounds, subgroup_homology
@@ -157,33 +151,15 @@ class CoverGraph:
         return Fraction(fixed, len(orbits))
 
     def check_invariants(self):
+        """Raise ValueError unless every A-orbit has size 1 or |A| and the
+        action is a valid (bijective, transitive) coset table of A * Z."""
         a = self.group.order
         for orbit in self.orbits():
             if len(orbit) not in (1, a):
                 raise ValueError(f"A-orbit of size {len(orbit)}, expected 1 or {a}")
-        # transitivity of <A, sigma>
-        seen = {0}
-        frontier = [0]
-        perms = list(self.a_perms) + [self.sigma, _invert_perm(self.sigma)]
-        while frontier:
-            x = frontier.pop()
-            for p in perms:
-                y = p[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if len(seen) != self.n:
-            raise ValueError("the (A, sigma)-action is not transitive")
-        # A-action respects the relators
-        inverses = [_invert_perm(p) for p in self.a_perms]
-        for relator in self.group.pres.relators:
-            for x in range(self.n):
-                y = x
-                for letter in relator:
-                    g = abs(letter) - 1
-                    y = self.a_perms[g][y] if letter > 0 else inverses[g][y]
-                if y != x:
-                    raise ValueError("A-action violates a relator")
+        problems = validate(cover_table(self, ambient_presentation(self.group.pres)))
+        if problems:
+            raise ValueError("invalid cover: " + "; ".join(problems))
 
 
 def ambient_presentation(a_pres: Presentation, stable: str = "t") -> Presentation:
@@ -205,18 +181,6 @@ def cover_table(cover: CoverGraph, ambient: Presentation) -> CosetTable:
         perms=cover.a_perms + (cover.sigma,),
         provenance=cover.provenance,
     )
-
-
-def subgroup_from_cover(cover: CoverGraph, ambient: Presentation) -> SubgroupSpec:
-    """Schreier generators of the base-point stabilizer; the index of the
-    subgroup they generate is re-verified to equal n by enumeration."""
-    spec = with_schreier_spec(cover_table(cover, ambient)).spec
-    check = enumerate_cosets(ambient, spec, provenance="cover stabilizer check")
-    if check.index != cover.n:
-        raise AssertionError(
-            f"stabilizer generators give index {check.index}, expected {cover.n}"
-        )
-    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from rankgradient.chains import (
     hnn_chain,
     lamplighter_chain,
 )
-from rankgradient.cosets import low_index
+from rankgradient.cosets import low_index, schreier_generators, with_schreier_spec
 from rankgradient.graphings import (
     Graphing,
     bar,
@@ -109,7 +109,7 @@ def test_criterion_2_nielsen_schreier():
             pres = free(rank)
             for table in low_index(pres, n_max):
                 expected = 1 + table.index * (rank - 1)
-                folded, index = stallings_fold(rank, table.spec)
+                folded, index = stallings_fold(rank, with_schreier_spec(table).spec)
                 assert (folded, index) == (expected, table.index)
                 assert rank_bounds(pres, table) == (expected, expected)
 
@@ -171,14 +171,14 @@ def test_criterion_6_graphing_round_trip():
     with criterion(6, "Delta_2 generating-set graphing: e(M)=2, rank bound 5", 10):
         pres, spec = parsed("gens a b\nsub H a, b^2, b a b^-1\n")
         chain = farber_chain(pres, spec, 2)
-        assert chain.table(2).index == 4
-        gens = chain.levels[2][1].generators
+        assert chain.levels[2].index == 4
+        gens = schreier_generators(chain.levels[2])
         m = graphing_from_generators(chain, 2, gens)
         assert edge_measure(m) == Fraction(5 + 3, 4) == 2
         assert is_l_graphing(m, chain).verdict is True
         assert rank_bound(m, chain) == 5 == 1 + 4 * (2 - 1)
         # index-1 round trip returns the ambient rank
-        gens0 = chain.levels[0][1].generators
+        gens0 = chain.levels[0].spec.generators
         m0 = graphing_from_generators(chain, 0, gens0)
         assert rank_bound(m0, chain) == len(gens0)
 
@@ -186,11 +186,11 @@ def test_criterion_6_graphing_round_trip():
 def test_criterion_7_powering_identity():
     with criterion(7, "power(M,k) projects to the k-step reachability closure", 60):
         chain = farber_chain(*parsed(F2_SEED.replace("^4", "^2")), 2)
-        levels = [n for n in range(len(chain.levels)) if chain.table(n).index <= 8]
+        levels = [n for n in range(len(chain.levels)) if chain.levels[n].index <= 8]
         rng = random.Random(7)
         for trial in range(100):
             level = levels[trial % len(levels)]
-            table = chain.table(level)
+            table = chain.levels[level]
             fibers = {}
             for _ in range(rng.randint(1, 3)):
                 label = free_reduce(

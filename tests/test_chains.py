@@ -55,7 +55,7 @@ def test_hnn_z2_example():
     pres, _ = parsed("gens a t\nrel t^-1 a t = a\n")
     chain = hnn_chain(pres, "t", 2)
     assert chain.indices() == (1, 1, 2)
-    table = chain.table(2)
+    table = chain.levels[2]
     assert table.fixes_base((1,))
     assert table.fixes_base((2, 2))
     assert not table.fixes_base((2,))
@@ -94,7 +94,7 @@ def test_farber_chain_f2():
     assert chain.truncated is None
     assert all(chain.nested)
     for level in range(2, len(chain.levels)):
-        assert is_normal(chain.table(level))
+        assert is_normal(chain.levels[level])
 
 
 def test_farber_chain_defects_vanish():

@@ -142,6 +142,21 @@ def test_jobs_and_non_tower_seed_are_not_options(capsys, argv):
     assert exc.value.code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("bad", [
+    ("--mu", "1/0"),
+    ("--scale", "-2"),
+    ("--scale", "0"),
+    ("--primes", "4"),
+    ("--primes", "2,2"),
+    ("--coset-cap", "0"),
+])
+def test_bad_tower_input_is_a_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", "--group", "s3", "--mu", "3/4", "--depth", "1", *bad])
+    assert exc.value.code == EXIT_PARSE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_label_cap_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graphing", "--preset", "fig8", "--depth", "3", "--level", "3",

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankgradient.cosets import (
     canonicalize,
-    coset_action,
+    contains,
     enumerate_cosets,
     intersect,
     is_normal,
@@ -27,6 +27,7 @@ def parsed(text):
 
 S3 = "gens a b\nrel a^3\nrel b^2\nrel a b a b\n"
 Z2Z2 = "gens a b\nrel a^2\nrel b^2\nrel a b a^-1 b^-1\n"
+SURFACE2 = "gens a b c d\nrel a b a^-1 b^-1 c d c^-1 d^-1\n"
 
 
 def hall_counts(rank, n_max):
@@ -91,7 +92,7 @@ def test_low_index_deterministic_and_valid():
     for t in tables:
         assert validate(t) == []
         # the attached spec really is the stabilizer of coset 0
-        check = enumerate_cosets(pres, t.spec)
+        check = enumerate_cosets(pres, with_schreier_spec(t).spec)
         assert check.index == t.index
 
 
@@ -116,7 +117,7 @@ def test_schreier_transversal_prefix_closed():
 def test_schreier_generators_fix_base():
     pres, _ = parsed(S3 + "sub H b\n")
     table = enumerate_cosets(pres, parsed(S3 + "sub H b\n")[1])
-    gens = schreier_generators(table).generators
+    gens = schreier_generators(table)
     # Nielsen-Schreier count for a rank-2 ambient at index 3
     assert len(gens) == 2 * 3 - (3 - 1)
     for w in gens:
@@ -132,6 +133,24 @@ def test_intersect():
     assert meet.index == 4
     for w in ((1, 1), (2, 2), (1, 2, -1, -2)):
         assert meet.fixes_base(free_reduce(w))
+
+
+def test_intersect_is_canonical_as_built():
+    for text, n_max in (("gens a b\n", 3), (SURFACE2, 2)):
+        tables = low_index(parsed(text)[0], n_max)
+        for t1 in tables:
+            for t2 in tables:
+                meet = intersect(t1, t2)
+                assert canonicalize(meet).perms == meet.perms
+
+
+def test_contains_agrees_with_schreier_membership():
+    for text, n_max in (("gens a b\n", 4), (SURFACE2, 3)):
+        tables = low_index(parsed(text)[0], n_max)
+        gens = [schreier_generators(t) for t in tables]
+        for a in tables:
+            for b, b_gens in zip(tables, gens):
+                assert contains(a, b) == all(a.fixes_base(w) for w in b_gens)
 
 
 def test_normal_core():
@@ -159,11 +178,11 @@ def test_is_normal_agrees_with_core_on_all_f2_subgroups_of_index_at_most_4():
     assert sum(verdicts) == 15
 
 
-def test_coset_action_matches_apply():
+def test_word_perm_matches_apply():
     pres, spec = parsed(S3 + "sub H b\n")
     table = enumerate_cosets(pres, spec)
     w = (1, -2, 1)
-    perm = coset_action(table, w)
+    perm = table.word_perm(w)
     assert perm == tuple(table.apply(w, c) for c in range(table.index))
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rankgradient.chains import farber_chain, hnn_chain, lamplighter_chain
+from rankgradient.cosets import schreier_generators
 from rankgradient.graphings import (
     Graphing,
     bar,
@@ -46,9 +47,9 @@ def test_coset_tree_shadow_measures():
 def test_generating_set_graphing_round_trip():
     chain = f2_delta2_chain()
     level = 2
-    spec = chain.levels[level][1]
-    assert len(spec.generators) == 5  # free rank of an index-4 subgroup of F2
-    m = graphing_from_generators(chain, level, spec.generators)
+    gens = schreier_generators(chain.levels[level])
+    assert len(gens) == 5  # free rank of an index-4 subgroup of F2
+    m = graphing_from_generators(chain, level, gens)
     assert edge_measure(m) == 2  # (5 + 3) / 4
     cert = is_l_graphing(m, chain)
     assert cert.verdict is True
@@ -59,7 +60,7 @@ def test_round_trip_at_index_one():
     pres, _ = parsed("gens a b\n")
     chain = hnn_chain(parsed("gens a b t\nrel t^-1 a t = b^-1\nrel t^-1 b t = b^2 a b\n")[0], "t", 1)
     level = 1  # index 1: the whole group
-    spec = chain.levels[level][1]
+    spec = chain.levels[level].spec
     m = graphing_from_generators(chain, level, spec.generators)
     assert m.index == 1
     assert is_l_graphing(m, chain).verdict is True
@@ -77,7 +78,7 @@ def test_minimize_graphing_is_deterministic_and_minimal_here():
 
 def test_rank_bound_requires_l_graphing():
     chain = f2_delta2_chain()
-    table = chain.table(2)
+    table = chain.levels[2]
     m = Graphing(table=table, level=2, fibers={(1, 1): {0}})
     with pytest.raises(ValueError):
         rank_bound(m, chain)
@@ -85,8 +86,7 @@ def test_rank_bound_requires_l_graphing():
 
 def test_bar_contains_inverses_and_identity():
     chain = f2_delta2_chain()
-    spec = chain.levels[2][1]
-    m = graphing_from_generators(chain, 2, spec.generators)
+    m = graphing_from_generators(chain, 2, schreier_generators(chain.levels[2]))
     b = bar(m)
     assert b.fibers[()] == frozenset(range(4))
     for label, cosets in m.fibers.items():
@@ -96,7 +96,7 @@ def test_bar_contains_inverses_and_identity():
 
 def test_union_and_compose_measures():
     chain = f2_delta2_chain()
-    table = chain.table(2)
+    table = chain.levels[2]
     m = Graphing(table=table, level=2, fibers={(1,): {0, 1}})
     n = Graphing(table=table, level=2, fibers={(2,): {table.apply((1,), 0)}})
     u = union(m, n)
@@ -106,7 +106,7 @@ def test_union_and_compose_measures():
 
 
 def random_graphing(rng, chain, level):
-    table = chain.table(level)
+    table = chain.levels[level]
     fibers = {}
     for _ in range(rng.randint(1, 3)):
         label = free_reduce(
@@ -136,7 +136,7 @@ def reachability(edges, num_vertices, k):
 def test_power_matches_reachability_closure():
     pres, spec = parsed("gens a b\nsub K normal a^2, b^2, a b a^-1 b^-1\n")
     chain = farber_chain(pres, spec, 2)
-    levels = [n for n in range(len(chain.levels)) if chain.table(n).index <= 8]
+    levels = [n for n in range(len(chain.levels)) if chain.levels[n].index <= 8]
     rng = random.Random(2024)
     for trial in range(100):
         level = levels[trial % len(levels)]
@@ -150,19 +150,18 @@ def test_power_matches_reachability_closure():
 
 def test_to_labeled_graph_loops_fix_base():
     chain = f2_delta2_chain()
-    spec = chain.levels[2][1]
-    m = graphing_from_generators(chain, 2, spec.generators)
+    m = graphing_from_generators(chain, 2, schreier_generators(chain.levels[2]))
     graph, loops = to_labeled_graph(m, chain)
     assert not graph.disconnected
     assert graph.num_edges == 8
-    table = chain.table(2)
+    table = chain.levels[2]
     for loop in loops:
         assert table.fixes_base(loop)
 
 
 def test_disconnected_graphing_rejected():
     chain = f2_delta2_chain()
-    table = chain.table(2)
+    table = chain.levels[2]
     m = Graphing(table=table, level=2, fibers={(1, 1): set(range(4))})
     cert = is_l_graphing(m, chain)
     assert cert.verdict is False

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from rankgradient.chains import hnn_chain, lamplighter_chain
-from rankgradient.cosets import enumerate_cosets, low_index
+from rankgradient.cosets import enumerate_cosets, low_index, with_schreier_spec
 from rankgradient.subgroups import (
     fold_subgroup_graph,
     rank_bounds,
@@ -33,7 +33,7 @@ def test_nielsen_schreier_all_low_index():
         pres = free(rank)
         for table in low_index(pres, n_max):
             expected = 1 + table.index * (rank - 1)
-            folded_rank, index = stallings_fold(rank, table.spec)
+            folded_rank, index = stallings_fold(rank, with_schreier_spec(table).spec)
             assert index == table.index
             assert folded_rank == expected
             lower, upper = rank_bounds(pres, table)
@@ -44,8 +44,8 @@ def test_schreier_generators_count():
     pres = free(2)
     spec = parsed("gens a b\nsub K normal a^2, b^2, a b a^-1 b^-1\n")[1]
     table = enumerate_cosets(pres, spec)
-    data = schreier_generators(table)
-    assert len(data.generators) == 2 * table.index - (table.index - 1)
+    gens = schreier_generators(table)
+    assert len(gens) == 2 * table.index - (table.index - 1)
 
 
 def test_stallings_infinite_index():
@@ -100,7 +100,7 @@ def homology_corpus():
     for chain, levels in ((hnn_chain(preset("fig8"), "t", 8), range(1, 9)),
                           (lamplighter_chain(3, 2), range(3))):
         for level in levels:
-            yield chain.ambient, chain.table(level)
+            yield chain.ambient, chain.levels[level]
     z2z2 = preset("z2z2")
     ambient = ambient_presentation(z2z2)
     for cover in build_tower(z2z2, Fraction(1, 2), 1, scale=12, seed=0):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankgradient.cosets import enumerate_cosets, with_schreier_spec
 from rankgradient.errors import BudgetError
 from rankgradient.towers import (
     CoverGraph,
@@ -14,7 +15,6 @@ from rankgradient.towers import (
     finite_group_data,
     injectivity_radius,
     predict_stats,
-    subgroup_from_cover,
     tower_report,
     verify_level,
 )
@@ -123,8 +123,25 @@ def test_cover_table_and_stabilizer(s3_tower):
     cover = s3_tower[0]
     table = cover_table(cover, ambient)
     assert table.index == cover.n
-    spec = subgroup_from_cover(cover, ambient)  # re-verifies the index
+    # the Schreier generators of the base-point stabilizer have index n
+    spec = with_schreier_spec(table).spec
     assert spec.generators
+    assert enumerate_cosets(ambient, spec).index == cover.n
+
+
+@pytest.mark.parametrize("a_perms,sigma,match", [
+    # two fixed points that sigma does not join
+    (((0, 1), (0, 1)), (0, 1), "not transitive"),
+    # a acts as a 6-cycle, so a^3 is not the identity
+    (((1, 2, 3, 4, 5, 0), tuple(range(6))), tuple(range(6)), "relator"),
+    # b swaps two points: an A-orbit of size 2 in S3
+    (((0, 1), (1, 0)), (1, 0), "A-orbit of size 2"),
+])
+def test_check_invariants_rejects_bad_covers(a_perms, sigma, match):
+    group = finite_group_data(pres_of(S3))
+    cover = CoverGraph(group=group, n=len(sigma), a_perms=a_perms, sigma=sigma)
+    with pytest.raises(ValueError, match=match):
+        cover.check_invariants()
 
 
 def test_predict_stats_consistency_guard():
