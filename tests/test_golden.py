@@ -26,6 +26,7 @@ COMMANDS = {
     "lowindex_f2_max4": "lowindex --preset f2 --max 4",
     "lowindex_surface2_max3_csv": "lowindex --preset surface2 --max 3 --format csv",
     "chain_fig8_depth6": "chain --preset fig8 --depth 6",
+    "chain_fig8_depth16": "chain --preset fig8 --depth 16",
     "chain_fig8_depth6_csv": "chain --preset fig8 --depth 6 --format csv",
     "chain_fig8_depth3_text": "chain --preset fig8 --depth 3 --format text",
     "gradient_lamplighter3_depth2_text": "gradient --preset lamplighter3 --depth 2 --format text",
