@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 scripts/gradient_demo.py [--depth N]
+    PYTHONPATH=src python3 scripts/gradient_demo.py [--depth N]
 """
 
 import argparse

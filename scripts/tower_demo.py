@@ -4,7 +4,7 @@ closed-form predictions level by level.
 
 Run from the repository root:
 
-    python3 scripts/tower_demo.py [--mu 3/4] [--depth 3] [--scale 12]
+    PYTHONPATH=src python3 scripts/tower_demo.py [--mu 3/4] [--depth 3] [--scale 12]
 """
 
 import argparse

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -352,11 +351,40 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_CHECK_BOUND (Sorenson and Webster, Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CHECK_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n):
+    """Exact primality test for n < PRIME_CHECK_BOUND."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _primes(text):
     out = tuple(int(p) for p in text.split(","))
-    if len(set(out)) != len(out) or not all(
-        p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in out
-    ):
+    if any(p >= PRIME_CHECK_BOUND for p in out):
+        raise argparse.ArgumentTypeError(f"primes must be below {PRIME_CHECK_BOUND}")
+    if len(set(out)) != len(out) or not all(is_prime(p) for p in out):
         raise argparse.ArgumentTypeError("primes must be a comma list of distinct primes")
     return out
 

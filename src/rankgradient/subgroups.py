@@ -12,6 +12,7 @@ free ambient groups).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .cosets import CosetTable, cotree_pairs, schreier_generators
@@ -101,12 +102,70 @@ def subgroup_homology(table: CosetTable, primes=DEFAULT_PRIMES):
 # ---------------------------------------------------------------------------
 
 
+def _least_rotation(w):
+    """Lexicographically least rotation of w in O(len(w)) comparisons:
+    Booth's failure-function scan over w + w (Booth, IPL 1980)."""
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # so i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return w[k:] + w[:k]
+
+
 def _canonical_relator_key(w):
-    candidates = []
-    for u in (w, invert(w)):
-        for i in range(max(len(u), 1)):
-            candidates.append(u[i:] + u[:i])
-    return min(candidates)
+    """Least rotation of w or of its inverse: equal exactly for relators
+    that are cyclic permutations of each other or of each other's inverse."""
+    return min(_least_rotation(w), _least_rotation(invert(w)))
+
+
+# Relators are searched as strings with one code point per letter:
+# chr(letter + offset) for offset = generator count, so a presentation may
+# have at most sys.maxunicode // 2 generators (checked in tietze_simplify).
+MAX_ENCODED_RANK = sys.maxunicode // 2
+
+
+def _encode(word, offset):
+    return "".join([chr(letter + offset) for letter in word])
+
+
+def _shorten_by(ri, relators, codes, offset):
+    """First substitution that shortens another relator by a piece of
+    relators[ri], as (rj, shortened relator), or None.
+
+    A piece is a prefix longer than half of a rotation of relators[ri] or
+    of its inverse; it is replaced by the inverse of the rest of that
+    rotation, which is shorter, so the first match is taken.  Search order:
+    piece length descending, rotations of the relator then of its inverse,
+    then rj, then position in relators[rj].  ``codes`` holds
+    ``_encode(s, offset)`` for each relator s.
+    """
+    r = relators[ri]
+    n = len(r)
+    doubled = [(base + base, _encode(base + base, offset)) for base in (r, invert(r))]
+    for length in range(n - 1, n // 2, -1):
+        for word, code in doubled:
+            for i in range(n):
+                piece = code[i : i + length]
+                for rj, s in enumerate(relators):
+                    if rj == ri:
+                        continue
+                    k = codes[rj].find(piece)
+                    if k != -1:
+                        complement = invert(word[i + length : i + n])
+                        return rj, cyclic_reduce(s[:k] + complement + s[k + length :])
+    return None
 
 
 def _substitute(word, target, replacement):
@@ -146,10 +205,18 @@ def tietze_simplify(
     length-reducing substitutions between relators.  The generator count
     never increases and the group is unchanged up to isomorphism.
 
-    The substitution pass is cubic in relator length, so it skips relators
-    longer than ``shorten_limit``; they keep their effort-1 form.
+    The substitution pass runs one C string search per piece of a relator
+    (quadratically many in its length) against every other relator, so it
+    takes pieces only from relators of at most ``shorten_limit`` letters.
+    Duplicate relators are found by a canonical key linear in their length.
     """
     names = list(pres.generators)
+    offset = len(names)
+    if effort >= 2 and offset > MAX_ENCODED_RANK:
+        raise ValueError(
+            f"Tietze effort 2 handles at most {MAX_ENCODED_RANK} generators, "
+            f"not {offset}; use effort 1"
+        )
     relators = [cyclic_reduce(r) for r in pres.relators]
 
     def clean():
@@ -201,26 +268,15 @@ def tietze_simplify(
 
     def shorten_once():
         # Use a long piece of one relator to shorten another.
+        codes = [_encode(s, offset) for s in relators]
         for ri, r in enumerate(relators):
             if len(r) < 2 or len(r) > shorten_limit:
                 continue
-            variants = []
-            for base in (r, invert(r)):
-                for i in range(len(base)):
-                    variants.append(base[i:] + base[:i])
-            for length in range(len(r) - 1, len(r) // 2, -1):
-                for variant in variants:
-                    piece = variant[:length]
-                    complement = invert(variant[length:])
-                    for rj, s in enumerate(relators):
-                        if rj == ri:
-                            continue
-                        for k in range(len(s) - length + 1):
-                            if s[k : k + length] == piece:
-                                s2 = cyclic_reduce(s[:k] + complement + s[k + length :])
-                                if len(s2) < len(s):
-                                    relators[rj] = s2
-                                    return True
+            found = _shorten_by(ri, relators, codes, offset)
+            if found is not None:
+                rj, s2 = found
+                relators[rj] = s2
+                return True
         return False
 
     clean()

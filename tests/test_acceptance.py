@@ -274,3 +274,15 @@ def test_criterion_11_surface_group():
             assert ratios[-1] == 2 + Fraction(1, n)
         assert ratios  # both indices appeared
         assert min(ratios) == Fraction(7, 3)  # decreasing toward 2
+
+
+def test_criterion_12_deep_hnn_chain():
+    with criterion(12, "figure-eight HNN levels 13..24 have rank-upper <= 3", 30):
+        chain = hnn_chain(parsed(FIG8)[0], "t", 24)
+        report = gradient_sequence(chain, effort=2)
+        for n in range(13, 25):
+            st = report.levels[n]
+            assert st.error is None
+            assert st.index == n
+            assert st.rank_lower <= st.rank_upper <= 3
+            assert Fraction(st.rank_upper - 1, st.index) <= Fraction(2, n)

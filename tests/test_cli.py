@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -9,6 +11,9 @@ from rankgradient.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    PRIME_CHECK_BOUND,
+    build_parser,
+    is_prime,
     main,
 )
 
@@ -155,6 +160,39 @@ def test_bad_tower_input_is_a_usage_error(capsys, bad):
         main(["tower", "--group", "s3", "--mu", "3/4", "--depth", "1", *bad])
     assert exc.value.code == EXIT_PARSE
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(100_001):
+        trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == trial, n
+    # Strong pseudoprimes to bases 2-7 and to bases 2-37 (only base 41
+    # catches the second), its two prime factors, and the prime 2^61 - 1.
+    assert not is_prime(3215031751)
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(2**61 - 1)
+
+
+def test_large_prime_parses_fast():
+    start = time.monotonic()
+    args = build_parser().parse_args(
+        ["chain", "--preset", "fig8", "--depth", "1", "--primes", "2,100000000000031"]
+    )
+    assert time.monotonic() - start < 0.1
+    assert args.primes == (2, 100000000000031)
+
+
+@pytest.mark.parametrize("value, message", [
+    (str(100000000000031 * 3), "distinct primes"),
+    (str(PRIME_CHECK_BOUND), str(PRIME_CHECK_BOUND)),
+    (str(PRIME_CHECK_BOUND + 2), str(PRIME_CHECK_BOUND)),
+])
+def test_bad_large_primes_are_usage_errors(capsys, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--preset", "fig8", "--depth", "1", "--primes", value])
+    assert exc.value.code == EXIT_PARSE
+    assert message in capsys.readouterr().err
 
 
 def test_label_cap_is_not_an_option(capsys):

@@ -2,10 +2,15 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankgradient.chains import hnn_chain, lamplighter_chain
 from rankgradient.cosets import enumerate_cosets, low_index, with_schreier_spec
+from rankgradient import subgroups
 from rankgradient.subgroups import (
+    _canonical_relator_key,
+    _encode,
+    _shorten_by,
     fold_subgroup_graph,
     rank_bounds,
     rewrite_presentation,
@@ -16,7 +21,7 @@ from rankgradient.subgroups import (
 )
 from rankgradient.homology import homology_report
 from rankgradient.towers import ambient_presentation, build_tower, cover_table
-from rankgradient.words import SubgroupSpec, parse_presentation
+from rankgradient.words import SubgroupSpec, cyclic_reduce, invert, parse_presentation
 
 
 def parsed(text):
@@ -147,3 +152,94 @@ def test_rank_bounds_accepts_precomputed_report():
     table = enumerate_cosets(pres, spec)
     report = subgroup_homology(table)
     assert rank_bounds(pres, table, report=report) == rank_bounds(pres, table)
+
+
+# Oracles for the Tietze internals: the plain slicing versions.
+
+
+def rotation_key(w):
+    return min(u[i:] + u[:i] for u in (w, invert(w)) for i in range(max(len(u), 1)))
+
+
+def slice_shortening(ri, relators):
+    r = relators[ri]
+    variants = [base[i:] + base[:i] for base in (r, invert(r)) for i in range(len(base))]
+    for length in range(len(r) - 1, len(r) // 2, -1):
+        for variant in variants:
+            piece, complement = variant[:length], invert(variant[length:])
+            for rj, s in enumerate(relators):
+                if rj == ri:
+                    continue
+                for k in range(len(s) - length + 1):
+                    if s[k : k + length] == piece:
+                        s2 = cyclic_reduce(s[:k] + complement + s[k + length :])
+                        if len(s2) < len(s):
+                            return rj, s2
+    return None
+
+
+def words(rank, max_size=12):
+    letters = st.sampled_from([g for g in range(-rank, rank + 1) if g])
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+@st.composite
+def relator_keys(draw):
+    rank = draw(st.integers(1, 4))
+    # Powers, words over two letters (the least letter repeats), and single
+    # letters besides plain words.
+    u = draw(st.one_of(
+        words(rank),
+        st.lists(st.sampled_from([-rank, 1]), min_size=1, max_size=12).map(tuple),
+        words(rank, max_size=1),
+    ))
+    return u * draw(st.integers(1, 4))
+
+
+@given(relator_keys())
+@settings(max_examples=500, deadline=None)
+def test_canonical_key_is_least_rotation(w):
+    assert _canonical_relator_key(w) == rotation_key(w)
+
+
+@st.composite
+def relator_lists(draw):
+    rank = draw(st.integers(1, 3))
+    relators = draw(st.lists(words(rank, 8).map(cyclic_reduce), min_size=1, max_size=4))
+    # Plant long pieces of some relator (or of its inverse) in new relators
+    # so that substitutions are found.
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.sampled_from(relators))
+        base = draw(st.sampled_from((r, invert(r))))
+        i = draw(st.integers(0, max(len(base) - 1, 0)))
+        piece = (base[i:] + base[:i])[: draw(st.integers(0, len(base)))]
+        relators.append(cyclic_reduce(draw(words(rank, 4)) + piece + draw(words(rank, 4))))
+    return rank, relators
+
+
+@given(relator_lists())
+@settings(max_examples=300, deadline=None)
+def test_piece_search_matches_slicing(data):
+    rank, relators = data
+    codes = [_encode(s, rank) for s in relators]
+    for ri in range(len(relators)):
+        assert _shorten_by(ri, relators, codes, rank) == slice_shortening(ri, relators)
+
+
+def test_tietze_matches_slicing_oracles_on_fig8(monkeypatch):
+    chain = hnn_chain(preset("fig8"), "t", 12)
+    rewritten = [rewrite_presentation(chain.ambient, chain.levels[n]) for n in range(1, 13)]
+    fast = [tietze_simplify(pres) for pres in rewritten]
+    monkeypatch.setattr(subgroups, "_canonical_relator_key", rotation_key)
+    monkeypatch.setattr(
+        subgroups, "_shorten_by", lambda ri, relators, codes, offset: slice_shortening(ri, relators)
+    )
+    assert [tietze_simplify(pres) for pres in rewritten] == fast
+
+
+def test_tietze_rejects_ranks_beyond_the_encoding(monkeypatch):
+    monkeypatch.setattr(subgroups, "MAX_ENCODED_RANK", 1)
+    pres, _ = parsed("gens x y\nrel x y^-1\n")
+    assert tietze_simplify(pres, effort=1).rank == 1
+    with pytest.raises(ValueError, match="at most 1 generators"):
+        tietze_simplify(pres, effort=2)
