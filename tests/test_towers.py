@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -12,6 +15,7 @@ from rankgradient.towers import (
     build_tower,
     check_projection,
     cover_table,
+    cover_to_json_obj,
     finite_group_data,
     injectivity_radius,
     predict_stats,
@@ -193,3 +197,69 @@ def test_check_projection_rejects_garbage(s3_tower):
     )
     with pytest.raises(ValueError):
         check_projection(bad, lower)
+
+
+# sha256 of each level's cover_to_json_obj (canonical JSON), pinned so that
+# search changes must keep every chosen cover byte for byte.
+COVER_FINGERPRINTS = {
+    ("s3", "3/4", 0): (
+        "197e025d8c960fe6e1ed7ca7f14fcc09e0280a0c8ca1aeec5bb836a18f6b5571",
+        "100c11b29b8d85411448f499aa797dff59cb3025c68b5582aa5f5096e9999fe8",
+        "07c9c04d831b39359d1c27b00703cb8c3ec67631bc0b340d1f294aa41947642b",
+        "38a4bf1a04bf226becd62483c91c24b70b8f7669ce82afd1c9fbb465e9c3cb3c",
+    ),
+    ("s3", "3/4", 1): (
+        "197e025d8c960fe6e1ed7ca7f14fcc09e0280a0c8ca1aeec5bb836a18f6b5571",
+        "36819c2d4791b79caf2edc45e763728ff08d31f65602b193cfb60e3bc267f0ae",
+        "f6a36e7568c83bf360c50c7b653c32e53e760ddad713c2b4b21e0a51d3291405",
+        "60bd73ef724b65d1fedf423439a10b0b484a5abcdd5d33f2692dc49641cca2fa",
+    ),
+    ("s3", "2/3", 1): (
+        "383a2d78260043a33af535a44ddc71b2c9d3bae151a4fdc35b725ceadacf1670",
+        "21275f56593f73927d3ebc7aaf2e66deaff78b6bbfbda168b959844e36d38af1",
+        "46c228d53d3a91883b81ef034b7cb28496bbb1423405c86bde4006350bfc9e03",
+        "ef887ecccab43b5028e2ae9e4ee32a8d726356cb67e2002dc4ae0c58c723689c",
+    ),
+    ("z2z2", "1/2", 0): (
+        "f5b8a90da9613506751885f657929561cc4dcfda28b400754b29c46f67f769e0",
+        "7e70f635623ae585e71071bc290b70c395689920875804eea61987b94c0a0491",
+        "a2c12cc52fd0b329ef0394614d85bb6e5b4de5cd369f33704cfd086a08ba7a3c",
+        "f7d17bef1a62be022f8a0dd5459f36ba41f4a8f5458d41f6d5194983921173f8",
+    ),
+}
+
+
+def preset(name):
+    text = resources.files("rankgradient.presets").joinpath(name + ".txt").read_text()
+    return pres_of(text)
+
+
+def cover_fingerprint(cover):
+    text = json.dumps(cover_to_json_obj(cover), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(COVER_FINGERPRINTS))
+def test_tower_covers_are_pinned(case):
+    group, mu, seed = case
+    levels = build_tower(preset(group), Fraction(mu), 3, scale=12, seed=seed)
+    assert tuple(cover_fingerprint(c) for c in levels) == COVER_FINGERPRINTS[case]
+
+
+def test_budget_error_texts_are_pinned():
+    with pytest.raises(BudgetError) as info:
+        build_tower(pres_of(Z2), 0, 1, scale=1)
+    assert str(info.value) == (
+        "no tower of depth 1 with strictly increasing radius found for mu=0 at "
+        "scale 1: layout (12, 0): two walks share every point mod 2, forcing a collision"
+    )
+    with pytest.raises(BudgetError) as info:
+        build_tower(preset("s3"), Fraction(3, 4), 3, scale=4)
+    no_route = (
+        "no route satisfying the hub constraints found for mu=3/4, scale=4; "
+        "try a larger scale"
+    )
+    assert str(info.value) == (
+        "no tower of depth 3 with strictly increasing radius found for mu=3/4 at "
+        "scale 4: " + "; ".join([no_route] * 4)
+    )
