@@ -440,7 +440,7 @@ def _copy_orders(base, r0, depth):
     a nonabelian copy group, since commuting-cycle walk pairs with equal
     signed point multisets collide in every abelian lift."""
     per_vertex = {}
-    for v, _, ln in _nb_walks(base, r0 + depth):
+    for v, _, ln, _ in _nb_walks(base, r0 + depth):
         counts = per_vertex.setdefault(v, [0] * (r0 + depth + 1))
         counts[ln] += 1
     orders = []
@@ -457,19 +457,23 @@ def _copy_orders(base, r0, depth):
 
 def _nb_walks(cover, maxlen):
     """All non-backtracking edge walks from the base vertex of length up to
-    maxlen, as (endpoint vertex, path of (point, direction), length)."""
+    maxlen in BFS order, as (endpoint vertex, path of (point, direction),
+    length, parent).  The walks form a prefix tree: walk i > 0 is its parent
+    walk (an earlier index) extended by the last edge of its path; the empty
+    walk 0 has parent -1."""
     base, out_edges, head = _edge_graph(cover)
-    walks = [(base, (), 0)]
-    frontier = [(base, None, ())]
+    walks = [(base, (), 0, -1)]
+    frontier = [0]
     for length in range(1, maxlen + 1):
         nxt = []
-        for vertex, arrived, path in frontier:
+        for parent in frontier:
+            vertex, path, _, _ = walks[parent]
+            arrived = path[-1] if path else None
             for edge in out_edges.get(vertex, ()):
                 if arrived is not None and edge == (arrived[0], -arrived[1]):
                     continue
-                new_path = path + (edge,)
-                nxt.append((head(edge), edge, new_path))
-                walks.append((head(edge), new_path, length))
+                nxt.append(len(walks))
+                walks.append((head(edge), path + (edge,), length, parent))
         frontier = nxt
     return walks
 
@@ -484,7 +488,12 @@ class _TwistSearch:
     walks alone: it is at least r0 + j iff no two walks of length <= r0 + j
     agree in (vertex, product mod k_j), and at most r0 + j iff some pair of
     length <= r0 + j + 1 does.  One constraint table per such window pins the
-    radii to exactly r0, r0 + 1, ..., r0 + depth - 1, >= r0 + depth."""
+    radii to exactly r0, r0 + 1, ..., r0 + depth - 1, >= r0 + depth.
+
+    The walks form a BFS prefix tree, so a walk's product is its parent's
+    product times the label of its last edge, and the walks of length <= lim
+    are a prefix of the walk list.  A table counts walks by the int key
+    v * kmax + (g mod k), a bijective image of (v, g mod k)."""
 
     def __init__(self, base, r0, depth, orders):
         self.r0 = r0
@@ -495,14 +504,29 @@ class _TwistSearch:
         self.kmax = kmax
         self.mul = [[_dihedral_mul(g, h, kmax) for h in range(kmax)] for g in range(kmax)]
         self.inv = [_dihedral_inv(g, kmax) for g in range(kmax)]
-        self.walks = _nb_walks(base, r0 + depth)
-        self.by_point = {}
-        for i, (_, path, _) in enumerate(self.walks):
-            for x, _ in path:
-                self.by_point.setdefault(x, set()).add(i)
-        self.points = sorted(self.by_point)
+        self.walks = walks = _nb_walks(base, r0 + depth)
         self.specs = [(r0 + j, orders[j - 1], True) for j in range(1, depth + 1)]
         self.specs += [(r0 + j + 1, orders[j - 1], False) for j in range(1, depth)]
+        # walks 0 .. ends[si] - 1 are the window of spec si
+        self.ends = [sum(1 for w in walks if w[2] <= lim) for lim, _, _ in self.specs]
+        self.parent = [w[3] for w in walks]
+        self.last = [w[1][-1] if w[1] else None for w in walks]
+        self.vkey = [w[0] * kmax for w in walks]
+        self.windows = [
+            tuple((si, k) for si, (lim, k, _) in enumerate(self.specs) if w[2] <= lim)
+            for w in walks
+        ]
+        through = {}
+        for i, (_, path, _, _) in enumerate(walks):
+            for x, _ in path:
+                through.setdefault(x, set()).add(i)
+        # The walks through x are closed under extension.  Their products
+        # are recomputed in index order (parents first); the table updates
+        # follow the set's iteration order, which fixes the tables' key
+        # order and with it every draw of _conflict_point.
+        self.by_point = {x: list(members) for x, members in through.items()}
+        self.below = {x: sorted(members) for x, members in through.items()}
+        self._old = [0] * len(walks)
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
@@ -516,7 +540,7 @@ class _TwistSearch:
             if not forbid:
                 continue
             per_vertex = {}
-            for v, _, ln in self.walks:
+            for v, _, ln, _ in self.walks:
                 if ln <= lim:
                     per_vertex[v] = per_vertex.get(v, 0) + 1
             worst = max(per_vertex.values())
@@ -530,7 +554,7 @@ class _TwistSearch:
             return row
 
         by_vertex = {}
-        for i, (v, _, ln) in enumerate(self.walks):
+        for i, (v, _, _, _) in enumerate(self.walks):
             by_vertex.setdefault(v, []).append(i)
         rows, rhs = [], []
         for members in by_vertex.values():
@@ -577,22 +601,21 @@ class _TwistSearch:
         return False, "every fresh pair in the ceiling window is forced apart mod 2"
 
     def _products(self, twists):
-        prods = []
-        for _, path, _ in self.walks:
-            g = 0
-            for x, d in path:
-                g = self.mul[g][twists[x]] if d == 1 else self.mul[g][self.inv[twists[x]]]
-            prods.append(g)
+        mul, inv, parent, last = self.mul, self.inv, self.parent, self.last
+        prods = [0] * len(self.walks)
+        for i in range(1, len(prods)):
+            y, d = last[i]
+            prods[i] = mul[prods[parent[i]]][twists[y] if d == 1 else inv[twists[y]]]
         return prods
 
     def _tables(self, prods):
         tables, totals = [], []
-        for lim, k, _ in self.specs:
+        vkey = self.vkey
+        for (_, k, _), end in zip(self.specs, self.ends):
             counter = {}
-            for i, (v, _, ln) in enumerate(self.walks):
-                if ln <= lim:
-                    key = (v, prods[i] % k)
-                    counter[key] = counter.get(key, 0) + 1
+            for i in range(end):
+                key = vkey[i] + prods[i] % k
+                counter[key] = counter.get(key, 0) + 1
             tables.append(counter)
             totals.append(sum(m * (m - 1) // 2 for m in counter.values()))
         return tables, totals
@@ -605,31 +628,33 @@ class _TwistSearch:
 
     def _change(self, twists, x, value, prods, tables, totals):
         twists[x] = value
+        mul, inv, parent, last, old = self.mul, self.inv, self.parent, self.last, self._old
+        for i in self.below[x]:
+            y, d = last[i]
+            old[i] = prods[i]
+            prods[i] = mul[prods[parent[i]]][twists[y] if d == 1 else inv[twists[y]]]
+        vkey, windows = self.vkey, self.windows
         for i in self.by_point[x]:
-            v, path, ln = self.walks[i]
-            g = 0
-            for y, d in path:
-                g = self.mul[g][twists[y]] if d == 1 else self.mul[g][self.inv[twists[y]]]
-            old = prods[i]
-            if g == old:
+            g_old, g = old[i], prods[i]
+            if g == g_old:
                 continue
-            for si, (lim, k, _) in enumerate(self.specs):
-                if ln > lim:
-                    continue
-                key_old, key_new = (v, old % k), (v, g % k)
-                if key_old == key_new:
+            v = vkey[i]
+            for si, k in windows[i]:
+                r_old, r_new = g_old % k, g % k
+                if r_old == r_new:
                     continue
                 counter = tables[si]
-                m = counter[key_old]
+                key = v + r_old
+                m = counter[key]
                 totals[si] -= m - 1
                 if m == 1:
-                    del counter[key_old]
+                    del counter[key]
                 else:
-                    counter[key_old] = m - 1
-                m = counter.get(key_new, 0)
+                    counter[key] = m - 1
+                key = v + r_new
+                m = counter.get(key, 0)
                 totals[si] += m
-                counter[key_new] = m + 1
-            prods[i] = g
+                counter[key] = m + 1
 
     def _conflict_point(self, prods, tables, totals, rng):
         unmet = [
@@ -640,17 +665,14 @@ class _TwistSearch:
         if not unmet:
             return None
         si = rng.choice(unmet)
-        lim, k, forbid = self.specs[si]
+        _, k, forbid = self.specs[si]
         if forbid:
             bad = [key for key, m in tables[si].items() if m > 1]
             key = rng.choice(bad)
-            members = [
-                i
-                for i, (v, _, ln) in enumerate(self.walks)
-                if ln <= lim and (v, prods[i] % k) == key
-            ]
+            vkey = self.vkey
+            members = [i for i in range(self.ends[si]) if vkey[i] + prods[i] % k == key]
         else:
-            members = [i for i, (_, _, ln) in enumerate(self.walks) if 0 < ln <= lim]
+            members = range(1, self.ends[si])
         path = self.walks[rng.choice(members)][1]
         if not path:
             return None
@@ -726,6 +748,46 @@ def check_projection(upper: CoverGraph, lower: CoverGraph):
             raise ValueError("sigma does not project")
 
 
+def _layouts(group, mu, scale, seed, depth, radius_cap, errors):
+    """Distinct level-0 layouts in the order build_tower tries them, as
+    (chain_len, route_seed, base, r0, copy orders); r0 and the orders are
+    None at depth 0.
+
+    The scan goes over a few degree-2 chain lengths and route seeds; route
+    failures are appended to errors.  A layout whose walk counts fit the
+    default copy groups is yielded as soon as it is built: those give the
+    smallest point counts per level.  Bumped layouts are held back until
+    the scan is done, so nothing past the first layout that succeeds is
+    built."""
+    seen = set()
+    bumped_layouts = []
+    for chain_len in (12, 14, None, 8):
+        for route_seed in range(4):
+            try:
+                base = _base_cover(
+                    group, mu, scale, rng_seed=seed + route_seed, chain_len=chain_len
+                )
+            except ValueError as exc:
+                errors.append(str(exc))
+                continue
+            key = (base.sigma, base.a_perms)
+            if key in seen:
+                continue
+            seen.add(key)
+            base.check_invariants()
+            if depth == 0:
+                yield chain_len, route_seed, base, None, None
+                continue
+            r0 = injectivity_radius(base, cap=radius_cap)
+            orders, bumped = _copy_orders(base, r0, depth)
+            layout = (chain_len, route_seed, base, r0, orders)
+            if bumped:
+                bumped_layouts.append(layout)
+            else:
+                yield layout
+    yield from bumped_layouts
+
+
 def build_tower(
     a_pres: Presentation,
     mu_target,
@@ -742,12 +804,15 @@ def build_tower(
     All levels are lifts of one level-0 cover: level j has n0 * k_j points
     for the copy-group orders k_j of _copy_orders, and one twist vector
     drives every level, so the levels project onto each other by reducing
-    labels mod k_j (check_projection certifies this).  The layout scan tries
-    a few degree-2 chain lengths and route seeds, keeps layouts passing the
-    feasibility screen, and anneals for twists pinning the radii to
-    r0, r0 + 1, ..., exactly.  Raises BudgetError when no scanned layout
-    admits strictly growing radii (small scales genuinely do not: a loop or
-    a triple edge in the covering graph freezes the radius in every lift).
+    labels mod k_j (check_projection certifies this).  The layout scan
+    (_layouts) tries a few degree-2 chain lengths and route seeds lazily:
+    each layout that fits the default copy groups is tried as soon as it is
+    built, layouts needing bumped copy groups only after the whole scan.
+    A tried layout must pass the feasibility screen, then is annealed for
+    twists pinning the radii to r0, r0 + 1, ..., exactly; the first that
+    succeeds is returned.  Raises BudgetError when no scanned layout admits
+    strictly growing radii (small scales genuinely do not: a loop or a
+    triple edge in the covering graph freezes the radius in every lift).
     """
     mu = Fraction(mu_target)
     if not 0 <= mu < 1:
@@ -755,43 +820,21 @@ def build_tower(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     group = finite_group_data(a_pres)
-    attempts = []
-    seen = set()
-    candidates = []
-    for chain_len in (12, 14, None, 8):
-        for route_seed in range(4):
-            try:
-                base = _base_cover(
-                    group, mu, scale, rng_seed=seed + route_seed, chain_len=chain_len
-                )
-            except ValueError as exc:
-                attempts.append(str(exc))
-                continue
-            key = (base.sigma, base.a_perms)
-            if key in seen:
-                continue
-            seen.add(key)
-            base.check_invariants()
-            if depth == 0:
-                return [base]
-            r0 = injectivity_radius(base, cap=radius_cap)
-            orders, bumped = _copy_orders(base, r0, depth)
-            candidates.append((bumped, chain_len, route_seed, base, r0, orders))
-    # layouts whose walk counts fit the default copy groups come first: they
-    # give the smallest point counts per level
-    candidates.sort(key=lambda c: c[0])
-    for bumped, chain_len, route_seed, base, r0, orders in candidates:
+    scan_errors, layout_errors = [], []
+    layouts = _layouts(group, mu, scale, seed, depth, radius_cap, scan_errors)
+    for chain_len, route_seed, base, r0, orders in layouts:
+        if depth == 0:
+            return [base]
+        name = f"layout ({chain_len}, {route_seed})"
         search = _TwistSearch(base, r0, depth, orders)
         ok, why = search.feasible()
         if not ok:
-            attempts.append(f"layout ({chain_len}, {route_seed}): {why}")
+            layout_errors.append(f"{name}: {why}")
             continue
         rng = random.Random(f"{seed}:{chain_len}:{route_seed}")
         twists = search.solve(rng, restarts=search_restarts, moves=search_moves)
         if twists is None:
-            attempts.append(
-                f"layout ({chain_len}, {route_seed}): search budget exhausted"
-            )
+            layout_errors.append(f"{name}: search budget exhausted")
             continue
         levels = [base]
         radii = [r0]
@@ -800,22 +843,22 @@ def build_tower(
             lifted = _lift(base, twists, j, k)
             r = injectivity_radius(lifted, cap=radius_cap)
             if r <= radii[-1]:
-                attempts.append(
-                    f"layout ({chain_len}, {route_seed}): radius stalled at level {j}"
-                )
+                layout_errors.append(f"{name}: radius stalled at level {j}")
                 good = False
                 break
             try:
                 lifted.check_invariants()
                 check_projection(lifted, levels[-1])
             except ValueError as exc:
-                attempts.append(f"layout ({chain_len}, {route_seed}): {exc}")
+                layout_errors.append(f"{name}: {exc}")
                 good = False
                 break
             levels.append(lifted)
             radii.append(r)
         if good:
             return levels
+    # scan errors come first, as they did when the whole scan ran up front
+    attempts = scan_errors + layout_errors
     raise BudgetError(
         f"no tower of depth {depth} with strictly increasing radius found for "
         f"mu={mu} at scale {scale}: " + "; ".join(attempts[-4:])

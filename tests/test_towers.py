@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -7,8 +8,12 @@ import pytest
 
 from rankgradient.cosets import enumerate_cosets, with_schreier_spec
 from rankgradient.errors import BudgetError
+from rankgradient import towers
 from rankgradient.towers import (
     CoverGraph,
+    _TwistSearch,
+    _base_cover,
+    _copy_orders,
     _dihedral_inv,
     _dihedral_mul,
     ambient_presentation,
@@ -263,3 +268,221 @@ def test_budget_error_texts_are_pinned():
         "no tower of depth 3 with strictly increasing radius found for mu=3/4 at "
         "scale 4: " + "; ".join([no_route] * 4)
     )
+
+
+# The annealer before its walks formed a prefix tree: every changed walk's
+# product is taken along its whole path, tables count (vertex, residue)
+# tuples, and counter updates follow the walk sets' iteration order.
+
+
+class FullPathSearch(_TwistSearch):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.through = {}
+        for i, (_, path, _, _) in enumerate(self.walks):
+            for x, _ in path:
+                self.through.setdefault(x, set()).add(i)
+
+    def _path_product(self, path, twists):
+        g = 0
+        for x, d in path:
+            g = self.mul[g][twists[x]] if d == 1 else self.mul[g][self.inv[twists[x]]]
+        return g
+
+    def _products(self, twists):
+        return [self._path_product(path, twists) for _, path, _, _ in self.walks]
+
+    def _tables(self, prods):
+        tables, totals = [], []
+        for lim, k, _ in self.specs:
+            counter = {}
+            for i, (v, _, ln, _) in enumerate(self.walks):
+                if ln <= lim:
+                    key = (v, prods[i] % k)
+                    counter[key] = counter.get(key, 0) + 1
+            tables.append(counter)
+            totals.append(sum(m * (m - 1) // 2 for m in counter.values()))
+        return tables, totals
+
+    def _change(self, twists, x, value, prods, tables, totals):
+        twists[x] = value
+        for i in self.through[x]:
+            v, path, ln, _ = self.walks[i]
+            g = self._path_product(path, twists)
+            old = prods[i]
+            if g == old:
+                continue
+            for si, (lim, k, _) in enumerate(self.specs):
+                if ln > lim:
+                    continue
+                key_old, key_new = (v, old % k), (v, g % k)
+                if key_old == key_new:
+                    continue
+                counter = tables[si]
+                m = counter[key_old]
+                totals[si] -= m - 1
+                if m == 1:
+                    del counter[key_old]
+                else:
+                    counter[key_old] = m - 1
+                m = counter.get(key_new, 0)
+                totals[si] += m
+                counter[key_new] = m + 1
+            prods[i] = g
+
+    def _conflict_point(self, prods, tables, totals, rng):
+        unmet = [
+            si
+            for si, (_, _, forbid) in enumerate(self.specs)
+            if (totals[si] > 0) == forbid
+        ]
+        if not unmet:
+            return None
+        si = rng.choice(unmet)
+        lim, k, forbid = self.specs[si]
+        if forbid:
+            bad = [key for key, m in tables[si].items() if m > 1]
+            key = rng.choice(bad)
+            members = [
+                i
+                for i, (v, _, ln, _) in enumerate(self.walks)
+                if ln <= lim and (v, prods[i] % k) == key
+            ]
+        else:
+            members = [i for i, (_, _, ln, _) in enumerate(self.walks) if 0 < ln <= lim]
+        path = self.walks[rng.choice(members)][1]
+        if not path:
+            return None
+        return rng.choice(path)[0]
+
+
+def search_layout(group, mu, seed, chain_len, route_seed, depth=3):
+    """(base, r0, copy orders) of one scanned layout, as build_tower makes it."""
+    base = _base_cover(
+        finite_group_data(preset(group)), Fraction(mu), 12,
+        rng_seed=seed + route_seed, chain_len=chain_len,
+    )
+    r0 = injectivity_radius(base)
+    return base, r0, depth, _copy_orders(base, r0, depth)[0]
+
+
+def decoded(table, kmax):
+    return [(divmod(key, kmax), m) for key, m in table.items()]
+
+
+def test_incremental_annealer_matches_full_path_oracle():
+    # the layout tower --group s3 --mu 3/4 --depth 3 anneals
+    layout = search_layout("s3", "3/4", 0, 12, 2)
+    fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
+    kmax = fast.kmax
+    rng = random.Random(11)
+    twists = [rng.randrange(kmax) for _ in range(fast.n0)]
+    oracle_twists = list(twists)
+    prods = fast._products(twists)
+    tables, totals = fast._tables(prods)
+    oracle_prods = oracle._products(oracle_twists)
+    oracle_tables, oracle_totals = oracle._tables(oracle_prods)
+    points = sorted(oracle.through)
+    reverts = 0
+    for _ in range(2500):
+        x, value = rng.choice(points), rng.randrange(kmax)
+        moves = [value]
+        if rng.random() < 0.5:
+            moves.append(twists[x])
+            reverts += 1
+        for value in moves:
+            fast._change(twists, x, value, prods, tables, totals)
+            oracle._change(oracle_twists, x, value, oracle_prods, oracle_tables, oracle_totals)
+            assert prods == oracle_prods == oracle._products(twists)
+            assert prods == fast._products(twists)
+            assert totals == oracle_totals
+            assert [decoded(t, kmax) for t in tables] == [list(t.items()) for t in oracle_tables]
+    assert reverts > 1000
+
+
+# layouts whose search succeeds within a few thousand moves
+@pytest.mark.parametrize("group,mu,seed,chain_len,route_seed", [
+    ("s3", "3/4", 0, 12, 3),
+    ("s3", "3/4", 1, 12, 1),
+    ("z2z2", "1/2", 0, None, 0),
+])
+def test_annealer_matches_full_path_oracle_in_solve(group, mu, seed, chain_len, route_seed):
+    layout = search_layout(group, mu, seed, chain_len, route_seed)
+    name = f"{seed}:{chain_len}:{route_seed}"
+    fast_rng, oracle_rng = random.Random(name), random.Random(name)
+    twists = _TwistSearch(*layout).solve(fast_rng, restarts=1, moves=4000)
+    assert twists is not None
+    assert twists == FullPathSearch(*layout).solve(oracle_rng, restarts=1, moves=4000)
+    # the same draws, so the same search path
+    assert fast_rng.getstate() == oracle_rng.getstate()
+
+
+SCANNED = [(c, r) for c in (12, 14, None, 8) for r in range(4)]
+# The order in which tower --group s3 --mu 3/4 --depth 3 tried its layouts
+# when every level-0 layout was built and sorted by `bumped` up front.
+EAGER_ORDER_S3 = [
+    (12, 2), (12, 3), (14, 0), (14, 2), (8, 0), (8, 1), (8, 3),
+    (12, 0), (12, 1), (14, 1), (14, 3), (None, 0), (None, 1), (None, 2), (None, 3), (8, 2),
+]
+
+
+def test_layouts_are_tried_in_the_eager_order(monkeypatch):
+    events = []
+    base_cover, copy_orders = towers._base_cover, towers._copy_orders
+
+    def record_base(group, mu, scale, rng_seed, chain_len):
+        events.append(("base", chain_len, rng_seed))
+        return base_cover(group, mu, scale, rng_seed=rng_seed, chain_len=chain_len)
+
+    def record_orders(base, r0, depth):
+        orders, bumped = copy_orders(base, r0, depth)
+        events.append(("orders", bumped))
+        return orders, bumped
+
+    def record_solve(self, rng, restarts, moves):
+        state = rng.getstate()
+        layout = next(
+            (c, r) for c, r in SCANNED if random.Random(f"0:{c}:{r}").getstate() == state
+        )
+        events.append(("solve", layout))
+        return None
+
+    monkeypatch.setattr(towers, "_base_cover", record_base)
+    monkeypatch.setattr(towers, "_copy_orders", record_orders)
+    monkeypatch.setattr(_TwistSearch, "solve", record_solve)
+    with pytest.raises(BudgetError) as info:
+        build_tower(preset("s3"), Fraction(3, 4), 3, scale=12, seed=0)
+    tried = [e[1] for e in events if e[0] == "solve"]
+    assert tried == EAGER_ORDER_S3
+    # eager order: unbumped layouts in scan order, then the bumped ones
+    scanned, layout = [], None
+    for event in events:
+        if event[0] == "base":
+            layout = (event[1], event[2])
+        elif event[0] == "orders":
+            scanned.append((layout, event[1]))
+    assert tried == [lo for lo, bumped in scanned if not bumped] + [
+        lo for lo, bumped in scanned if bumped
+    ]
+    # the first layout was tried straight after it was built
+    assert [e[0] for e in events[:7]] == ["base", "orders"] * 3 + ["solve"]
+    assert str(info.value) == (
+        "no tower of depth 3 with strictly increasing radius found for mu=3/4 at "
+        "scale 12: layout (None, 1): search budget exhausted; layout (None, 2): "
+        "search budget exhausted; layout (None, 3): search budget exhausted; "
+        "layout (8, 2): search budget exhausted"
+    )
+
+
+def test_tower_builds_only_the_layouts_it_tries(monkeypatch):
+    calls = []
+    base_cover = towers._base_cover
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["chain_len"])
+        return base_cover(*args, **kwargs)
+
+    monkeypatch.setattr(towers, "_base_cover", counted)
+    levels = build_tower(preset("s3"), Fraction(3, 4), 3, scale=12, seed=0)
+    assert [c.n for c in levels] == [108, 216, 864, 1728]
+    assert len(calls) == 3
