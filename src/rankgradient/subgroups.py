@@ -191,6 +191,74 @@ def _renumber(words, removed_letter):
     return [tuple(remap(x) for x in w) for w in words]
 
 
+def _clean(relators):
+    """Nontrivial cyclically reduced relators sorted by (length, word), one
+    per canonical key.  Idempotent: a clean list comes back unchanged."""
+    seen = set()
+    out = []
+    for r in sorted((cyclic_reduce(r) for r in relators), key=lambda w: (len(w), w)):
+        if not r:
+            continue
+        key = _canonical_relator_key(r)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(r)
+    return out
+
+
+def _eliminate_once(relators, names, length_cap):
+    """Find a relator containing some generator exactly once (as g or g^-1)
+    and solve for it, in deterministic scan order; relators and names are
+    updated in place.  False, with nothing changed, when every elimination
+    is blocked or would grow a relator past length_cap."""
+    for ri, r in enumerate(relators):
+        counts = {}
+        for letter in r:
+            counts[abs(letter)] = counts.get(abs(letter), 0) + 1
+        for g in sorted(counts):
+            if counts[g] != 1:
+                continue
+            pos = next(i for i, letter in enumerate(r) if abs(letter) == g)
+            if r[pos] < 0:
+                r = invert(r)
+                pos = len(r) - 1 - pos
+            u, v = r[:pos], r[pos + 1 :]
+            replacement = free_reduce(invert(u) + invert(v))
+            new_relators = []
+            ok = True
+            for rj, s in enumerate(relators):
+                if rj == ri:
+                    continue
+                s2 = _substitute(s, g, replacement)
+                if len(s2) > length_cap:
+                    ok = False
+                    break
+                new_relators.append(s2)
+            if not ok:
+                continue
+            del names[g - 1]
+            relators[:] = _renumber(new_relators, g)
+            return True
+    return False
+
+
+def _shorten_once(relators, offset, shorten_limit):
+    """Shorten one relator, in place, by a long piece (_shorten_by) of
+    another of at most shorten_limit letters; False, with nothing changed,
+    when there is none."""
+    codes = [_encode(s, offset) for s in relators]
+    for ri, r in enumerate(relators):
+        if len(r) < 2 or len(r) > shorten_limit:
+            continue
+        found = _shorten_by(ri, relators, codes, offset)
+        if found is not None:
+            rj, s2 = found
+            relators[rj] = s2
+            return True
+    return False
+
+
 def tietze_simplify(
     pres: Presentation,
     effort: int = 2,
@@ -208,7 +276,9 @@ def tietze_simplify(
     The substitution pass runs one C string search per piece of a relator
     (quadratically many in its length) against every other relator, so it
     takes pieces only from relators of at most ``shorten_limit`` letters.
-    Duplicate relators are found by a canonical key linear in their length.
+    Duplicate relators are found by a canonical key linear in their length;
+    they are dropped once up front and again after each elimination or
+    substitution, the only steps that change the relators.
     """
     names = list(pres.generators)
     offset = len(names)
@@ -217,78 +287,13 @@ def tietze_simplify(
             f"Tietze effort 2 handles at most {MAX_ENCODED_RANK} generators, "
             f"not {offset}; use effort 1"
         )
-    relators = [cyclic_reduce(r) for r in pres.relators]
-
-    def clean():
-        nonlocal relators
-        seen = set()
-        out = []
-        for r in sorted((cyclic_reduce(r) for r in relators), key=lambda w: (len(w), w)):
-            if not r:
-                continue
-            key = _canonical_relator_key(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(r)
-        relators = out
-
-    def eliminate_once():
-        # Find a relator containing some generator exactly once (as g or
-        # g^-1) and solve for it; deterministic scan order.
-        for ri, r in enumerate(relators):
-            counts = {}
-            for letter in r:
-                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-            for g in sorted(counts):
-                if counts[g] != 1:
-                    continue
-                pos = next(i for i, letter in enumerate(r) if abs(letter) == g)
-                if r[pos] < 0:
-                    r = invert(r)
-                    pos = len(r) - 1 - pos
-                u, v = r[:pos], r[pos + 1 :]
-                replacement = free_reduce(invert(u) + invert(v))
-                new_relators = []
-                ok = True
-                for rj, s in enumerate(relators):
-                    if rj == ri:
-                        continue
-                    s2 = _substitute(s, g, replacement)
-                    if len(s2) > length_cap:
-                        ok = False
-                        break
-                    new_relators.append(s2)
-                if not ok:
-                    continue
-                del names[g - 1]
-                relators[:] = _renumber(new_relators, g)
-                return True
-        return False
-
-    def shorten_once():
-        # Use a long piece of one relator to shorten another.
-        codes = [_encode(s, offset) for s in relators]
-        for ri, r in enumerate(relators):
-            if len(r) < 2 or len(r) > shorten_limit:
-                continue
-            found = _shorten_by(ri, relators, codes, offset)
-            if found is not None:
-                rj, s2 = found
-                relators[rj] = s2
-                return True
-        return False
-
-    clean()
+    relators = _clean(pres.relators)
     for _ in range(max_passes):
-        progress = False
-        if effort >= 1 and eliminate_once():
-            progress = True
-        clean()
-        if effort >= 2 and not progress and shorten_once():
-            progress = True
-            clean()
-        if not progress:
+        if (effort >= 1 and _eliminate_once(relators, names, length_cap)) or (
+            effort >= 2 and _shorten_once(relators, offset, shorten_limit)
+        ):
+            relators = _clean(relators)
+        else:
             break
     return Presentation(generators=tuple(names), relators=tuple(relators))
 

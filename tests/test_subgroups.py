@@ -21,7 +21,13 @@ from rankgradient.subgroups import (
 )
 from rankgradient.homology import homology_report
 from rankgradient.towers import ambient_presentation, build_tower, cover_table
-from rankgradient.words import SubgroupSpec, cyclic_reduce, invert, parse_presentation
+from rankgradient.words import (
+    Presentation,
+    SubgroupSpec,
+    cyclic_reduce,
+    invert,
+    parse_presentation,
+)
 
 
 def parsed(text):
@@ -243,3 +249,42 @@ def test_tietze_rejects_ranks_beyond_the_encoding(monkeypatch):
     assert tietze_simplify(pres, effort=1).rank == 1
     with pytest.raises(ValueError, match="at most 1 generators"):
         tietze_simplify(pres, effort=2)
+
+
+def cleaning_after_every_pass(pres, effort):
+    """The Tietze loop as it was: relators cleaned after every pass, even
+    one that changed nothing."""
+    names = list(pres.generators)
+    relators = subgroups._clean(pres.relators)
+    for _ in range(200):
+        progress = False
+        if effort >= 1 and subgroups._eliminate_once(
+            relators, names, subgroups.DEFAULT_RELATOR_CAP
+        ):
+            progress = True
+        relators = subgroups._clean(relators)
+        if effort >= 2 and not progress and subgroups._shorten_once(
+            relators, pres.rank, 200
+        ):
+            progress = True
+            relators = subgroups._clean(relators)
+        if not progress:
+            break
+    return Presentation(generators=tuple(names), relators=tuple(relators))
+
+
+def test_tietze_cleans_only_after_a_change(monkeypatch):
+    chain = hnn_chain(preset("fig8"), "t", 12)
+    corpus = [rewrite_presentation(chain.ambient, chain.levels[n]) for n in range(1, 13)]
+    for group, mu in (("z2z2", Fraction(1, 2)), ("s3", Fraction(3, 4))):
+        ambient = ambient_presentation(preset(group))
+        for cover in build_tower(preset(group), mu, 1, scale=12, seed=0):
+            corpus.append(rewrite_presentation(ambient, cover_table(cover, ambient)))
+    for pres in corpus:
+        for effort in (0, 1, 2):
+            assert tietze_simplify(pres, effort=effort) == cleaning_after_every_pass(pres, effort)
+    cleans = []
+    clean = subgroups._clean
+    monkeypatch.setattr(subgroups, "_clean", lambda relators: cleans.append(1) or clean(relators))
+    tietze_simplify(corpus[-1], effort=0)
+    assert len(cleans) == 1
