@@ -857,7 +857,6 @@ def build_tower(
             radii.append(r)
         if good:
             return levels
-    # scan errors come first, as they did when the whole scan ran up front
     attempts = scan_errors + layout_errors
     raise BudgetError(
         f"no tower of depth {depth} with strictly increasing radius found for "

@@ -252,7 +252,7 @@ def test_tietze_rejects_ranks_beyond_the_encoding(monkeypatch):
 
 
 def cleaning_after_every_pass(pres, effort):
-    """The Tietze loop as it was: relators cleaned after every pass, even
+    """Reference Tietze loop that cleans the relators after every pass, even
     one that changed nothing."""
     names = list(pres.generators)
     relators = subgroups._clean(pres.relators)
@@ -282,9 +282,10 @@ def test_tietze_cleans_only_after_a_change(monkeypatch):
             corpus.append(rewrite_presentation(ambient, cover_table(cover, ambient)))
     for pres in corpus:
         for effort in (0, 1, 2):
-            assert tietze_simplify(pres, effort=effort) == cleaning_after_every_pass(pres, effort)
+            expected = cleaning_after_every_pass(pres, effort)
+            assert tietze_simplify(pres, effort=effort) == expected
     cleans = []
     clean = subgroups._clean
-    monkeypatch.setattr(subgroups, "_clean", lambda relators: cleans.append(1) or clean(relators))
+    monkeypatch.setattr(subgroups, "_clean", lambda rels: cleans.append(1) or clean(rels))
     tietze_simplify(corpus[-1], effort=0)
     assert len(cleans) == 1

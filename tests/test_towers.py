@@ -270,9 +270,9 @@ def test_budget_error_texts_are_pinned():
     )
 
 
-# The annealer before its walks formed a prefix tree: every changed walk's
-# product is taken along its whole path, tables count (vertex, residue)
-# tuples, and counter updates follow the walk sets' iteration order.
+# Reference annealer: every changed walk's product is taken along its whole
+# path, tables count (vertex, residue) tuples, and counter updates follow the
+# iteration order of the set of walks through the changed point.
 
 
 class FullPathSearch(_TwistSearch):
@@ -418,8 +418,8 @@ def test_annealer_matches_full_path_oracle_in_solve(group, mu, seed, chain_len, 
 
 
 SCANNED = [(c, r) for c in (12, 14, None, 8) for r in range(4)]
-# The order in which tower --group s3 --mu 3/4 --depth 3 tried its layouts
-# when every level-0 layout was built and sorted by `bumped` up front.
+# The eager try order of tower --group s3 --mu 3/4 --depth 3: all 16
+# level-0 layouts built first, then stably sorted by `bumped`.
 EAGER_ORDER_S3 = [
     (12, 2), (12, 3), (14, 0), (14, 2), (8, 0), (8, 1), (8, 3),
     (12, 0), (12, 1), (14, 1), (14, 3), (None, 0), (None, 1), (None, 2), (None, 3), (8, 2),
@@ -442,7 +442,9 @@ def test_layouts_are_tried_in_the_eager_order(monkeypatch):
     def record_solve(self, rng, restarts, moves):
         state = rng.getstate()
         layout = next(
-            (c, r) for c, r in SCANNED if random.Random(f"0:{c}:{r}").getstate() == state
+            (c, r)
+            for c, r in SCANNED
+            if random.Random(f"0:{c}:{r}").getstate() == state
         )
         events.append(("solve", layout))
         return None
@@ -461,9 +463,8 @@ def test_layouts_are_tried_in_the_eager_order(monkeypatch):
             layout = (event[1], event[2])
         elif event[0] == "orders":
             scanned.append((layout, event[1]))
-    assert tried == [lo for lo, bumped in scanned if not bumped] + [
-        lo for lo, bumped in scanned if bumped
-    ]
+    unbumped = [lo for lo, bumped in scanned if not bumped]
+    assert tried == unbumped + [lo for lo, bumped in scanned if bumped]
     # the first layout was tried straight after it was built
     assert [e[0] for e in events[:7]] == ["base", "orders"] * 3 + ["solve"]
     assert str(info.value) == (
