@@ -18,6 +18,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .cosets import CosetTable, enumerate_cosets, schreier_transversal, validate
@@ -30,6 +31,8 @@ DEFAULT_GROUP_ORDER_CAP = 1_000
 DEFAULT_RADIUS_CAP = 64
 DEFAULT_SEARCH_RESTARTS = 6
 DEFAULT_SEARCH_MOVES = 300_000
+BASE_POINT_CAP = 5_000  # points of a level-0 cover
+ROUTE_TRIES = 200  # seeded sigma routes scored per level-0 layout
 
 
 # ---------------------------------------------------------------------------
@@ -112,41 +115,40 @@ class CoverGraph:
     sigma: tuple
     provenance: str = field(default="", compare=False)
 
-    def orbits(self):
-        """A-orbits as a list of sorted tuples, ordered by minimum point."""
-        seen = [False] * self.n
-        out = []
+    @cached_property
+    def _orbit_map(self):
+        """(A-orbits, orbit id of each point), computed once per cover."""
+        ids = [None] * self.n
+        orbits = []
         for x in range(self.n):
-            if seen[x]:
+            if ids[x] is not None:
                 continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
+            i = len(orbits)
+            ids[x] = i
+            orbit = [x]
+            for y in orbit:
                 for p in self.a_perms:
                     z = p[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            for y in orbit:
-                seen[y] = True
-            out.append(tuple(sorted(orbit)))
-        return out
+                    if ids[z] is None:
+                        ids[z] = i
+                        orbit.append(z)
+            orbits.append(tuple(sorted(orbit)))
+        return orbits, ids
+
+    def orbits(self):
+        """A-orbits as a list of sorted tuples, ordered by minimum point."""
+        return list(self._orbit_map[0])
 
     def orbit_ids(self):
-        ids = [None] * self.n
-        for i, orbit in enumerate(self.orbits()):
-            for x in orbit:
-                ids[x] = i
-        return ids
+        return self._orbit_map[1]
 
     @property
     def num_vertices(self):
-        return len(self.orbits())
+        return len(self._orbit_map[0])
 
     @property
     def mu(self):
-        orbits = self.orbits()
+        orbits = self._orbit_map[0]
         fixed = sum(1 for o in orbits if len(o) == 1)
         return Fraction(fixed, len(orbits))
 
@@ -154,7 +156,7 @@ class CoverGraph:
         """Raise ValueError unless every A-orbit has size 1 or |A| and the
         action is a valid (bijective, transitive) coset table of A * Z."""
         a = self.group.order
-        for orbit in self.orbits():
+        for orbit in self._orbit_map[0]:
             if len(orbit) not in (1, a):
                 raise ValueError(f"A-orbit of size {len(orbit)}, expected 1 or {a}")
         problems = validate(cover_table(self, ambient_presentation(self.group.pres)))
@@ -188,35 +190,22 @@ def cover_table(cover: CoverGraph, ambient: Presentation) -> CosetTable:
 # ---------------------------------------------------------------------------
 
 
-def injectivity_radius(
-    cover: CoverGraph, ambient: Presentation = None, cap: int = DEFAULT_RADIUS_CAP
-) -> int:
+def injectivity_radius(cover: CoverGraph, cap: int = DEFAULT_RADIUS_CAP) -> int:
     """Largest k such that the radius-k vertex ball around the base vertex
     of the universal covering tree maps injectively into the covering graph.
 
     The covering graph has the A-orbits as vertices and one edge per point x
     (from the orbit of x to the orbit of x.sigma); its universal cover is
-    explored as non-backtracking edge walks from the base orbit.  Returns
-    cap when the ball is still injective there (radius at least cap).
+    explored as the non-backtracking edge walks from the base orbit, and the
+    first walk ending at an already reached vertex has length k + 1.
+    Returns cap when the ball is still injective there (radius at least cap).
     """
-    base, out_edges, head = _edge_graph(cover)
-    seen = {base}
-    frontier = [(base, None)]  # (vertex image, edge we arrived by)
-    depth = 0
-    while frontier and depth < cap:
-        nxt = []
-        for vertex, arrived in frontier:
-            for edge in out_edges.get(vertex, ()):
-                if arrived is not None and edge == (arrived[0], -arrived[1]):
-                    continue  # backtracking
-                img = head(edge)
-                if img in seen:
-                    return depth
-                seen.add(img)
-                nxt.append((img, edge))
-        frontier = nxt
-        depth += 1
-    return depth
+    seen = set()
+    for vertex, _, length, _ in _nb_walks(cover, cap):
+        if vertex in seen:
+            return length - 1
+        seen.add(vertex)
+    return cap
 
 
 def _edge_graph(cover: CoverGraph):
@@ -242,15 +231,7 @@ def _edge_graph(cover: CoverGraph):
 # ---------------------------------------------------------------------------
 
 
-def _base_cover(
-    group,
-    mu: Fraction,
-    scale: int,
-    point_cap: int = 5_000,
-    rng_seed: int = 0,
-    route_tries: int = 200,
-    chain_len: int = None,
-):
+def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: int = None):
     """Level-0 layout: `regular` blocks carrying the regular representation,
     then fixed points.
 
@@ -266,9 +247,9 @@ def _base_cover(
     if regular == 0:
         raise ValueError("mu = 1 is not realizable by finite covers of this kind")
     n = fixed + a * regular
-    if n > point_cap:
+    if n > BASE_POINT_CAP:
         raise ValueError(
-            f"mu = {mu} at scale {scale} needs {n} points, over the cap {point_cap}; "
+            f"mu = {mu} at scale {scale} needs {n} points, over the cap {BASE_POINT_CAP}; "
             f"the minimal point count for this mu is {mu.numerator + a * (mu.denominator - mu.numerator)}"
         )
     # fixed points first (so the base point 0 is fixed whenever mu > 0),
@@ -282,7 +263,6 @@ def _base_cover(
                 perm[x] = fixed + block * a + group.table.perms[g][e]
         a_perms.append(tuple(perm))
     reg_points = list(range(fixed, n))
-    fix_points = list(range(fixed))
 
     def cover_for(route):
         sigma = [0] * n
@@ -318,33 +298,33 @@ def _base_cover(
     # branching at a hub; the rest are spread along the regular route to thin
     # out hub-to-hub adjacencies.
     if chain_len is None:
-        chain_len = fixed if regular == 0 else max(fixed // 2, min(fixed, 1))
+        chain_len = max(fixed // 2, min(fixed, 1))
     chain_len = min(chain_len, fixed)
-    spread = [x for x in fix_points if x != 0][chain_len - 1 if chain_len else 0 :]
-    chain_rest = [x for x in fix_points if x != 0][: chain_len - 1] if chain_len else []
+    others = list(range(1, fixed))
+    cut = max(chain_len - 1, 0)
+    chain_rest, spread = others[:cut], others[cut:]
     half = len(chain_rest) // 2
-    base_chain = chain_rest[:half] + [0] + chain_rest[half:] if chain_len else []
-    # Token plan: the base chain, then regular slots with the remaining fixed
-    # points spread among them as evenly as possible.
-    tokens = ["F0"] * len(base_chain)
+    # Route plan: the base chain, then regular slots (None) with the
+    # remaining fixed points spread among them as evenly as possible.
+    plan = chain_rest[:half] + [0] + chain_rest[half:] if chain_len else []
     credit = Fraction(0)
-    per_slot = Fraction(len(spread), len(reg_points)) if reg_points else Fraction(0)
-    planned = 0
+    per_slot = Fraction(len(spread), len(reg_points))
+    placed = 0
     for _ in reg_points:
-        tokens.append("R")
+        plan.append(None)
         credit += per_slot
-        while credit >= 1 and planned < len(spread):
-            tokens.append("F")
-            planned += 1
+        while credit >= 1 and placed < len(spread):
+            plan.append(spread[placed])
+            placed += 1
             credit -= 1
-    tokens.extend(["F"] * (len(spread) - planned))
+    plan.extend(spread[placed:])
 
     def block_of(x):
         return (x - fixed) // a
 
     rng = random.Random(rng_seed)
     best = None
-    for attempt in range(route_tries):
+    for _ in range(ROUTE_TRIES):
         # greedy assignment: never put two points of the same hub next to
         # each other and never use a direct hub pair more than twice
         remaining = {}
@@ -353,17 +333,10 @@ def _base_cover(
         pair_count = {}
         route = []
         prev_hub = None
-        fi = 0
-        ci = 0
         ok = True
-        for token in tokens:
-            if token in ("F0", "F"):
-                if token == "F0":
-                    route.append(base_chain[ci])
-                    ci += 1
-                else:
-                    route.append(spread[fi])
-                    fi += 1
+        for fixed_point in plan:
+            if fixed_point is not None:
+                route.append(fixed_point)
                 prev_hub = None
                 continue
             candidates = [
@@ -432,15 +405,16 @@ def _dihedral_inv(g, k):
     return 2 * ((-(g >> 1)) % half)
 
 
-def _copy_orders(base, r0, depth):
-    """Copy-group orders per level: 2, 8, 16, ... by default, bumped per
-    level until a vertex's walk count fits into the copy group (pigeonhole:
-    more walks than group elements in a window is a guaranteed collision).
-    The jump from 2 to 8 skips the abelian groups of order 4; level 2 needs
-    a nonabelian copy group, since commuting-cycle walk pairs with equal
-    signed point multisets collide in every abelian lift."""
+def _copy_orders(walks, r0, depth):
+    """Copy-group orders per level for the walks of a layout up to length
+    r0 + depth: 2, 8, 16, ... by default, bumped per level until a vertex's
+    walk count fits into the copy group (pigeonhole: more walks than group
+    elements in a window is a guaranteed collision).  The jump from 2 to 8
+    skips the abelian groups of order 4; level 2 needs a nonabelian copy
+    group, since commuting-cycle walk pairs with equal signed point
+    multisets collide in every abelian lift."""
     per_vertex = {}
-    for v, _, ln, _ in _nb_walks(base, r0 + depth):
+    for v, _, ln, _ in walks:
         counts = per_vertex.setdefault(v, [0] * (r0 + depth + 1))
         counts[ln] += 1
     orders = []
@@ -456,26 +430,27 @@ def _copy_orders(base, r0, depth):
 
 
 def _nb_walks(cover, maxlen):
-    """All non-backtracking edge walks from the base vertex of length up to
-    maxlen in BFS order, as (endpoint vertex, path of (point, direction),
-    length, parent).  The walks form a prefix tree: walk i > 0 is its parent
-    walk (an earlier index) extended by the last edge of its path; the empty
-    walk 0 has parent -1."""
+    """The non-backtracking edge walks from the base vertex of length up to
+    maxlen, lazily in BFS order, as (endpoint vertex, path of (point,
+    direction), length, parent).  The walks form a prefix tree: walk i > 0
+    is its parent walk (an earlier index) extended by the last edge of its
+    path; the empty walk 0 has parent -1."""
     base, out_edges, head = _edge_graph(cover)
-    walks = [(base, (), 0, -1)]
-    frontier = [0]
+    yield base, (), 0, -1
+    frontier = [(0, base, ())]  # (index, endpoint, path) of the last length
+    count = 1
     for length in range(1, maxlen + 1):
         nxt = []
-        for parent in frontier:
-            vertex, path, _, _ = walks[parent]
+        for parent, vertex, path in frontier:
             arrived = path[-1] if path else None
             for edge in out_edges.get(vertex, ()):
                 if arrived is not None and edge == (arrived[0], -arrived[1]):
-                    continue
-                nxt.append(len(walks))
-                walks.append((head(edge), path + (edge,), length, parent))
+                    continue  # backtracking
+                walk = (head(edge), path + (edge,), length, parent)
+                nxt.append((count, walk[0], walk[1]))
+                count += 1
+                yield walk
         frontier = nxt
-    return walks
 
 
 class _TwistSearch:
@@ -495,7 +470,7 @@ class _TwistSearch:
     are a prefix of the walk list.  A table counts walks by the int key
     v * kmax + (g mod k), a bijective image of (v, g mod k)."""
 
-    def __init__(self, base, r0, depth, orders):
+    def __init__(self, base, walks, r0, depth, orders):
         self.r0 = r0
         self.depth = depth
         self.orders = orders
@@ -504,7 +479,7 @@ class _TwistSearch:
         self.kmax = kmax
         self.mul = [[_dihedral_mul(g, h, kmax) for h in range(kmax)] for g in range(kmax)]
         self.inv = [_dihedral_inv(g, kmax) for g in range(kmax)]
-        self.walks = walks = _nb_walks(base, r0 + depth)
+        self.walks = walks
         self.specs = [(r0 + j, orders[j - 1], True) for j in range(1, depth + 1)]
         self.specs += [(r0 + j + 1, orders[j - 1], False) for j in range(1, depth)]
         # walks 0 .. ends[si] - 1 are the window of spec si
@@ -530,55 +505,39 @@ class _TwistSearch:
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
-        the annealing budget.  Capacity: a vertex carrying more than k_j
-        walks in the level-j window collides by pigeonhole whatever the
-        twists.  Parity: mod 2 the walk products are linear in the twist
-        reflection bits, so the level-1 constraints form a GF(2) system;
-        it must be solvable, and when a level-1 ceiling is demanded some
-        fresh length-(r0+2) pair must be free to collide under it."""
-        for lim, k, forbid in self.specs:
-            if not forbid:
-                continue
-            per_vertex = {}
-            for v, _, ln, _ in self.walks:
-                if ln <= lim:
-                    per_vertex[v] = per_vertex.get(v, 0) + 1
-            worst = max(per_vertex.values())
-            if worst > k:
-                return False, f"a vertex carries {worst} walks in window {lim}, over {k}"
+        the annealing budget.  Mod 2 the walk products are linear in the
+        twist reflection bits, so the level-1 constraints form a GF(2)
+        system; it must be solvable, and when a level-1 ceiling is demanded
+        some fresh length-(r0+2) pair must be free to collide under it.
+        (No vertex can carry more than k_j walks in the level-j window:
+        _copy_orders sized every k_j to the largest such count.)
 
-        def pair_row(i, j):
-            row = [0] * self.n0
-            for x, _ in self.walks[i][1] + self.walks[j][1]:
-                row[x] ^= 1
+        A row is an int: bit 0 is the right-hand side, bit x + 1 the
+        reflection bit of point x.  A row joins the basis reduced against
+        every earlier basis row, so the basis has distinct top bits, each
+        absent from the rows after it, and one pass in order reduces a row."""
+        masks = [0] * len(self.walks)  # points passed an odd number of times
+        by_vertex = {}
+        for i, (v, path, _, parent) in enumerate(self.walks):
+            if path:
+                masks[i] = masks[parent] ^ (2 << path[-1][0])
+            by_vertex.setdefault(v, []).append(i)
+        basis = []
+
+        def reduce(row):
+            for b in basis:
+                row = min(row, row ^ b)
             return row
 
-        by_vertex = {}
-        for i, (v, _, _, _) in enumerate(self.walks):
-            by_vertex.setdefault(v, []).append(i)
-        rows, rhs = [], []
         for members in by_vertex.values():
             inner = [i for i in members if self.walks[i][2] <= self.r0 + 1]
             for a in range(len(inner)):
                 for b in range(a + 1, len(inner)):
-                    rows.append(pair_row(inner[a], inner[b]))
-                    rhs.append(1)
-        # echelonize the forced-distinct system once
-        aug = [row + [r] for row, r in zip(rows, rhs)]
-        pivots = []
-        rank = 0
-        for col in range(self.n0):
-            pivot = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
-            if pivot is None:
-                continue
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            for i in range(len(aug)):
-                if i != rank and aug[i][col]:
-                    aug[i] = [p ^ q for p, q in zip(aug[i], aug[rank])]
-            pivots.append(col)
-            rank += 1
-        if any(row[self.n0] for row in aug[rank:]):
-            return False, "two walks share every point mod 2, forcing a collision"
+                    row = reduce(masks[inner[a]] ^ masks[inner[b]] | 1)
+                    if row == 1:
+                        return False, "two walks share every point mod 2, forcing a collision"
+                    if row:
+                        basis.append(row)
         if self.depth < 2:
             return True, ""
         # level-1 ceiling: some pair entering at length r0 + 2 must not be
@@ -590,13 +549,7 @@ class _TwistSearch:
                     i, j = window[a], window[b]
                     if max(self.walks[i][2], self.walks[j][2]) != self.r0 + 2:
                         continue
-                    row = pair_row(i, j)
-                    parity = 0
-                    for t, col in enumerate(pivots):
-                        if row[col]:
-                            row = [p ^ q for p, q in zip(row, aug[t][: self.n0])]
-                            parity ^= aug[t][self.n0]
-                    if any(row) or parity == 0:
+                    if reduce(masks[i] ^ masks[j]) != 1:
                         return True, ""
         return False, "every fresh pair in the ceiling window is forced apart mod 2"
 
@@ -748,10 +701,11 @@ def check_projection(upper: CoverGraph, lower: CoverGraph):
             raise ValueError("sigma does not project")
 
 
-def _layouts(group, mu, scale, seed, depth, radius_cap, errors):
+def _layouts(group, mu, scale, seed, depth, errors):
     """Distinct level-0 layouts in the order build_tower tries them, as
-    (chain_len, route_seed, base, r0, copy orders); r0 and the orders are
-    None at depth 0.
+    (chain_len, route_seed, base, walks, r0, copy orders): the walks are the
+    non-backtracking walks of length up to r0 + depth; walks, r0 and the
+    orders are None at depth 0.
 
     The scan goes over a few degree-2 chain lengths and route seeds; route
     failures are appended to errors.  A layout whose walk counts fit the
@@ -776,11 +730,12 @@ def _layouts(group, mu, scale, seed, depth, radius_cap, errors):
             seen.add(key)
             base.check_invariants()
             if depth == 0:
-                yield chain_len, route_seed, base, None, None
+                yield chain_len, route_seed, base, None, None, None
                 continue
-            r0 = injectivity_radius(base, cap=radius_cap)
-            orders, bumped = _copy_orders(base, r0, depth)
-            layout = (chain_len, route_seed, base, r0, orders)
+            r0 = injectivity_radius(base)
+            walks = list(_nb_walks(base, r0 + depth))
+            orders, bumped = _copy_orders(walks, r0, depth)
+            layout = (chain_len, route_seed, base, walks, r0, orders)
             if bumped:
                 bumped_layouts.append(layout)
             else:
@@ -788,16 +743,7 @@ def _layouts(group, mu, scale, seed, depth, radius_cap, errors):
     yield from bumped_layouts
 
 
-def build_tower(
-    a_pres: Presentation,
-    mu_target,
-    depth: int,
-    scale: int = 1,
-    seed: int = 0,
-    search_restarts: int = DEFAULT_SEARCH_RESTARTS,
-    search_moves: int = DEFAULT_SEARCH_MOVES,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
-):
+def build_tower(a_pres: Presentation, mu_target, depth: int, scale: int = 1, seed: int = 0):
     """Nested covers with exactly constant fixed-vertex ratio mu and strictly
     increasing injectivity radius.
 
@@ -821,18 +767,18 @@ def build_tower(
         raise ValueError("depth must be >= 0")
     group = finite_group_data(a_pres)
     scan_errors, layout_errors = [], []
-    layouts = _layouts(group, mu, scale, seed, depth, radius_cap, scan_errors)
-    for chain_len, route_seed, base, r0, orders in layouts:
+    layouts = _layouts(group, mu, scale, seed, depth, scan_errors)
+    for chain_len, route_seed, base, walks, r0, orders in layouts:
         if depth == 0:
             return [base]
         name = f"layout ({chain_len}, {route_seed})"
-        search = _TwistSearch(base, r0, depth, orders)
+        search = _TwistSearch(base, walks, r0, depth, orders)
         ok, why = search.feasible()
         if not ok:
             layout_errors.append(f"{name}: {why}")
             continue
         rng = random.Random(f"{seed}:{chain_len}:{route_seed}")
-        twists = search.solve(rng, restarts=search_restarts, moves=search_moves)
+        twists = search.solve(rng)
         if twists is None:
             layout_errors.append(f"{name}: search budget exhausted")
             continue
@@ -841,7 +787,7 @@ def build_tower(
         good = True
         for j, k in enumerate(orders, start=1):
             lifted = _lift(base, twists, j, k)
-            r = injectivity_radius(lifted, cap=radius_cap)
+            r = injectivity_radius(lifted)
             if r <= radii[-1]:
                 layout_errors.append(f"{name}: radius stalled at level {j}")
                 good = False

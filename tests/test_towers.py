@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import json
 import random
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,8 @@ from rankgradient.towers import (
     _copy_orders,
     _dihedral_inv,
     _dihedral_mul,
+    _edge_graph,
+    _nb_walks,
     ambient_presentation,
     build_tower,
     check_projection,
@@ -244,10 +248,15 @@ def cover_fingerprint(cover):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def pinned_tower(case):
+    group, mu, seed = case
+    return build_tower(preset(group), Fraction(mu), 3, scale=12, seed=seed)
+
+
 @pytest.mark.parametrize("case", sorted(COVER_FINGERPRINTS))
 def test_tower_covers_are_pinned(case):
-    group, mu, seed = case
-    levels = build_tower(preset(group), Fraction(mu), 3, scale=12, seed=seed)
+    levels = pinned_tower(case)
     assert tuple(cover_fingerprint(c) for c in levels) == COVER_FINGERPRINTS[case]
 
 
@@ -357,13 +366,15 @@ class FullPathSearch(_TwistSearch):
 
 
 def search_layout(group, mu, seed, chain_len, route_seed, depth=3):
-    """(base, r0, copy orders) of one scanned layout, as build_tower makes it."""
+    """(base, walks, r0, depth, copy orders) of one scanned layout, as
+    build_tower makes it."""
     base = _base_cover(
         finite_group_data(preset(group)), Fraction(mu), 12,
         rng_seed=seed + route_seed, chain_len=chain_len,
     )
     r0 = injectivity_radius(base)
-    return base, r0, depth, _copy_orders(base, r0, depth)[0]
+    walks = list(_nb_walks(base, r0 + depth))
+    return base, walks, r0, depth, _copy_orders(walks, r0, depth)[0]
 
 
 def decoded(table, kmax):
@@ -434,12 +445,12 @@ def test_layouts_are_tried_in_the_eager_order(monkeypatch):
         events.append(("base", chain_len, rng_seed))
         return base_cover(group, mu, scale, rng_seed=rng_seed, chain_len=chain_len)
 
-    def record_orders(base, r0, depth):
-        orders, bumped = copy_orders(base, r0, depth)
+    def record_orders(walks, r0, depth):
+        orders, bumped = copy_orders(walks, r0, depth)
         events.append(("orders", bumped))
         return orders, bumped
 
-    def record_solve(self, rng, restarts, moves):
+    def record_solve(self, rng):
         state = rng.getstate()
         layout = next(
             (c, r)
@@ -487,3 +498,179 @@ def test_tower_builds_only_the_layouts_it_tries(monkeypatch):
     levels = build_tower(preset("s3"), Fraction(3, 4), 3, scale=12, seed=0)
     assert [c.n for c in levels] == [108, 216, 864, 1728]
     assert len(calls) == 3
+
+
+# Oracles for the single walk enumerator and the int-row GF(2) screen: the
+# breadth-first radius search and the list-based echelon of the feasibility
+# screen as they stood before either was rewritten.
+
+
+def bfs_radius(cover, cap=towers.DEFAULT_RADIUS_CAP):
+    base, out_edges, head = _edge_graph(cover)
+    seen = {base}
+    frontier = [(base, None)]  # (vertex image, edge we arrived by)
+    depth = 0
+    while frontier and depth < cap:
+        nxt = []
+        for vertex, arrived in frontier:
+            for edge in out_edges.get(vertex, ()):
+                if arrived is not None and edge == (arrived[0], -arrived[1]):
+                    continue
+                img = head(edge)
+                if img in seen:
+                    return depth
+                seen.add(img)
+                nxt.append((img, edge))
+        frontier = nxt
+        depth += 1
+    return depth
+
+
+def echelon_feasible(search):
+    walks, n0, r0 = search.walks, search.n0, search.r0
+
+    def pair_row(i, j):
+        row = [0] * n0
+        for x, _ in walks[i][1] + walks[j][1]:
+            row[x] ^= 1
+        return row
+
+    by_vertex = {}
+    for i, (v, _, _, _) in enumerate(walks):
+        by_vertex.setdefault(v, []).append(i)
+    aug = []
+    for members in by_vertex.values():
+        inner = [i for i in members if walks[i][2] <= r0 + 1]
+        for a in range(len(inner)):
+            for b in range(a + 1, len(inner)):
+                aug.append(pair_row(inner[a], inner[b]) + [1])
+    pivots = []
+    rank = 0
+    for col in range(n0):
+        pivot = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        for i in range(len(aug)):
+            if i != rank and aug[i][col]:
+                aug[i] = [p ^ q for p, q in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    if any(row[n0] for row in aug[rank:]):
+        return False, "two walks share every point mod 2, forcing a collision"
+    if search.depth < 2:
+        return True, ""
+    for members in by_vertex.values():
+        window = [i for i in members if walks[i][2] <= r0 + 2]
+        for a in range(len(window)):
+            for b in range(a + 1, len(window)):
+                i, j = window[a], window[b]
+                if max(walks[i][2], walks[j][2]) != r0 + 2:
+                    continue
+                row = pair_row(i, j)
+                parity = 0
+                for t, col in enumerate(pivots):
+                    if row[col]:
+                        row = [p ^ q for p, q in zip(row, aug[t][:n0])]
+                        parity ^= aug[t][n0]
+                if any(row) or parity == 0:
+                    return True, ""
+    return False, "every fresh pair in the ceiling window is forced apart mod 2"
+
+
+@pytest.fixture(scope="module")
+def scanned_bases():
+    """Every distinct scanned level-0 layout of the pinned cases, as
+    (case, layout, base), plus (radius, oracle radius) for every route cover
+    that _base_cover scored for them."""
+    radius = towers.injectivity_radius
+    scored = []
+
+    def checked(cover):
+        scored.append((radius(cover), bfs_radius(cover)))
+        return scored[-1][0]
+
+    bases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(towers, "injectivity_radius", checked)
+        for case in sorted(COVER_FINGERPRINTS):
+            group, mu, seed = case
+            data = finite_group_data(preset(group))
+            seen = set()
+            for chain_len, route_seed in SCANNED:
+                base = _base_cover(
+                    data, Fraction(mu), 12, rng_seed=seed + route_seed, chain_len=chain_len
+                )
+                if (base.sigma, base.a_perms) not in seen:
+                    seen.add((base.sigma, base.a_perms))
+                    bases.append((case, (chain_len, route_seed), base))
+    return bases, scored
+
+
+def test_radius_matches_bfs_oracle_on_route_covers(scanned_bases):
+    _, scored = scanned_bases
+    # 64 _base_cover calls; routes the hub constraints reject are not scored
+    assert len(scored) == 4750
+    assert all(r == oracle for r, oracle in scored)
+    assert len({r for r, _ in scored}) > 1
+
+
+@pytest.mark.parametrize("case", sorted(COVER_FINGERPRINTS))
+def test_radius_matches_bfs_oracle_on_tower_levels(case):
+    for cover in pinned_tower(case):
+        assert injectivity_radius(cover) == bfs_radius(cover)
+        assert injectivity_radius(cover, cap=2) == bfs_radius(cover, cap=2) == 2
+
+
+def test_feasible_matches_echelon_oracle(scanned_bases):
+    bases, _ = scanned_bases
+    outcomes = set()
+    for case, layout, base in bases:
+        r0 = injectivity_radius(base)
+        for depth in (1, 2, 3):
+            walks = list(_nb_walks(base, r0 + depth))
+            orders, _ = _copy_orders(walks, r0, depth)
+            # the pigeonhole bound that lets feasible skip a capacity check
+            for j, k in enumerate(orders, start=1):
+                per_vertex = {}
+                for v, _, ln, _ in walks:
+                    if ln <= r0 + j:
+                        per_vertex[v] = per_vertex.get(v, 0) + 1
+                assert max(per_vertex.values()) <= k, (case, layout, depth, j)
+            search = _TwistSearch(base, walks, r0, depth, orders)
+            verdict = search.feasible()
+            assert verdict == echelon_feasible(search), (case, layout, depth)
+            outcomes.add(verdict)
+    # pass, parity fail and ceiling fail all occur among these layouts
+    assert {ok for ok, _ in outcomes} == {True, False}
+    assert len(outcomes) == 3
+
+
+def test_feasible_matches_echelon_oracle_on_z2_scale_1():
+    base = _base_cover(finite_group_data(pres_of(Z2)), Fraction(0), 1, chain_len=12)
+    r0 = injectivity_radius(base)
+    walks = list(_nb_walks(base, r0 + 1))
+    search = _TwistSearch(base, walks, r0, 1, _copy_orders(walks, r0, 1)[0])
+    verdict = search.feasible()
+    assert verdict == echelon_feasible(search)
+    assert verdict == (False, "two walks share every point mod 2, forcing a collision")
+
+
+def test_feasible_reduces_in_basis_order():
+    # A synthetic prefix tree of walks over points 0..2 whose level-1 pairs
+    # give, in this order, the rows p0 + p1 = 1, p0 = 1 and p1 = 1: the
+    # third row reduces to a contradiction only against the basis in order.
+    walks = [
+        (0, (), 0, -1),
+        (1, ((0, 1),), 1, 0),
+        (2, ((1, 1),), 1, 0),
+        (3, ((2, 1),), 1, 0),
+        (4, ((2, -1),), 1, 0),
+        (0, ((0, 1), (1, 1)), 2, 1),
+        (1, ((2, 1), (2, 1)), 2, 3),
+        (2, ((2, -1), (2, -1)), 2, 4),
+    ]
+    search = _TwistSearch(SimpleNamespace(n=3), walks, 1, 1, [2])
+    verdict = search.feasible()
+    assert verdict == echelon_feasible(search)
+    assert verdict == (False, "two walks share every point mod 2, forcing a collision")
