@@ -14,6 +14,11 @@ from fractions import Fraction
 Word = tuple  # tuple[int, ...], freely reduced
 
 DEFAULT_WORD_LENGTH_CAP = 10**6
+# Generator names no word could reference: "1" is the empty word, "normal"
+# opens a normal subgroup spec, "^" starts an exponent, "," separates subgroup
+# words and "=" splits an equation.
+RESERVED_NAMES = ("1", "normal")
+RESERVED_CHARS = "^,="
 
 
 class ParseError(ValueError):
@@ -162,7 +167,8 @@ def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
         sub <name> [normal] <word>, ...   named subgroup spec
 
     A <word> is whitespace-separated tokens ``name`` or ``name^k`` (k a
-    nonzero integer), or the literal ``1`` for the empty word.  In ``sub``
+    nonzero integer), or the literal ``1`` for the empty word.  A generator
+    name may not be ``1`` or ``normal`` or contain ``^``, ``,`` or ``=``.  In ``sub``
     lines the generator words are separated by commas; when no comma is
     present each token is its own word.
 
@@ -184,6 +190,9 @@ def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
                 raise ParseError("duplicate 'gens' line", line=lineno)
             if not rest:
                 raise ParseError("empty generator list", line=lineno)
+            for name in rest:
+                if name in RESERVED_NAMES or any(c in name for c in RESERVED_CHARS):
+                    raise ParseError(f"reserved generator name {name!r}", line=lineno)
             gens = tuple(rest)
             gen_index = {name: i for i, name in enumerate(gens)}
             if len(gen_index) != len(gens):
@@ -240,6 +249,8 @@ def serialize_presentation(pres: Presentation, specs=()) -> str:
     for spec in specs:
         head = f"sub {spec.name}" + (" normal" if spec.normal else "")
         body = ", ".join(pres.word_str(w) for w in spec.generators)
+        if len(spec.generators) == 1 and " " in body:
+            body += ","  # without a comma each token would be its own word
         lines.append(head + " " + body if body else head)
     return "\n".join(lines) + "\n"
 

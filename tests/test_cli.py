@@ -130,6 +130,16 @@ def test_hnn_input_without_a_z_quotient_is_a_parse_error(capsys, tmp_path):
     assert "does not map onto Z" in err
 
 
+def test_reserved_generator_name_in_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("gens 1 a\nrel 1 a\n")
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "reserved generator name '1'" in err
+    assert "Traceback" not in err
+
+
 def test_missing_source_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lowindex", "--max", "2"])

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rankgradient.words import (
+    RESERVED_NAMES,
     ParseError,
     Presentation,
     SubgroupSpec,
@@ -166,3 +167,94 @@ def test_spec_validate_over():
     spec = SubgroupSpec(generators=((2,),))
     with pytest.raises(ValueError):
         spec.validate_over(pres)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gens 1 a\nrel 1 a\n",  # 1 is the empty word
+        "gens normal b\nsub H normal\n",  # normal opens a normal spec
+        "gens a =\nrel a =\n",  # = splits an equation
+        "gens a^2 b\n",  # ^ starts an exponent
+        "gens a,b c\nsub H a,b\n",  # , separates subgroup words
+    ],
+)
+def test_reserved_generator_names(text):
+    with pytest.raises(ParseError, match="reserved generator name") as exc:
+        parse_presentation(text)
+    assert exc.value.line == 1
+
+
+def test_serialize_keeps_a_sole_multiletter_subgroup_word():
+    pres, specs = parse_presentation("gens a b\nsub H a b,\n")
+    assert specs[0].generators == ((1, 2),)
+    out = serialize_presentation(pres, specs)
+    assert out == "gens a b\nsub H a b,\n"
+    assert parse_presentation(out)[1] == specs
+
+
+NAME_CHARS = "abxyzAB_019'-."
+names = st.text(alphabet=NAME_CHARS, min_size=1, max_size=4).filter(
+    lambda name: name not in RESERVED_NAMES
+)
+
+
+@st.composite
+def presentation_texts(draw):
+    gens = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+
+    def token():
+        name = draw(st.sampled_from(gens))
+        exp = draw(st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0))
+        return name if exp == 1 and draw(st.booleans()) else f"{name}^{exp}"
+
+    def word():
+        return " ".join(token() for _ in range(draw(st.integers(0, 4)))) or "1"
+
+    lines = ["gens " + " ".join(gens)]
+    for _ in range(draw(st.integers(0, 3))):
+        rel = word()
+        if draw(st.booleans()):
+            rel += " = " + word()
+        lines.append("rel " + rel)
+    for _ in range(draw(st.integers(0, 3))):
+        head = "sub " + draw(st.sampled_from(["H", "K2", "normal"]))
+        if draw(st.booleans()):
+            head += " normal"
+        count = draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            body = ", ".join(word() for _ in range(count))
+            if count == 1 and draw(st.booleans()):
+                body += ","
+        else:
+            body = " ".join(token() for _ in range(count))
+        lines.append(head + (" " + body if body else ""))
+    return "\n".join(lines) + "\n"
+
+
+@given(presentation_texts())
+def test_parse_serialize_parse_round_trip(text):
+    pres, specs = parse_presentation(text)
+    out = serialize_presentation(pres, specs)
+    pres2, specs2 = parse_presentation(out)
+    assert pres2 == pres
+    assert specs2 == specs
+    assert serialize_presentation(pres2, specs2) == out
+
+
+reserved_names = st.one_of(
+    st.sampled_from(RESERVED_NAMES),
+    st.builds(
+        lambda head, char, tail: head + char + tail,
+        st.text(alphabet=NAME_CHARS, max_size=3),
+        st.sampled_from("^,="),
+        st.text(alphabet=NAME_CHARS, max_size=3),
+    ),
+)
+
+
+@given(st.lists(names, max_size=3, unique=True), reserved_names, st.integers(0, 3))
+def test_reserved_generator_names_are_rejected(gens, bad, at):
+    gens.insert(at, bad)
+    with pytest.raises(ParseError, match="reserved generator name"):
+        parse_presentation("gens " + " ".join(gens) + "\nrel " + gens[0] + "\n")
