@@ -168,9 +168,9 @@ def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
 
     A <word> is whitespace-separated tokens ``name`` or ``name^k`` (k a
     nonzero integer), or the literal ``1`` for the empty word.  A generator
-    name may not be ``1`` or ``normal`` or contain ``^``, ``,`` or ``=``.  In ``sub``
-    lines the generator words are separated by commas; when no comma is
-    present each token is its own word.
+    name may not be ``1`` or ``normal`` or contain ``^``, ``,`` or ``=``.
+    In ``sub`` lines the generator words are separated by commas; when no
+    comma is present each token is its own word.
 
     Returns (Presentation, list of SubgroupSpec).
     """
