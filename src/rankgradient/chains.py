@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cosets import (
+    DEFAULT_COSET_CAP,
     contains,
     enumerate_cosets,
     intersect,
@@ -93,7 +94,7 @@ def farber_chain(
     sub: SubgroupSpec,
     depth: int,
     index_cap: int = DEFAULT_CHAIN_INDEX_CAP,
-    coset_cap: int = None,
+    coset_cap: int = DEFAULT_COSET_CAP,
 ) -> Chain:
     """Normal-core chain: level 1 = H, level n = core(H) meet Delta_n, where
     Delta_n intersects every subgroup of index at most n.
@@ -103,9 +104,8 @@ def farber_chain(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    kwargs = {} if coset_cap is None else {"cap": coset_cap}
     levels = [_whole_group_level(pres)]
-    h_table = enumerate_cosets(pres, sub, provenance="chain seed", **kwargs)
+    h_table = enumerate_cosets(pres, sub, cap=coset_cap, provenance="chain seed")
     levels.append(h_table)
     truncated = None
     if depth >= 2:

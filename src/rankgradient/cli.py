@@ -270,7 +270,7 @@ def cmd_graphing(args):
             "gens " + " ".join(pres.generators) + "\nsub G " + args.gens + "\n"
         )
         gens = sub_specs[0].generators
-    graphing, bound = minimize_graphing(chain, args.level, gens=gens)
+    graphing, bound = minimize_graphing(chain, args.level, gens, args.coset_cap)
     config = _config(
         args, source, kind=args.kind, sub=getattr(args, "sub", None),
         stable=args.stable, m=args.m, level=args.level, gens=args.gens,

@@ -2,7 +2,9 @@
 
 Todd-Coxeter enumeration (HLT style), exhaustive low-index subgroup search,
 subgroup intersection via product actions, and normal cores via the regular
-representation of the permutation image.
+representation of the permutation image.  Enumeration fills one flat int
+table under a live-coset cap; low-index search checks only the relator
+traces through each new edge (see ``enumerate_cosets``, ``_search_index``).
 
 Conventions: coset 0 is the subgroup itself, words act on the right, and a
 table's permutations are listed per generator.  All construction paths
@@ -16,7 +18,7 @@ spec, the one it enumerated; the tables of ``low_index``, ``intersect`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     ImageTooLarge,
@@ -82,10 +84,12 @@ def _invert_perm(p):
 
 
 def _letters(rank):
-    out = []
-    for g in range(1, rank + 1):
-        out.extend((g, -g))
-    return out
+    return [x for g in range(1, rank + 1) for x in (g, -g)]
+
+
+def _column(letter):
+    """Table column of a letter: 2g for generator g + 1, 2g + 1 for its inverse."""
+    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
 def _bfs(table: CosetTable):
@@ -127,97 +131,99 @@ def canonicalize(table: CosetTable) -> CosetTable:
 # ---------------------------------------------------------------------------
 
 
-class _TC:
-    def __init__(self, rank, cap):
-        self.rank = rank
-        self.cap = cap
-        self.table = [[None] * (2 * rank)]
-        self.p = [0]  # union-find, representative is always the minimum
-        self.alive = 1
+def _hlt(rank, relators, point_words, cap):
+    """HLT as in ``enumerate_cosets``: (pre-canonical perms, cosets defined)."""
+    width = 2 * rank
+    blank = [-1] * width
+    table, p, alive = blank[:], [0], 1  # p: union-find, roots are minima
 
-    def col(self, letter):
-        g = abs(letter) - 1
-        return 2 * g if letter > 0 else 2 * g + 1
-
-    def inv_col(self, col):
-        return col ^ 1
-
-    def rep(self, c):
+    def rep(c):
         root = c
-        while self.p[root] != root:
-            root = self.p[root]
-        while self.p[c] != root:
-            self.p[c], c = root, self.p[c]
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:
+            p[c], c = root, p[c]
         return root
 
-    def define(self, alpha, col):
-        if self.alive >= self.cap:
-            raise IndexBoundExceeded(self.cap)
-        beta = len(self.table)
-        self.table.append([None] * (2 * self.rank))
-        self.p.append(beta)
-        self.alive += 1
-        self.table[alpha][col] = beta
-        self.table[beta][self.inv_col(col)] = alpha
-        return beta
+    def define(c, col):
+        nonlocal alive
+        if alive >= cap:
+            raise IndexBoundExceeded(cap)
+        beta = len(p)
+        table.extend(blank)
+        p.append(beta)
+        alive += 1
+        table[c * width + col], table[beta * width + (col ^ 1)] = beta, c
 
-    def coincidence(self, alpha, beta):
+    def coincidence(a, b):
         queue = []
 
         def merge(a, b):
-            a, b = self.rep(a), self.rep(b)
+            nonlocal alive
+            a, b = rep(a), rep(b)
             if a != b:
-                lo, hi = min(a, b), max(a, b)
-                self.p[hi] = lo
-                self.alive -= 1
-                queue.append(hi)
+                a, b = min(a, b), max(a, b)
+                p[b] = a
+                alive -= 1
+                queue.append(b)
 
-        merge(alpha, beta)
-        i = 0
-        while i < len(queue):
-            gamma = queue[i]
-            i += 1
-            for col in range(2 * self.rank):
-                delta = self.table[gamma][col]
-                if delta is None:
+        merge(a, b)
+        for gamma in queue:  # merge appends while the loop runs
+            for col in range(width):
+                delta = table[gamma * width + col]
+                if delta < 0:
                     continue
-                self.table[delta][self.inv_col(col)] = None
-                mu, nu = self.rep(gamma), self.rep(delta)
-                if self.table[mu][col] is not None:
-                    merge(nu, self.table[mu][col])
-                elif self.table[nu][self.inv_col(col)] is not None:
-                    merge(mu, self.table[nu][self.inv_col(col)])
+                inv = col ^ 1
+                table[delta * width + inv] = -1
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu * width + col] >= 0:
+                    merge(nu, table[mu * width + col])
+                elif table[nu * width + inv] >= 0:
+                    merge(mu, table[nu * width + inv])
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][self.inv_col(col)] = mu
+                    table[mu * width + col], table[nu * width + inv] = nu, mu
 
-    def scan_and_fill(self, alpha, word):
-        if not word:
-            return
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j and self.table[f][self.col(word[i])] is not None:
-                f = self.table[f][self.col(word[i])]
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and self.table[b][self.col(-word[j])] is not None:
-                b = self.table[b][self.col(-word[j])]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                self.table[f][self.col(word[i])] = b
-                self.table[b][self.col(-word[i])] = f
-                return
-            self.define(f, self.col(word[i]))
+    points = [([_column(x) for x in w], [_column(-x) for x in w]) for w in point_words]
+    words = [([_column(x) for x in w], [_column(-x) for x in w]) for w in relators]
+    step = -1  # step -1 scans the point words at coset 0
+    while step < len(p):
+        alpha, scans = (0, points) if step < 0 else (step, words)
+        step += 1
+        if p[alpha] != alpha:
+            continue
+        for fwd, bwd in scans:
+            # Scan forward and backward from alpha; a gap of one letter is
+            # a deduction, a wider one a definition, no gap a coincidence.
+            f, i, b, j = alpha, 0, alpha, len(fwd) - 1
+            while True:
+                while i <= j and (x := table[f * width + fwd[i]]) >= 0:
+                    f, i = x, i + 1
+                while j >= i and (x := table[b * width + bwd[j]]) >= 0:
+                    b, j = x, j - 1
+                if j < i:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                if j == i:
+                    table[f * width + fwd[i]], table[b * width + bwd[i]] = b, f
+                    break
+                define(f, fwd[i])
+            if p[alpha] != alpha:
+                break
+        else:
+            if step:  # a relator pass, not the point-word pass
+                for col in range(width):
+                    if table[alpha * width + col] < 0:
+                        define(alpha, col)
 
-    def is_alive(self, c):
-        return self.p[c] == c
+    live = [c for c in range(len(p)) if p[c] == c]
+    if any(table[c * width + col] < 0 for c in live for col in range(0, width, 2)):
+        raise InternalInvariantError("incomplete table after HLT loop")
+    number = {c: i for i, c in enumerate(live)}
+    return tuple(
+        tuple(number[rep(table[c * width + col])] for c in live)
+        for col in range(0, width, 2)
+    ), len(p)
 
 
 def enumerate_cosets(
@@ -228,9 +234,15 @@ def enumerate_cosets(
 ) -> CosetTable:
     """Todd-Coxeter coset enumeration over a finitely presented group.
 
-    Raises IndexBoundExceeded if the table does not close within ``cap``
-    live cosets; on success the returned table is verified against all
-    CosetTable invariants, so it is never silently wrong.
+    HLT with coincidence processing (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 5.1-5.3) on one flat int list: entry
+    ``c * 2 * rank + col`` is where column ``col`` (generator g at 2g, its
+    inverse at 2g + 1) sends coset c, -1 while undefined.  Each relator and
+    subgroup word is encoded once as forward and inverse column lists.
+    ``cap`` bounds the live cosets: a definition made while ``cap`` are
+    alive raises IndexBoundExceeded, so index n needs ``cap >= n`` and may
+    need more before pending coincidences collapse the table.  The result
+    is canonicalized and checked by ``validate``: never silently wrong.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -243,35 +255,8 @@ def enumerate_cosets(
         # Normal closure: the generating words hold at every coset.
         relators += point_words
         point_words = []
-
-    tc = _TC(pres.rank, cap)
-    for w in point_words:
-        tc.scan_and_fill(0, w)
-    alpha = 0
-    while alpha < len(tc.table):
-        if tc.is_alive(alpha):
-            for w in relators:
-                tc.scan_and_fill(alpha, w)
-                if not tc.is_alive(alpha):
-                    break
-            if tc.is_alive(alpha):
-                for col in range(2 * pres.rank):
-                    if tc.is_alive(alpha) and tc.table[alpha][col] is None:
-                        tc.define(alpha, col)
-        alpha += 1
-
-    live = [c for c in range(len(tc.table)) if tc.is_alive(c)]
-    number = {c: i for i, c in enumerate(live)}
-    perms = []
-    for g in range(pres.rank):
-        perm = []
-        for c in live:
-            d = tc.table[c][2 * g]
-            if d is None:
-                raise InternalInvariantError("incomplete table after HLT loop")
-            perm.append(number[tc.rep(d)])
-        perms.append(tuple(perm))
-    table = CosetTable(pres=pres, perms=tuple(perms), spec=spec, provenance=provenance)
+    perms, _ = _hlt(pres.rank, relators, point_words, cap)
+    table = CosetTable(pres=pres, perms=perms, spec=spec, provenance=provenance)
     table = canonicalize(table)
     problems = validate(table)
     if problems:
@@ -326,13 +311,7 @@ def schreier_generators(table: CosetTable) -> tuple:
 
 
 def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:
-    spec = SubgroupSpec(generators=schreier_generators(table), name=name)
-    return CosetTable(
-        pres=table.pres,
-        perms=table.perms,
-        spec=spec,
-        provenance=table.provenance,
-    )
+    return replace(table, spec=SubgroupSpec(generators=schreier_generators(table), name=name))
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +334,47 @@ def low_index(pres: Presentation, n_max: int, node_cap: int = DEFAULT_NODE_CAP):
     for k in range(1, n_max + 1):
         tables = []
         _search_index(pres, k, tables, budget)
-        tables.sort()
-        for perms in tables:
-            found.append(CosetTable(pres=pres, perms=perms, provenance=f"low_index({k})"))
+        found += [CosetTable(pres, t, provenance=f"low_index({k})") for t in sorted(tables)]
     return found
 
 
 def _search_index(pres, k, out, budget):
+    """Append to ``out`` the perms of every canonically numbered transitive
+    action on k points in which every relator closes; each ``extend`` call
+    is one node against ``budget``.  A node is pruned when some relator trace
+    is fully defined and does not close.  Only traces through the edge
+    c -g-> d just set are checked, which prunes exactly what a scan of all
+    k * |R| traces would: every other defined trace was defined, and closed,
+    at the parent.  A trace crosses the edge at some occurrence of g^+-1 in
+    its relator; as the partial table is injective, it is fully defined iff
+    the prefix traced backward from one end of the edge and the suffix traced
+    forward from the other both are, and then it closes iff they meet.
+    """
     rank = pres.rank
-    relators = pres.relators
-    # fwd[g][c] / bwd[g][c]: action of generator g and its inverse.
-    fwd = [[None] * k for _ in range(rank)]
-    bwd = [[None] * k for _ in range(rank)]
+    act = [[None] * k for _ in range(2 * rank)]  # per column, as in _hlt
+    # through[g]: (is g, prefix rows backward, suffix rows forward) per g^+-1
+    through = [[] for _ in range(rank)]
+    for w in pres.relators:
+        for i, letter in enumerate(w):
+            through[abs(letter) - 1].append((
+                letter > 0,
+                [act[_column(-x)] for x in reversed(w[:i])],
+                [act[_column(x)] for x in w[i + 1:]],
+            ))
     slots = [(c, g) for c in range(k) for g in range(rank)]
 
-    def relators_ok():
-        # Prune on any fully-determined relator trace that fails to close.
-        for c in range(k):
-            for w in relators:
-                d = c
-                for letter in w:
-                    d = fwd[letter - 1][d] if letter > 0 else bwd[-letter - 1][d]
-                    if d is None:
+    def edge_ok(g, c, d):
+        for forward, back, ahead in through[g]:
+            s, e = (c, d) if forward else (d, c)
+            for r in back:
+                if (s := r[s]) is None:
+                    break
+            else:
+                for r in ahead:
+                    if (e := r[e]) is None:
                         break
                 else:
-                    if d != c:
+                    if e != s:
                         return False
         return True
 
@@ -388,28 +383,28 @@ def _search_index(pres, k, out, budget):
         if budget[0] > budget[1]:
             raise LowIndexBudget(budget[1], list(budget[2]))
         if pos == len(slots):
-            if used == k and relators_ok():
-                out.append(tuple(tuple(row) for row in fwd))
+            if used == k:
+                out.append(tuple(tuple(act[2 * g]) for g in range(rank)))
             return
         c, g = slots[pos]
         if c >= used:
             # Rows 0..used-1 are closed under the action, so the table can
             # never become transitive on k points: dead branch.
             return
-        if fwd[g][c] is not None:
+        fwd, bwd = act[2 * g], act[2 * g + 1]
+        if fwd[c] is not None:
             extend(pos + 1, used)
             return
         limit = min(used + 1, k)
         for d in range(limit):
-            if bwd[g][d] is not None:
+            if bwd[d] is not None:
                 continue
-            fwd[g][c] = d
-            bwd[g][d] = c
-            new_used = max(used, d + 1)
-            if relators_ok():
-                extend(pos + 1, new_used)
-            fwd[g][c] = None
-            bwd[g][d] = None
+            fwd[c] = d
+            bwd[d] = c
+            if edge_ok(g, c, d):
+                extend(pos + 1, max(used, d + 1))
+            fwd[c] = None
+            bwd[d] = None
 
     extend(0, 1)
 

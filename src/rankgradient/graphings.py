@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cosets import (
+    DEFAULT_COSET_CAP,
     CosetTable,
     enumerate_cosets,
     schreier_generators,
@@ -279,17 +280,17 @@ class LGraphingCertificate:
     table: object = None
 
 
-def is_l_graphing(m: Graphing, chain, coset_cap: int = None) -> LGraphingCertificate:
+def is_l_graphing(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> LGraphingCertificate:
     """True iff the labeled graph is connected and the loop basis generates
-    the level subgroup (checked by enumerating its index in the ambient group)."""
+    the level subgroup (checked by enumerating its index in the ambient group
+    within ``coset_cap`` live cosets; verdict None if the cap trips)."""
     graph, loops = to_labeled_graph(m, chain)
     if graph.disconnected:
         return LGraphingCertificate(False, "labeled graph is disconnected")
     spec = SubgroupSpec(generators=tuple(loops), name="loops")
-    kwargs = {} if coset_cap is None else {"cap": coset_cap}
     try:
         loop_table = enumerate_cosets(
-            chain.ambient, spec, provenance="loop image", **kwargs
+            chain.ambient, spec, cap=coset_cap, provenance="loop image"
         )
     except IndexBoundExceeded as exc:
         return LGraphingCertificate(None, str(exc))
@@ -302,10 +303,13 @@ def is_l_graphing(m: Graphing, chain, coset_cap: int = None) -> LGraphingCertifi
     )
 
 
-def rank_bound(m: Graphing, chain) -> int:
+def rank_bound(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> int:
     """e(m) * index - index + 1; only meaningful (and only allowed) when m
-    is a verified L-graphing of its level."""
-    cert = is_l_graphing(m, chain)
+    is a verified L-graphing of its level.  Raises IndexBoundExceeded when
+    ``coset_cap`` leaves the verification indeterminate."""
+    cert = is_l_graphing(m, chain, coset_cap)
+    if cert.verdict is None:
+        raise IndexBoundExceeded(coset_cap)
     if cert.verdict is not True:
         raise ValueError(f"not a verified L-graphing: {cert.reason}")
     total = edge_measure(m) * m.index
@@ -313,7 +317,7 @@ def rank_bound(m: Graphing, chain) -> int:
     return int(total) - m.index + 1
 
 
-def minimize_graphing(chain, level: int, gens=None):
+def minimize_graphing(chain, level: int, gens=None, coset_cap=DEFAULT_COSET_CAP):
     """Greedy edge-measure minimization over L-graphings at a level.
 
     Starts from the generating-set graphing and repeatedly tries deleting
@@ -321,7 +325,8 @@ def minimize_graphing(chain, level: int, gens=None):
     keeping a deletion only when the result is still an L-graphing.  Always
     returns at least the seed graphing; the deletion order is deterministic.
     Without ``gens`` the seed uses the level's spec words, or the Schreier
-    generators of its table when the level carries no spec.
+    generators of its table when the level carries no spec.  A deletion whose
+    loop-image check trips ``coset_cap`` is not made.
     """
     table = chain.levels[level]
     if gens is None:
@@ -341,11 +346,11 @@ def minimize_graphing(chain, level: int, gens=None):
             fibers = {k: set(v) for k, v in current.fibers.items()}
             fibers[label].discard(c)
             candidate = Graphing(table=table, level=level, fibers=fibers)
-            if is_l_graphing(candidate, chain).verdict is True:
+            if is_l_graphing(candidate, chain, coset_cap).verdict is True:
                 current = candidate
                 changed = True
                 break
-    return current, rank_bound(current, chain)
+    return current, rank_bound(current, chain, coset_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankgradient import __version__
+from rankgradient.cache import CACHE_DIR_ENV
 from rankgradient.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -119,6 +125,37 @@ def test_exit_code_budget(capsys):
                        "--depth", "1", "--scale", "1")
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def test_graphing_honours_coset_cap(capsys):
+    code, out, err = run(capsys, "graphing", "--preset", "fig8", "--depth", "3",
+                         "--level", "3", "--coset-cap", "2")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "exceeded 2 live cosets" in err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from([
+        ("--preset", "s3"), ("--preset", "z2z2"), ("--preset", "f2", "--sub", "K"),
+    ]),
+    cap=st.integers(min_value=1, max_value=40),
+)
+def test_enumerate_cap_exits_0_or_3_and_names_the_cap(source, cap):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop(CACHE_DIR_ENV, None)
+        code = main(["enumerate", *source, "--coset-cap", str(cap)])
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    if code == EXIT_BUDGET:
+        assert out.getvalue() == ""
+        assert f"exceeded {cap} live cosets" in err.getvalue()
+    else:
+        assert json.loads(out.getvalue())["report"]["index"] <= cap
+    assert "Traceback" not in err.getvalue()
 
 
 def test_hnn_input_without_a_z_quotient_is_a_parse_error(capsys, tmp_path):

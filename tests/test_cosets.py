@@ -1,9 +1,16 @@
+from importlib import resources
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankgradient.cli import PRESET_NAMES
 from rankgradient.cosets import (
+    DEFAULT_COSET_CAP,
+    DEFAULT_NODE_CAP,
+    CosetTable,
+    _hlt,
+    _search_index,
     canonicalize,
     contains,
     enumerate_cosets,
@@ -212,3 +219,323 @@ def test_membership_closed_under_products(gen_words):
         assert table.fixes_base(invert(w))
     assert table.index * 1 <= 16
     assert validate(table) == []
+
+
+# ---------------------------------------------------------------------------
+# HLT against the object-per-coset reference
+# ---------------------------------------------------------------------------
+
+
+class ReferenceTC:
+    """The HLT state that the flat table replaced: one list per coset with
+    None holes, a method call per letter.  Kept verbatim as the oracle."""
+
+    def __init__(self, rank, cap):
+        self.rank = rank
+        self.cap = cap
+        self.table = [[None] * (2 * rank)]
+        self.p = [0]  # union-find, representative is always the minimum
+        self.alive = 1
+
+    def col(self, letter):
+        g = abs(letter) - 1
+        return 2 * g if letter > 0 else 2 * g + 1
+
+    def inv_col(self, col):
+        return col ^ 1
+
+    def rep(self, c):
+        root = c
+        while self.p[root] != root:
+            root = self.p[root]
+        while self.p[c] != root:
+            self.p[c], c = root, self.p[c]
+        return root
+
+    def define(self, alpha, col):
+        if self.alive >= self.cap:
+            raise IndexBoundExceeded(self.cap)
+        beta = len(self.table)
+        self.table.append([None] * (2 * self.rank))
+        self.p.append(beta)
+        self.alive += 1
+        self.table[alpha][col] = beta
+        self.table[beta][self.inv_col(col)] = alpha
+        return beta
+
+    def coincidence(self, alpha, beta):
+        queue = []
+
+        def merge(a, b):
+            a, b = self.rep(a), self.rep(b)
+            if a != b:
+                lo, hi = min(a, b), max(a, b)
+                self.p[hi] = lo
+                self.alive -= 1
+                queue.append(hi)
+
+        merge(alpha, beta)
+        i = 0
+        while i < len(queue):
+            gamma = queue[i]
+            i += 1
+            for col in range(2 * self.rank):
+                delta = self.table[gamma][col]
+                if delta is None:
+                    continue
+                self.table[delta][self.inv_col(col)] = None
+                mu, nu = self.rep(gamma), self.rep(delta)
+                if self.table[mu][col] is not None:
+                    merge(nu, self.table[mu][col])
+                elif self.table[nu][self.inv_col(col)] is not None:
+                    merge(mu, self.table[nu][self.inv_col(col)])
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][self.inv_col(col)] = mu
+
+    def scan_and_fill(self, alpha, word):
+        if not word:
+            return
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j and self.table[f][self.col(word[i])] is not None:
+                f = self.table[f][self.col(word[i])]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and self.table[b][self.col(-word[j])] is not None:
+                b = self.table[b][self.col(-word[j])]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.table[f][self.col(word[i])] = b
+                self.table[b][self.col(-word[i])] = f
+                return
+            self.define(f, self.col(word[i]))
+
+    def is_alive(self, c):
+        return self.p[c] == c
+
+
+def reference_hlt(rank, relators, point_words, cap):
+    """(pre-canonical perms, cosets defined) by the reference HLT loop."""
+    tc = ReferenceTC(rank, cap)
+    for w in point_words:
+        tc.scan_and_fill(0, w)
+    alpha = 0
+    while alpha < len(tc.table):
+        if tc.is_alive(alpha):
+            for w in relators:
+                tc.scan_and_fill(alpha, w)
+                if not tc.is_alive(alpha):
+                    break
+            if tc.is_alive(alpha):
+                for col in range(2 * rank):
+                    if tc.is_alive(alpha) and tc.table[alpha][col] is None:
+                        tc.define(alpha, col)
+        alpha += 1
+    live = [c for c in range(len(tc.table)) if tc.is_alive(c)]
+    number = {c: i for i, c in enumerate(live)}
+    perms = tuple(
+        tuple(number[tc.rep(tc.table[c][2 * g])] for c in live) for g in range(rank)
+    )
+    return perms, len(tc.table)
+
+
+def hlt_outcome(hlt, pres, spec, cap=DEFAULT_COSET_CAP):
+    """What an HLT routine makes of (pres, spec): its result, or the cap and
+    text of the IndexBoundExceeded it raised."""
+    relators = list(pres.relators)
+    points = list(spec.generators) if spec is not None else []
+    if spec is not None and spec.normal:
+        relators, points = relators + points, []
+    try:
+        return hlt(pres.rank, relators, points, cap)
+    except IndexBoundExceeded as exc:
+        return ("cap", exc.cap, str(exc))
+
+
+def assert_hlt_matches_reference(pres, spec, cap=DEFAULT_COSET_CAP):
+    got = hlt_outcome(_hlt, pres, spec, cap)
+    assert got == hlt_outcome(reference_hlt, pres, spec, cap)
+    return got
+
+
+def preset(name):
+    return parse_presentation(
+        resources.files("rankgradient.presets").joinpath(name + ".txt").read_text()
+    )
+
+
+def abelian(n1, n2, n3):
+    return parse_presentation(
+        f"gens a b c\nrel a^{n1}\nrel b^{n2}\nrel c^{n3}\n"
+        "rel a b a^-1 b^-1\nrel a c a^-1 c^-1\nrel b c b^-1 c^-1\n"
+        f"sub H a^{n1}\n"
+    )
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_hlt_matches_reference_on_every_preset(name):
+    pres, specs = preset(name)
+    for spec in (None, *specs):
+        assert_hlt_matches_reference(pres, spec)
+
+
+@pytest.mark.parametrize("factors", [(16, 25, 20), (17, 21, 22), (20, 20, 20)])
+def test_hlt_matches_reference_on_large_abelian_groups(factors):
+    pres, (spec,) = abelian(*factors)
+    perms, defined = assert_hlt_matches_reference(pres, spec)
+    assert len(perms[0]) == factors[0] * factors[1] * factors[2] < defined
+
+
+def test_hlt_matches_reference_on_normal_closures():
+    for text in (
+        "gens a b\nsub K normal a^2, b^2, a b a^-1 b^-1\n",
+        "gens a b\nsub K normal a^3, b^2, a b a b\n",
+        "gens a b c\nsub K normal a^2, b^3, c^2, a b a^-1 b^-1, a c a^-1 c^-1\n",
+        S3 + "sub N normal a\n",
+        SURFACE2 + "sub N normal a, b, c^2, d^2\n",
+    ):
+        pres, (spec,) = parse_presentation(text)
+        assert spec.normal
+        assert_hlt_matches_reference(pres, spec)
+
+
+def test_hlt_matches_reference_on_fig8_loop_images(monkeypatch):
+    from rankgradient import graphings
+    from rankgradient.chains import hnn_chain
+
+    seen = []
+
+    def recording(pres, spec=None, **kwargs):
+        seen.append((pres, spec))
+        return enumerate_cosets(pres, spec, **kwargs)
+
+    monkeypatch.setattr(graphings, "enumerate_cosets", recording)
+    graphings.minimize_graphing(hnn_chain(preset("fig8")[0], "t", 3), 3)
+    outcomes = [assert_hlt_matches_reference(pres, spec) for pres, spec in seen]
+    trips = [o for o in outcomes if o[0] == "cap"]
+    assert len(trips) == 3 and len(outcomes) > len(trips)
+
+
+@pytest.mark.parametrize("text", [S3, Z2Z2, "gens a b c\nrel a^4\nrel b^5\nrel c^3\n"
+                                  "rel a b a^-1 b^-1\nrel a c a^-1 c^-1\nrel b c b^-1 c^-1\n"])
+def test_hlt_trips_every_small_cap_like_the_reference(text):
+    pres, _ = parse_presentation(text)
+    outcomes = [assert_hlt_matches_reference(pres, None, cap) for cap in range(1, 81)]
+    first_ok = next(cap for cap, o in enumerate(outcomes, 1) if o[0] != "cap")
+    for cap, o in enumerate(outcomes, 1):
+        if cap < first_ok:
+            assert o == ("cap", cap, str(IndexBoundExceeded(cap)))
+    assert first_ok >= len(outcomes[-1][0][0])  # index n needs cap >= n
+
+
+# ---------------------------------------------------------------------------
+# Low-index search against the full relator rescan
+# ---------------------------------------------------------------------------
+
+
+def reference_search_index(pres, k, out, budget):
+    """The search with every relator traced from every coset at every node."""
+    rank = pres.rank
+    relators = pres.relators
+    fwd = [[None] * k for _ in range(rank)]
+    bwd = [[None] * k for _ in range(rank)]
+    slots = [(c, g) for c in range(k) for g in range(rank)]
+
+    def relators_ok():
+        for c in range(k):
+            for w in relators:
+                d = c
+                for letter in w:
+                    d = fwd[letter - 1][d] if letter > 0 else bwd[-letter - 1][d]
+                    if d is None:
+                        break
+                else:
+                    if d != c:
+                        return False
+        return True
+
+    def extend(pos, used):
+        budget[0] += 1
+        if budget[0] > budget[1]:
+            raise LowIndexBudget(budget[1], list(budget[2]))
+        if pos == len(slots):
+            if used == k and relators_ok():
+                out.append(tuple(tuple(row) for row in fwd))
+            return
+        c, g = slots[pos]
+        if c >= used:
+            return
+        if fwd[g][c] is not None:
+            extend(pos + 1, used)
+            return
+        for d in range(min(used + 1, k)):
+            if bwd[g][d] is not None:
+                continue
+            fwd[g][c] = d
+            bwd[g][d] = c
+            if relators_ok():
+                extend(pos + 1, max(used, d + 1))
+            fwd[g][c] = None
+            bwd[g][d] = None
+
+    extend(0, 1)
+
+
+def low_index_outcome(search, pres, n_max, node_cap):
+    """``low_index`` driven by ``search``: the perms found, or the cap, the
+    partial perms and the text of the LowIndexBudget it raised."""
+    found = []
+    budget = [0, node_cap, found]
+    try:
+        for k in range(1, n_max + 1):
+            tables = []
+            search(pres, k, tables, budget)
+            found += [CosetTable(pres, t) for t in sorted(tables)]
+    except LowIndexBudget as exc:
+        return ("cap", exc.cap, [t.perms for t in exc.partial], str(exc))
+    return [t.perms for t in found]
+
+
+LOW_INDEX_CASES = [("surface2", 3), ("fig8", 5), ("s3", 5), ("z2z2", 5), ("lamplighter2", 5)]
+
+
+@pytest.mark.parametrize("name, n_max", LOW_INDEX_CASES)
+def test_low_index_search_matches_full_rescan(name, n_max):
+    pres, _ = preset(name)
+    total = 0
+    for k in range(1, n_max + 1):
+        got, want = [], []
+        got_budget, want_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
+        _search_index(pres, k, got, got_budget)
+        reference_search_index(pres, k, want, want_budget)
+        assert got == want  # same tables in the same order
+        assert got_budget[0] == want_budget[0]  # same node count
+        total += got_budget[0]
+    if name == "fig8":
+        # Checking only the rotations that start at the new edge would not
+        # do: a trace that does not close can have an undefined rotation.
+        # That variant needs 14,945 nodes here, the full rescan 8,888.
+        assert total == 8888
+
+
+@pytest.mark.parametrize("name, n_max", LOW_INDEX_CASES)
+def test_low_index_budget_trips_like_full_rescan(name, n_max):
+    pres, _ = preset(name)
+    for node_cap in (1, 2, 5, 20, 100, 500, 2000, 5000):
+        got = low_index_outcome(_search_index, pres, n_max, node_cap)
+        assert got == low_index_outcome(reference_search_index, pres, n_max, node_cap)
+        if got[0] == "cap":
+            with pytest.raises(LowIndexBudget) as exc:
+                low_index(pres, n_max, node_cap=node_cap)
+            assert [t.perms for t in exc.value.partial] == got[2]
+            assert str(exc.value) == got[3]
+        else:
+            assert [t.perms for t in low_index(pres, n_max, node_cap=node_cap)] == got

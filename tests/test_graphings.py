@@ -5,6 +5,7 @@ import pytest
 
 from rankgradient.chains import farber_chain, hnn_chain, lamplighter_chain
 from rankgradient.cosets import schreier_generators
+from rankgradient.errors import IndexBoundExceeded
 from rankgradient.graphings import (
     Graphing,
     bar,
@@ -54,6 +55,28 @@ def test_generating_set_graphing_round_trip():
     cert = is_l_graphing(m, chain)
     assert cert.verdict is True
     assert rank_bound(m, chain) == 5
+
+
+def test_coset_cap_reaches_every_loop_image_check(monkeypatch):
+    import rankgradient.graphings as graphings
+
+    chain = f2_delta2_chain()
+    m = graphing_from_generators(chain, 2, schreier_generators(chain.levels[2]))
+    # index 4 needs at least 4 live cosets: the check is indeterminate
+    assert is_l_graphing(m, chain, coset_cap=3).verdict is None
+    with pytest.raises(IndexBoundExceeded) as exc:
+        rank_bound(m, chain, coset_cap=3)
+    assert exc.value.cap == 3
+    caps = []
+    checked = graphings.is_l_graphing
+
+    def recording(m, chain, coset_cap):
+        caps.append(coset_cap)
+        return checked(m, chain, coset_cap)
+
+    monkeypatch.setattr(graphings, "is_l_graphing", recording)
+    assert minimize_graphing(chain, 2, coset_cap=50) == minimize_graphing(chain, 2)
+    assert len(caps) > 2 and set(caps) == {50, 100_000}
 
 
 def test_round_trip_at_index_one():
