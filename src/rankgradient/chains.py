@@ -312,14 +312,6 @@ def gradient_sequence(
     )
 
 
-def fgnormal_bound(dN: int, dG: int, a: int, b: int) -> Fraction:
-    """Upper bound dG/b + dN/a for the level ratio of a chain squeezed
-    between a normal subgroup of rank dN and quotient data (a, b)."""
-    if min(dN, dG, a, b) < 1:
-        raise ValueError("all arguments must be >= 1")
-    return Fraction(dG, b) + Fraction(dN, a)
-
-
 def farber_defect(chain: Chain, w: Word, level: int) -> Fraction:
     """Fraction of level cosets fixed by w; 0 means fixed-point-free."""
     w = free_reduce(w)

@@ -1,5 +1,5 @@
-"""Coset trees, cylindric graphings on a fixed level, and the labeled-graph
-rank bound.
+"""Cylindric graphings on a fixed level, the L-graphing check and the
+labeled-graph rank bound.
 
 A graphing at level n is a finite map from freely reduced word labels to
 sets of level-n cosets; evaluating the boundary-action definitions on the
@@ -22,56 +22,11 @@ from .cosets import (
     schreier_transversal,
 )
 from .errors import IndexBoundExceeded, LabelLengthExceeded
+from .homology import DEFAULT_PRIMES, mod_p_rank
+from .subgroups import edge_row, subgroup_abelianized_matrix
 from .words import SubgroupSpec, free_reduce, invert
 
 DEFAULT_LABEL_CAP = 64
-
-
-# ---------------------------------------------------------------------------
-# Coset trees
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetTree:
-    """Levelwise tree of cosets of a chain; vertex (n, c) has measure 1/index(n)."""
-
-    chain: object
-    parents: tuple  # parents[n][c] = the level-n coset containing level-(n+1) coset c
-
-    @property
-    def num_levels(self):
-        return len(self.chain.levels)
-
-    def level_size(self, n):
-        return self.chain.levels[n].index
-
-    def shadow_measure(self, n):
-        return Fraction(1, self.level_size(n))
-
-    def children(self, n, c):
-        return [d for d, p in enumerate(self.parents[n]) if p == c]
-
-
-def build_coset_tree(chain) -> CosetTree:
-    """Parent maps via transversal words: the level-(n+1) coset of word w sits
-    inside the level-n coset that w carries the base to."""
-    parents = []
-    for n in range(len(chain.levels) - 1):
-        upper = chain.levels[n]
-        lower = chain.levels[n + 1]
-        words, _ = schreier_transversal(lower)
-        parents.append(tuple(upper.apply(w, 0) for w in words))
-    tree = CosetTree(chain=chain, parents=tuple(parents))
-    for n, pmap in enumerate(parents):
-        sizes = {}
-        for p in pmap:
-            sizes[p] = sizes.get(p, 0) + 1
-        total = sum(
-            Fraction(k, 1) * tree.shadow_measure(n + 1) for k in sizes.values()
-        )
-        assert total == 1, "child measures do not sum to 1"
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +227,53 @@ def to_labeled_graph(m: Graphing, chain):
 
 @dataclass(frozen=True)
 class LGraphingCertificate:
-    """verdict True/False, or None when an enumeration budget made the
-    loop-image check indeterminate."""
+    """Verdict of ``is_l_graphing``, decided in order by connectivity, the
+    mod-p ``loop_screen`` and coset enumeration: True, False, or None when
+    the screen passed and the enumeration tripped its cap."""
 
     verdict: object
     reason: str
     table: object = None
 
 
+def loop_screen(table, loops):
+    """None, or why the loops cannot generate the subgroup H of the table.
+
+    If they generate H, their edge rows and the Fox rows span the cycle
+    space of the cover graph, of dimension index * rank - index + 1, over
+    Z; that space is a direct summand of the edge lattice, so they span it
+    over every F_p too.  A rank below that over some p in ``DEFAULT_PRIMES``
+    refutes them; passing proves nothing.
+    """
+    rows, cols = subgroup_abelianized_matrix(table)
+    rows.extend(edge_row(table, 0, loop) for loop in loops)
+    cycles = cols - table.index + 1
+    for p in DEFAULT_PRIMES:
+        got = mod_p_rank(rows, p)
+        if got < cycles:
+            return (
+                f"loop and relator classes have rank {got} over F_{p}, "
+                f"the cycle space has rank {cycles}"
+            )
+    return None
+
+
 def is_l_graphing(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> LGraphingCertificate:
-    """True iff the labeled graph is connected and the loop basis generates
-    the level subgroup (checked by enumerating its index in the ambient group
-    within ``coset_cap`` live cosets; verdict None if the cap trips)."""
+    """True iff the labeled graph is connected and its loop basis generates
+    the level subgroup.
+
+    Checks run in order: a disconnected graph is False; loops that fail
+    ``loop_screen`` are False; otherwise the loop subgroup is enumerated in
+    the ambient group within ``coset_cap`` live cosets, and the verdict is
+    True iff its index equals the level's.  None means the screen passed and
+    the enumeration tripped the cap.
+    """
     graph, loops = to_labeled_graph(m, chain)
     if graph.disconnected:
         return LGraphingCertificate(False, "labeled graph is disconnected")
+    reason = loop_screen(m.table, loops)
+    if reason is not None:
+        return LGraphingCertificate(False, reason)
     spec = SubgroupSpec(generators=tuple(loops), name="loops")
     try:
         loop_table = enumerate_cosets(

@@ -44,6 +44,18 @@ def _relator_edges(table: CosetTable, c: int, relator):
     assert d == c, "relator trace did not close"
 
 
+def edge_row(table: CosetTable, c: int, word):
+    """The loop of a word at coset c as a 1-cycle of the cover graph: sparse
+    (column, value) pairs, column d * rank + g - 1 holding the signed count
+    of crossings of the edge d -g-> d.g."""
+    rank = table.pres.rank
+    counts = {}
+    for d, g, sign in _relator_edges(table, c, word):
+        col = d * rank + g - 1
+        counts[col] = counts.get(col, 0) + sign
+    return sorted((j, v) for j, v in counts.items() if v)
+
+
 def rewrite_presentation(
     pres: Presentation, table: CosetTable, length_cap: int = DEFAULT_RELATOR_CAP
 ) -> Presentation:
@@ -73,21 +85,16 @@ def subgroup_abelianized_matrix(table: CosetTable):
     """Fox matrix of the subgroup H of a coset table: the boundary map
     C2 -> C1 of the index-sheeted cover of the presentation complex.
 
-    Returns (rows, index * rank).  Row (c, R) holds, in column d * rank + g - 1,
-    the signed count of crossings of the edge d -g-> d.g by the loop of
-    relator R at coset c, as sparse (column, value) pairs.  The cokernel is
-    H1(H) + Z^(index - 1); no Schreier transversal is needed.
+    Returns (rows, index * rank); row (c, R) is the ``edge_row`` of relator R
+    at coset c.  The cokernel is H1(H) + Z^(index - 1); no Schreier
+    transversal is needed.
     """
-    rank = table.pres.rank
-    rows = []
-    for c in range(table.index):
-        for relator in table.pres.relators:
-            counts = {}
-            for d, g, sign in _relator_edges(table, c, relator):
-                col = d * rank + g - 1
-                counts[col] = counts.get(col, 0) + sign
-            rows.append(sorted((j, v) for j, v in counts.items() if v))
-    return rows, table.index * rank
+    rows = [
+        edge_row(table, c, relator)
+        for c in range(table.index)
+        for relator in table.pres.relators
+    ]
+    return rows, table.index * table.pres.rank
 
 
 def subgroup_homology(table: CosetTable, primes=DEFAULT_PRIMES):

@@ -57,11 +57,6 @@ def concat(*ws: Word) -> Word:
     return free_reduce(merged)
 
 
-def conjugate(w: Word, u: Word) -> Word:
-    """u^-1 w u, freely reduced."""
-    return concat(invert(u), w, u)
-
-
 def cyclic_reduce(w: Word) -> Word:
     w = free_reduce(w)
     while len(w) >= 2 and w[0] == -w[-1]:

@@ -255,7 +255,7 @@ def test_criterion_10_snf_oracle():
             n = len(matrix[0])
             report = report_from_matrix(sparse(matrix), n)
             for p in (2, 3, 5):
-                r = mod_p_rank(matrix, p)
+                r = mod_p_rank(sparse(matrix), p)
                 assert r == mod_p_rank_oracle(matrix, p)
                 assert report.b1p[p] == n - r
 

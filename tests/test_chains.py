@@ -8,7 +8,6 @@ import pytest
 from rankgradient.chains import (
     farber_chain,
     farber_defect,
-    fgnormal_bound,
     gradient_sequence,
     hnn_chain,
     lamplighter_chain,
@@ -159,9 +158,3 @@ def test_gradient_report_serialization_round_trip():
     assert last["ratio_rank_upper"] == f"{st.ratios()['rank_upper']}"
     approx = float(last["ratio_rank_upper_approx"])
     assert abs(approx - float(st.ratios()["rank_upper"])) < 1e-6
-
-
-def test_fgnormal_bound():
-    assert fgnormal_bound(2, 3, 4, 6) == Fraction(1)
-    with pytest.raises(ValueError):
-        fgnormal_bound(0, 1, 1, 1)

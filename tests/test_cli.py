@@ -136,6 +136,19 @@ def test_graphing_honours_coset_cap(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("gens, rank", [("a,t^3", 6), ("a,b", 6), ("t^3", 5)])
+def test_graphing_rejects_non_generating_gens(capsys, gens, rank):
+    # each set fixes the base coset but does not generate the level, which
+    # the homology screen sees before any coset enumeration could trip its cap
+    code, out, err = run(capsys, "graphing", "--preset", "fig8", "--depth", "3",
+                         "--level", "3", "--gens", gens)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: not a verified L-graphing: ")
+    assert f"rank {rank} over F_2, the cycle space has rank 7" in err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     source=st.sampled_from([

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from rankgradient.chains import farber_chain, hnn_chain, lamplighter_chain
-from rankgradient.cosets import schreier_generators
+from rankgradient.cosets import enumerate_cosets, schreier_generators
 from rankgradient.errors import IndexBoundExceeded
 from rankgradient.graphings import (
     Graphing,
     bar,
-    build_coset_tree,
     compose,
     edge_measure,
     graphing_from_generators,
     is_l_graphing,
+    loop_screen,
     minimize_graphing,
     power,
     projected_edges,
@@ -21,7 +22,7 @@ from rankgradient.graphings import (
     to_labeled_graph,
     union,
 )
-from rankgradient.words import free_reduce, parse_presentation
+from rankgradient.words import SubgroupSpec, free_reduce, parse_presentation
 
 
 def parsed(text):
@@ -33,16 +34,6 @@ def f2_delta2_chain():
     # level 2 is the intersection of all index-<=2 subgroups of F2, index 4
     pres, spec = parsed("gens a b\nsub H a, b^2, b a b^-1\n")
     return farber_chain(pres, spec, 2)
-
-
-def test_coset_tree_shadow_measures():
-    chain = f2_delta2_chain()
-    tree = build_coset_tree(chain)
-    assert [tree.level_size(n) for n in range(tree.num_levels)] == [1, 2, 4]
-    assert tree.shadow_measure(2) == Fraction(1, 4)
-    # every level-1 coset has exactly 2 children at level 2
-    for c in range(2):
-        assert len(tree.children(1, c)) == 2
 
 
 def test_generating_set_graphing_round_trip():
@@ -188,3 +179,123 @@ def test_disconnected_graphing_rejected():
     m = Graphing(table=table, level=2, fibers={(1, 1): set(range(4))})
     cert = is_l_graphing(m, chain)
     assert cert.verdict is False
+
+
+# ---------------------------------------------------------------------------
+# The homology screen in front of the loop-image enumeration
+# ---------------------------------------------------------------------------
+
+
+def preset(name):
+    return parse_presentation(
+        resources.files("rankgradient.presets").joinpath(name + ".txt").read_text()
+    )
+
+
+def fig8_chain():
+    return hnn_chain(preset("fig8")[0], "t", 3)
+
+
+def f2_chain():
+    pres, (spec,) = preset("f2")
+    return farber_chain(pres, spec, 2)
+
+
+def f2_subgroup_chain():
+    # indices 1, 2, 4, 972; level 3 makes 1,945 checks of index 972, too slow here
+    pres, spec = parsed("gens a b\nsub H a, b^2, b a b^-1\n")
+    return farber_chain(pres, spec, 3)
+
+
+def tried_candidates(monkeypatch, chain, level):
+    """Every graphing that ``minimize_graphing`` checks, in order."""
+    import rankgradient.graphings as graphings
+
+    tried = []
+    checked = graphings.is_l_graphing
+
+    def recording(m, chain, coset_cap):
+        tried.append(m)
+        return checked(m, chain, coset_cap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphings, "is_l_graphing", recording)
+        minimize_graphing(chain, level)
+    return tried
+
+
+@pytest.mark.parametrize("make_chain, level, refutations", [
+    (fig8_chain, 3, 3),
+    (f2_chain, 2, 17),
+    (f2_subgroup_chain, 0, 2),
+    (f2_subgroup_chain, 1, 3),
+    (f2_subgroup_chain, 2, 5),
+])
+def test_loop_screen_refutes_only_non_generating_loops(
+    monkeypatch, make_chain, level, refutations
+):
+    chain = make_chain()
+    refuted = accepted = 0
+    for m in tried_candidates(monkeypatch, chain, level):
+        graph, loops = to_labeled_graph(m, chain)
+        if graph.disconnected:
+            continue
+        spec = SubgroupSpec(generators=tuple(loops), name="loops")
+        try:
+            index = enumerate_cosets(chain.ambient, spec).index
+        except IndexBoundExceeded:
+            index = None
+        reason = loop_screen(m.table, loops)
+        if reason is None:
+            verdict = is_l_graphing(m, chain).verdict
+            assert verdict is (None if index is None else index == m.index)
+            accepted += verdict is True
+        else:
+            refuted += 1
+            assert index != m.index, reason
+            assert is_l_graphing(m, chain).reason == reason
+    assert (refuted, accepted) == (refutations, 1)
+
+
+def test_loop_screen_needs_p_2_on_fig8(monkeypatch):
+    import rankgradient.graphings as graphings
+
+    chain = fig8_chain()
+    m = tried_candidates(monkeypatch, chain, 3)[1]
+    _, loops = to_labeled_graph(m, chain)
+    assert loop_screen(m.table, loops) == (
+        "loop and relator classes have rank 6 over F_2, the cycle space has rank 7"
+    )
+    assert is_l_graphing(m, chain).verdict is False
+    # over F_3 and F_5 the loops span the cycle space, and HLT never closes
+    monkeypatch.setattr(graphings, "DEFAULT_PRIMES", (3, 5))
+    assert loop_screen(m.table, loops) is None
+    assert is_l_graphing(m, chain).verdict is None
+
+
+@pytest.mark.parametrize("argv", [
+    "graphing --preset fig8 --depth 3 --level 3",
+    "graphing --preset f2 --depth 2 --level 2",
+])
+def test_graphing_goldens_trip_no_coset_cap(monkeypatch, capsys, argv):
+    import rankgradient.cosets as cosets
+    from rankgradient.cache import CACHE_DIR_ENV
+    from rankgradient.cli import EXIT_OK, main
+
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    hlt = cosets._hlt
+    defined, trips = [], []
+
+    def recording(*args):
+        try:
+            perms, count = hlt(*args)
+        except IndexBoundExceeded as exc:
+            trips.append(exc)
+            raise
+        defined.append(count)
+        return perms, count
+
+    monkeypatch.setattr(cosets, "_hlt", recording)
+    assert main(argv.split()) == EXIT_OK
+    assert trips == []
+    assert defined and max(defined) < 1_000

@@ -105,7 +105,7 @@ def test_mod_p_rank_matches_oracle_seeded():
     for _ in range(200):
         matrix = random_matrix(rng)
         for p in (2, 3, 5):
-            assert mod_p_rank(matrix, p) == mod_p_rank_oracle(matrix, p)
+            assert mod_p_rank(sparse(matrix), p) == mod_p_rank_oracle(matrix, p)
 
 
 def test_b1p_consistent_with_mod_p_rank():
@@ -115,7 +115,7 @@ def test_b1p_consistent_with_mod_p_rank():
         n = len(matrix[0])
         report = report_from_matrix(sparse(matrix), n)
         for p in (2, 3, 5):
-            assert report.b1p[p] == n - mod_p_rank(matrix, p)
+            assert report.b1p[p] == n - mod_p_rank(sparse(matrix), p)
 
 
 def test_unit_reduce_preserves_smith_form():
@@ -158,7 +158,7 @@ def test_snf_divisibility_and_rank_properties(m, n, data):
             assert b == 0
     # rank over Q sandwiched by every mod-p rank
     for p in (2, 3, 5):
-        assert mod_p_rank(matrix, p) <= rank
+        assert mod_p_rank(sparse(matrix), p) <= rank
 
 
 @settings(max_examples=40, deadline=None)

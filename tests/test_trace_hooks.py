@@ -31,9 +31,14 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
+mark = len(recorder.spans)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["graphing", "--preset", "fig8", "--depth", "3", "--level", "3"]))
 recorder.dump(spans_path, "hooks")
-metrics = spans.layer_metrics(spans.read_spans(spans_path))
-print(json.dumps({"codes": codes, "metrics": metrics}))
+recorded = spans.read_spans(spans_path)
+metrics = spans.layer_metrics([s for s in recorded if s["id"] < mark])
+graphing = spans.layer_metrics([s for s in recorded if s["id"] >= mark])
+print(json.dumps({"codes": codes, "metrics": metrics, "graphing": graphing}))
 """
 
 
@@ -45,7 +50,15 @@ def test_span_hooks_wrap_and_count(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     metrics = result["metrics"]
     assert metrics["subgroups.matrix_nnz"] > 0
     assert metrics["homology.nnz_in"] >= metrics["subgroups.matrix_nnz"]
+    # graphing --preset fig8 --depth 3 --level 3: five candidate deletions
+    # and the final check.  Two candidates are disconnected, the homology
+    # screen refutes the other three, and only the seed graphing's loop
+    # image is enumerated, once per chain level plus once for the check.
+    graphing = result["graphing"]
+    assert graphing["graphings.lcheck_calls"] == 6
+    assert graphing["graphings.lcheck_accepted"] == 1
+    assert graphing["cosets.enumerate_calls"] == 5

@@ -8,7 +8,6 @@ from rankgradient.words import (
     SubgroupSpec,
     canonical_form,
     concat,
-    conjugate,
     cyclic_reduce,
     free_reduce,
     invert,
@@ -52,12 +51,6 @@ def test_cyclic_reduce_fixed_point(raw):
     assert cyclic_reduce(w) == w
     if len(w) >= 2:
         assert w[0] != -w[-1]
-
-
-def test_conjugate():
-    # b^-1 a b
-    assert conjugate((1,), (2,)) == (-2, 1, 2)
-    assert conjugate((1,), ()) == (1,)
 
 
 def test_max_generator():
