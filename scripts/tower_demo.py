@@ -10,12 +10,7 @@ Run from the repository root:
 import argparse
 from fractions import Fraction
 
-from rankgradient.towers import (
-    ambient_presentation,
-    build_tower,
-    injectivity_radius,
-    tower_report,
-)
+from rankgradient.towers import build_tower, injectivity_radius, tower_report
 from rankgradient.words import parse_presentation
 
 S3 = "gens a b\nrel a^3\nrel b^2\nrel a b a b\n"
@@ -39,7 +34,7 @@ def main():
         )
 
     print("verifying homology against the closed forms ...")
-    report = tower_report(covers, ambient_presentation(a_pres))
+    report = tower_report(covers)
     header = f"  {'n':>6} {'p':>5} {'beta1':>6} {'b_12':>6} {'pred d':>7} {'(d-1)/n':>9}"
     print(header)
     for lc in report.levels:

@@ -241,12 +241,10 @@ class GradientReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
 
-def _level_stats(pres, table, level, primes, effort):
+def _level_stats(table, level, primes, effort):
     try:
         report = subgroup_homology(table, primes)
-        lower, upper = rank_bounds(
-            pres, table, primes=primes, effort=effort, report=report
-        )
+        lower, upper = rank_bounds(table, report, effort)
         spec = table.spec
         if spec is not None and not spec.normal and spec.generators:
             # the spec words generate the subgroup by construction, so their
@@ -279,7 +277,7 @@ def gradient_sequence(
     levels are nested.
     """
     stats = [
-        _level_stats(chain.ambient, table, i, primes, effort)
+        _level_stats(table, i, primes, effort)
         for i, table in enumerate(chain.levels)
     ]
 

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Commands: enumerate, lowindex, chain, gradient, graphing, tower, validate.
-Every report embeds the tool version and an echo of the effective config,
-and repeated runs with the same config produce byte-identical output.
+Each command takes only the options it reads, and offers --format csv
+only where a CSV form exists.  Every report embeds the tool version and an
+echo of the effective config, in which an option the command does not take
+shows its RunConfig default; repeated runs with the same config produce
+byte-identical output.
 
 Exit codes: 0 ok, 1 I/O error, 2 parse/config error, 3 budget exhausted,
 4 internal invariant violation (a bug).
@@ -13,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from importlib import resources
 
@@ -32,7 +35,6 @@ from .errors import BudgetError, InternalInvariantError
 from .graphings import edge_measure, graphing_to_json_obj, minimize_graphing
 from .homology import DEFAULT_PRIMES
 from .towers import (
-    ambient_presentation,
     build_tower,
     cover_to_json_obj,
     tower_report,
@@ -99,7 +101,7 @@ def load_source(args):
 
 
 def pick_spec(args, specs):
-    if getattr(args, "sub", None):
+    if args.sub:
         if args.sub not in specs:
             raise ParseError(f"no subgroup named {args.sub!r} in the input")
         return specs[args.sub]
@@ -107,17 +109,14 @@ def pick_spec(args, specs):
 
 
 def _config(args, source, **extra):
+    """RunConfig of a command: the options it takes, RunConfig defaults for
+    the rest."""
+    taken = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
+    }
     return RunConfig(
-        command=args.command,
+        **taken,
         source=source,
-        depth=getattr(args, "depth", None),
-        coset_cap=args.coset_cap,
-        index_cap=getattr(args, "index_cap", None),
-        effort=getattr(args, "effort", 2),
-        primes=tuple(args.primes),
-        format=args.format,
-        cache_dir=args.cache_dir,
-        seed=getattr(args, "seed", 0),
         extra=tuple(sorted((k, str(v)) for k, v in extra.items() if v is not None)),
     )
 
@@ -134,11 +133,7 @@ def emit(config: RunConfig, body_obj=None, body_csv=None, body_text=None) -> str
             sort_keys=False,
         ) + "\n"
     header = f"# rankgradient {__version__}\n# config {json.dumps(echo, sort_keys=True)}\n"
-    if config.format == "csv":
-        if body_csv is None:
-            raise ParseError(f"command {config.command!r} has no csv form")
-        return header + body_csv
-    return header + body_text
+    return header + (body_csv if config.format == "csv" else body_text)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,7 @@ def cmd_enumerate(args):
     spec = pick_spec(args, specs)
     cache = TableCache(args.cache_dir)
     table = cache.enumerate(pres, spec, cap=args.coset_cap, provenance="cli")
-    config = _config(args, source, sub=getattr(args, "sub", None))
+    config = _config(args, source, sub=args.sub)
     obj = {
         "index": table.index,
         "subgroup": spec.name if spec else "1",
@@ -190,7 +185,7 @@ def cmd_lowindex(args):
 def build_chain(args, pres, specs, source):
     kind = args.kind
     if kind == "auto":
-        if getattr(args, "sub", None):
+        if args.sub:
             kind = "farber"
         elif source.startswith("preset:lamplighter"):
             kind = "lamplighter"
@@ -225,9 +220,9 @@ def build_chain(args, pres, specs, source):
 def cmd_chain(args, gradient_only=False):
     pres, specs, source = load_source(args)
     chain = build_chain(args, pres, specs, source)
-    report = gradient_sequence(chain, primes=tuple(args.primes), effort=args.effort)
+    report = gradient_sequence(chain, primes=args.primes, effort=args.effort)
     config = _config(
-        args, source, kind=args.kind, sub=getattr(args, "sub", None),
+        args, source, kind=args.kind, sub=args.sub,
         stable=args.stable, m=args.m,
     )
     body = report_to_obj(report)
@@ -272,7 +267,7 @@ def cmd_graphing(args):
         gens = sub_specs[0].generators
     graphing, bound = minimize_graphing(chain, args.level, gens, args.coset_cap)
     config = _config(
-        args, source, kind=args.kind, sub=getattr(args, "sub", None),
+        args, source, kind=args.kind, sub=args.sub,
         stable=args.stable, m=args.m, level=args.level, gens=args.gens,
     )
     measure = edge_measure(graphing)
@@ -295,8 +290,7 @@ def cmd_tower(args):
     a_pres, _, source = load_source(ns)
     mu = Fraction(args.mu)
     levels = build_tower(a_pres, mu, args.depth, scale=args.scale, seed=args.seed)
-    ambient = ambient_presentation(a_pres)
-    report = tower_report(levels, ambient, primes=tuple(args.primes), effort=args.effort)
+    report = tower_report(levels, args.primes, args.effort)
     config = _config(args, source, group=args.group, mu=args.mu, scale=args.scale)
     obj = tower_report_to_obj(report)
     if args.covers:
@@ -405,26 +399,34 @@ def _positive_int(text):
     return value
 
 
+def _parent(*flags, **kwargs):
+    """A parent parser holding one option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    src = common.add_mutually_exclusive_group()
+    source = argparse.ArgumentParser(add_help=False)
+    src = source.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=PRESET_NAMES)
     src.add_argument("--input", help="presentation file")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--primes", type=_primes, default=DEFAULT_PRIMES)
-    common.add_argument("--coset-cap", type=_positive_int, default=DEFAULT_COSET_CAP)
-    common.add_argument("--cache-dir", default=None,
+    plain = _parent("--format", choices=("json", "text"), default="json")
+    with_csv = _parent("--format", choices=("json", "csv", "text"), default="json")
+    primes = _parent("--primes", type=_primes, default=DEFAULT_PRIMES)
+    coset_cap = _parent("--coset-cap", type=_positive_int, default=DEFAULT_COSET_CAP)
+    cache_dir = _parent("--cache-dir", default=None,
                         help=f"coset table cache (or ${CACHE_DIR_ENV})")
 
-    chain_opts = argparse.ArgumentParser(add_help=False)
-    chain_opts.add_argument("--kind", choices=("auto", "farber", "hnn", "lamplighter"),
-                            default="auto")
-    chain_opts.add_argument("--sub", help="seed subgroup name (farber)")
-    chain_opts.add_argument("--stable", default="t", help="stable letter (hnn)")
-    chain_opts.add_argument("--m", type=int, default=None, help="wreath exponent (lamplighter)")
-    chain_opts.add_argument("--depth", type=int, required=True)
-    chain_opts.add_argument("--index-cap", type=_positive_int, default=None)
-    chain_opts.add_argument("--effort", type=int, default=2, choices=(0, 1, 2))
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--kind", choices=("auto", "farber", "hnn", "lamplighter"),
+                       default="auto")
+    chain.add_argument("--sub", help="seed subgroup name (farber)")
+    chain.add_argument("--stable", default="t", help="stable letter (hnn)")
+    chain.add_argument("--m", type=int, default=None, help="wreath exponent (lamplighter)")
+    chain.add_argument("--depth", type=int, required=True)
+    chain.add_argument("--index-cap", type=_positive_int, default=None)
+    effort = _parent("--effort", type=int, default=2, choices=(0, 1, 2))
 
     parser = argparse.ArgumentParser(
         prog="rankgradient",
@@ -433,24 +435,26 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("enumerate", parents=[common], help="Todd-Coxeter enumeration")
+    p = subs.add_parser("enumerate", parents=[source, plain, coset_cap, cache_dir],
+                        help="Todd-Coxeter enumeration")
     p.add_argument("--sub", help="subgroup name from the input (default: trivial)")
 
-    p = subs.add_parser("lowindex", parents=[common], help="all subgroups of small index")
+    p = subs.add_parser("lowindex", parents=[source, with_csv],
+                        help="all subgroups of small index")
     p.add_argument("--max", type=int, required=True)
 
-    subs.add_parser("chain", parents=[common, chain_opts],
+    subs.add_parser("chain", parents=[source, with_csv, primes, coset_cap, chain, effort],
                     help="build a chain and report its gradient sequence")
-    subs.add_parser("gradient", parents=[common, chain_opts],
+    subs.add_parser("gradient", parents=[source, with_csv, primes, coset_cap, chain, effort],
                     help="gradient sequence only (no chain structure block)")
 
-    p = subs.add_parser("graphing", parents=[common, chain_opts],
+    p = subs.add_parser("graphing", parents=[source, plain, coset_cap, chain],
                         help="minimized graphing and rank bound at one chain level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--gens", default=None,
                    help="comma-separated generator words for the level subgroup")
 
-    p = subs.add_parser("tower", parents=[common],
+    p = subs.add_parser("tower", parents=[with_csv, primes],
                         help="covering tower with prescribed fixed-vertex ratio")
     p.add_argument("--group", choices=("s3", "z2z2"), required=True)
     p.add_argument("--mu", type=_mu, required=True, help="rational, e.g. 3/4")
@@ -460,7 +464,7 @@ def build_parser():
     p.add_argument("--effort", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--covers", action="store_true", help="embed the cover permutations")
 
-    subs.add_parser("validate", parents=[common],
+    subs.add_parser("validate", parents=[source, plain, coset_cap, cache_dir],
                     help="parse, enumerate and audit an input file")
     return parser
 
@@ -477,10 +481,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "tower" and not (args.preset or args.input):
-        parser.error("one of --preset or --input is required")
+    args = build_parser().parse_args(argv)
     try:
         out = COMMANDS[args.command](args)
     except (ParseError, ValueError) as exc:

@@ -19,6 +19,7 @@ spec, the one it enumerated; the tables of ``low_index``, ``intersect`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (
     ImageTooLarge,
@@ -47,9 +48,10 @@ class CosetTable:
     spec: SubgroupSpec | None = field(default=None, compare=False)
     provenance: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        inv = tuple(_invert_perm(p) for p in self.perms)
-        object.__setattr__(self, "_inv_perms", inv)
+    @cached_property
+    def _inv_perms(self):
+        """Inverse permutations, built on the first inverse letter read."""
+        return tuple(_invert_perm(p) for p in self.perms)
 
     @property
     def index(self) -> int:
@@ -460,15 +462,15 @@ def _image_closure(table: CosetTable, limit: int):
     return elements, number
 
 
-def normal_core(table: CosetTable, image_cap: int = DEFAULT_IMAGE_CAP) -> CosetTable:
+def normal_core(table: CosetTable) -> CosetTable:
     """Table of the core of H: the regular representation of the image group.
 
     The core index equals the image order, which can reach index!, hence
-    the cap.
+    the cap DEFAULT_IMAGE_CAP.
     """
-    closure = _image_closure(table, image_cap)
+    closure = _image_closure(table, DEFAULT_IMAGE_CAP)
     if closure is None:
-        raise ImageTooLarge(image_cap)
+        raise ImageTooLarge(DEFAULT_IMAGE_CAP)
     elements, number = closure
     perms = tuple(
         tuple(number[tuple(perm[x] for x in e)] for e in elements)

@@ -90,8 +90,9 @@ def bar(m: Graphing) -> Graphing:
     return Graphing(table=m.table, level=m.level, fibers=fibers)
 
 
-def compose(m: Graphing, n: Graphing, label_cap: int = DEFAULT_LABEL_CAP) -> Graphing:
-    """(c, g1 g2) for every (c, g1) in m with (c.g1, g2) in n."""
+def compose(m: Graphing, n: Graphing) -> Graphing:
+    """(c, g1 g2) for every (c, g1) in m with (c.g1, g2) in n; a label
+    longer than DEFAULT_LABEL_CAP letters raises LabelLengthExceeded."""
     if m.level != n.level:
         raise ValueError("graphings live on different levels")
     fibers = {}
@@ -101,8 +102,8 @@ def compose(m: Graphing, n: Graphing, label_cap: int = DEFAULT_LABEL_CAP) -> Gra
             for g2, cosets2 in n.fibers.items():
                 if mid in cosets2:
                     label = free_reduce(g1 + g2)
-                    if len(label) > label_cap:
-                        raise LabelLengthExceeded(label_cap, label)
+                    if len(label) > DEFAULT_LABEL_CAP:
+                        raise LabelLengthExceeded(DEFAULT_LABEL_CAP, label)
                     fibers.setdefault(label, set()).add(c)
     return Graphing(table=m.table, level=m.level, fibers=fibers)
 
@@ -116,14 +117,14 @@ def union(m: Graphing, n: Graphing) -> Graphing:
     return Graphing(table=m.table, level=m.level, fibers=fibers)
 
 
-def power(m: Graphing, k: int, label_cap: int = DEFAULT_LABEL_CAP) -> Graphing:
+def power(m: Graphing, k: int) -> Graphing:
     """m^1 = bar(m); m^k = m^(k-1) union m^(k-1).bar(m)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     base = bar(m)
     acc = base
     for _ in range(k - 1):
-        acc = union(acc, compose(acc, base, label_cap))
+        acc = union(acc, compose(acc, base))
     return acc
 
 
@@ -163,22 +164,10 @@ def graphing_from_generators(chain, level: int, gens) -> Graphing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """One undirected edge per (coset, label) incidence, plus a base vertex."""
-
-    num_vertices: int
-    edges: tuple  # of (v, w, label), w = v . label
-    base: int = 0
-    disconnected: bool = False
-
-    @property
-    def num_edges(self):
-        return len(self.edges)
-
-
-def to_labeled_graph(m: Graphing, chain):
-    """(graph, loop basis): one fundamental-cycle word per non-tree edge.
+def to_labeled_graph(m: Graphing):
+    """(loop basis, disconnected flag) of the labeled graph with one
+    undirected edge c -- c.label per (coset, label) incidence: one
+    fundamental-cycle word per non-tree edge of a BFS tree from coset 0.
 
     Every loop word fixes the base coset.  If the graph is disconnected the
     flag is set and the loop basis only covers the base component.
@@ -206,7 +195,6 @@ def to_labeled_graph(m: Graphing, chain):
                 tree_edges.add((min(v, w), max(v, w), label))
                 nxt.append(w)
         frontier = nxt
-    disconnected = len(word_to) < m.index
     loops = []
     used_tree = set()
     for v, w, label in edges:
@@ -217,12 +205,9 @@ def to_labeled_graph(m: Graphing, chain):
             used_tree.add(key)
             continue
         loops.append(free_reduce(word_to[v] + label + invert(word_to[w])))
-    graph = LabeledGraph(
-        num_vertices=m.index, edges=edges, base=0, disconnected=disconnected
-    )
     for loop in loops:
         assert table.fixes_base(loop), "loop word left the subgroup"
-    return graph, loops
+    return loops, len(word_to) < m.index
 
 
 @dataclass(frozen=True)
@@ -258,18 +243,18 @@ def loop_screen(table, loops):
     return None
 
 
-def is_l_graphing(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> LGraphingCertificate:
+def is_l_graphing(m: Graphing, coset_cap=DEFAULT_COSET_CAP) -> LGraphingCertificate:
     """True iff the labeled graph is connected and its loop basis generates
     the level subgroup.
 
     Checks run in order: a disconnected graph is False; loops that fail
-    ``loop_screen`` are False; otherwise the loop subgroup is enumerated in
-    the ambient group within ``coset_cap`` live cosets, and the verdict is
-    True iff its index equals the level's.  None means the screen passed and
-    the enumeration tripped the cap.
+    ``loop_screen`` are False; otherwise the loop subgroup is enumerated
+    over the level table's presentation within ``coset_cap`` live cosets,
+    and the verdict is True iff its index equals the level's.  None means
+    the screen passed and the enumeration tripped the cap.
     """
-    graph, loops = to_labeled_graph(m, chain)
-    if graph.disconnected:
+    loops, disconnected = to_labeled_graph(m)
+    if disconnected:
         return LGraphingCertificate(False, "labeled graph is disconnected")
     reason = loop_screen(m.table, loops)
     if reason is not None:
@@ -277,7 +262,7 @@ def is_l_graphing(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> LGraphingC
     spec = SubgroupSpec(generators=tuple(loops), name="loops")
     try:
         loop_table = enumerate_cosets(
-            chain.ambient, spec, cap=coset_cap, provenance="loop image"
+            m.table.pres, spec, cap=coset_cap, provenance="loop image"
         )
     except IndexBoundExceeded as exc:
         return LGraphingCertificate(None, str(exc))
@@ -290,11 +275,11 @@ def is_l_graphing(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> LGraphingC
     )
 
 
-def rank_bound(m: Graphing, chain, coset_cap=DEFAULT_COSET_CAP) -> int:
+def rank_bound(m: Graphing, coset_cap=DEFAULT_COSET_CAP) -> int:
     """e(m) * index - index + 1; only meaningful (and only allowed) when m
     is a verified L-graphing of its level.  Raises IndexBoundExceeded when
     ``coset_cap`` leaves the verification indeterminate."""
-    cert = is_l_graphing(m, chain, coset_cap)
+    cert = is_l_graphing(m, coset_cap)
     if cert.verdict is None:
         raise IndexBoundExceeded(coset_cap)
     if cert.verdict is not True:
@@ -333,11 +318,11 @@ def minimize_graphing(chain, level: int, gens=None, coset_cap=DEFAULT_COSET_CAP)
             fibers = {k: set(v) for k, v in current.fibers.items()}
             fibers[label].discard(c)
             candidate = Graphing(table=table, level=level, fibers=fibers)
-            if is_l_graphing(candidate, chain, coset_cap).verdict is True:
+            if is_l_graphing(candidate, coset_cap).verdict is True:
                 current = candidate
                 changed = True
                 break
-    return current, rank_bound(current, chain, coset_cap)
+    return current, rank_bound(current, coset_cap)
 
 
 # ---------------------------------------------------------------------------

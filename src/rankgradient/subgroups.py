@@ -26,7 +26,9 @@ from .words import (
     invert,
 )
 
-DEFAULT_RELATOR_CAP = 10_000
+DEFAULT_RELATOR_CAP = 10_000  # letters in a rewritten or substituted relator
+TIETZE_PASSES = 200  # eliminations and substitutions per simplification
+SHORTEN_LIMIT = 200  # letters in a relator whose pieces are substituted
 
 
 def _relator_edges(table: CosetTable, c: int, relator):
@@ -56,26 +58,25 @@ def edge_row(table: CosetTable, c: int, word):
     return sorted((j, v) for j, v in counts.items() if v)
 
 
-def rewrite_presentation(
-    pres: Presentation, table: CosetTable, length_cap: int = DEFAULT_RELATOR_CAP
-) -> Presentation:
+def rewrite_presentation(table: CosetTable) -> Presentation:
     """Reidemeister-Schreier presentation of the subgroup of the table.
 
     Generators are the nontrivial Schreier generators; there is one rewritten
-    relator per (coset, ambient relator) pair before reduction.
+    relator per (coset, ambient relator) pair before reduction, each of at
+    most ``DEFAULT_RELATOR_CAP`` letters.
     """
     schreier_index = {pair: i for i, pair in enumerate(cotree_pairs(table))}
     relators = []
     for c in range(table.index):
-        for relator in pres.relators:
+        for relator in table.pres.relators:
             w = []
             for d, g, sign in _relator_edges(table, c, relator):
                 idx = schreier_index.get((d, g))
                 if idx is not None:
                     w.append(sign * (idx + 1))
             w = cyclic_reduce(w)
-            if len(w) > length_cap:
-                raise RelatorLengthExceeded(length_cap, len(w), context=f"coset {c}")
+            if len(w) > DEFAULT_RELATOR_CAP:
+                raise RelatorLengthExceeded(DEFAULT_RELATOR_CAP, len(w), context=f"coset {c}")
             relators.append(w)
     names = tuple(f"x{i}" for i in range(len(schreier_index)))
     return Presentation(generators=names, relators=tuple(relators))
@@ -214,11 +215,11 @@ def _clean(relators):
     return out
 
 
-def _eliminate_once(relators, names, length_cap):
+def _eliminate_once(relators, names):
     """Find a relator containing some generator exactly once (as g or g^-1)
     and solve for it, in deterministic scan order; relators and names are
     updated in place.  False, with nothing changed, when every elimination
-    is blocked or would grow a relator past length_cap."""
+    is blocked or would grow a relator past DEFAULT_RELATOR_CAP."""
     for ri, r in enumerate(relators):
         counts = {}
         for letter in r:
@@ -238,7 +239,7 @@ def _eliminate_once(relators, names, length_cap):
                 if rj == ri:
                     continue
                 s2 = _substitute(s, g, replacement)
-                if len(s2) > length_cap:
+                if len(s2) > DEFAULT_RELATOR_CAP:
                     ok = False
                     break
                 new_relators.append(s2)
@@ -250,13 +251,13 @@ def _eliminate_once(relators, names, length_cap):
     return False
 
 
-def _shorten_once(relators, offset, shorten_limit):
+def _shorten_once(relators, offset):
     """Shorten one relator, in place, by a long piece (_shorten_by) of
-    another of at most shorten_limit letters; False, with nothing changed,
+    another of at most SHORTEN_LIMIT letters; False, with nothing changed,
     when there is none."""
     codes = [_encode(s, offset) for s in relators]
     for ri, r in enumerate(relators):
-        if len(r) < 2 or len(r) > shorten_limit:
+        if len(r) < 2 or len(r) > SHORTEN_LIMIT:
             continue
         found = _shorten_by(ri, relators, codes, offset)
         if found is not None:
@@ -266,23 +267,18 @@ def _shorten_once(relators, offset, shorten_limit):
     return False
 
 
-def tietze_simplify(
-    pres: Presentation,
-    effort: int = 2,
-    length_cap: int = DEFAULT_RELATOR_CAP,
-    max_passes: int = 200,
-    shorten_limit: int = 200,
-) -> Presentation:
+def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
     """Best-effort presentation simplification.
 
     Effort levels: 0 deletes trivial/duplicate relators; 1 adds elimination
     of generators occurring exactly once in some relator; 2 adds greedy
-    length-reducing substitutions between relators.  The generator count
-    never increases and the group is unchanged up to isomorphism.
+    length-reducing substitutions between relators; at most
+    ``TIETZE_PASSES`` such steps are made.  The generator count never
+    increases and the group is unchanged up to isomorphism.
 
     The substitution pass runs one C string search per piece of a relator
     (quadratically many in its length) against every other relator, so it
-    takes pieces only from relators of at most ``shorten_limit`` letters.
+    takes pieces only from relators of at most ``SHORTEN_LIMIT`` letters.
     Duplicate relators are found by a canonical key linear in their length;
     they are dropped once up front and again after each elimination or
     substitution, the only steps that change the relators.
@@ -295,9 +291,9 @@ def tietze_simplify(
             f"not {offset}; use effort 1"
         )
     relators = _clean(pres.relators)
-    for _ in range(max_passes):
-        if (effort >= 1 and _eliminate_once(relators, names, length_cap)) or (
-            effort >= 2 and _shorten_once(relators, offset, shorten_limit)
+    for _ in range(TIETZE_PASSES):
+        if (effort >= 1 and _eliminate_once(relators, names)) or (
+            effort >= 2 and _shorten_once(relators, offset)
         ):
             relators = _clean(relators)
         else:
@@ -310,29 +306,21 @@ def tietze_simplify(
 # ---------------------------------------------------------------------------
 
 
-def rank_bounds(
-    pres: Presentation,
-    table: CosetTable,
-    primes=DEFAULT_PRIMES,
-    effort: int = 2,
-    length_cap: int = DEFAULT_RELATOR_CAP,
-    report=None,
-):
-    """Rank interval [lower, upper] for the subgroup of the table.
+def rank_bounds(table: CosetTable, report, effort: int = 2):
+    """Rank interval [lower, upper] for the subgroup of the table, given
+    its homology report.
 
     lower: best homology bound (beta1 and b_{1,p}); upper: generator count
-    after Tietze simplification of the rewritten presentation (for a free
-    ambient group this is just the Nielsen-Schreier count).  Pass a
-    precomputed homology report to skip recomputing the lower bound.
+    after Tietze simplification at ``effort`` of the rewritten presentation.
+    When Tietze removes no generator -- a free ambient group, or effort 0,
+    which only drops relators -- that count is the Schreier count
+    1 + index * (rank - 1), taken without rewriting.
     """
-    if report is None:
-        report = subgroup_homology(table, primes)
     lower = max([report.beta1] + list(report.b1p.values()))
-    if not pres.relators:
-        upper = 1 + table.index * (table.pres.rank - 1)  # Nielsen-Schreier
+    if effort == 0 or not table.pres.relators:
+        upper = 1 + table.index * (table.pres.rank - 1)
     else:
-        rewritten = rewrite_presentation(pres, table, length_cap)
-        upper = tietze_simplify(rewritten, effort=effort, length_cap=length_cap).rank
+        upper = tietze_simplify(rewrite_presentation(table), effort=effort).rank
     if lower > upper:
         raise AssertionError(f"rank bounds crossed: {lower} > {upper}")
     return lower, upper

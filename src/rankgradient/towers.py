@@ -28,6 +28,7 @@ from .subgroups import rank_bounds, subgroup_homology
 from .words import Presentation, SubgroupSpec, frac_str
 
 DEFAULT_GROUP_ORDER_CAP = 1_000
+STABLE_LETTER = "t"  # the generator of the Z factor
 DEFAULT_RADIUS_CAP = 64
 DEFAULT_SEARCH_RESTARTS = 6
 DEFAULT_SEARCH_MOVES = 300_000
@@ -80,10 +81,13 @@ def _brute_force_rank(table):
     raise AssertionError("unreachable: the full element set generates")
 
 
-def finite_group_data(pres: Presentation, order_cap: int = DEFAULT_GROUP_ORDER_CAP):
-    """Enumerate a finite presented group and compute |A|, d(A), b1p(A)."""
+def finite_group_data(pres: Presentation):
+    """Enumerate a finite presented group of order at most
+    DEFAULT_GROUP_ORDER_CAP and compute |A|, d(A), b1p(A)."""
     trivial = SubgroupSpec(generators=(), name="1")
-    table = enumerate_cosets(pres, trivial, cap=order_cap, provenance="regular rep")
+    table = enumerate_cosets(
+        pres, trivial, cap=DEFAULT_GROUP_ORDER_CAP, provenance="regular rep"
+    )
     report = homology_report(pres)
     if report.beta1 != 0:
         raise ValueError("the base group is infinite (beta1 > 0)")
@@ -159,27 +163,26 @@ class CoverGraph:
         for orbit in self._orbit_map[0]:
             if len(orbit) not in (1, a):
                 raise ValueError(f"A-orbit of size {len(orbit)}, expected 1 or {a}")
-        problems = validate(cover_table(self, ambient_presentation(self.group.pres)))
+        problems = validate(cover_table(self))
         if problems:
             raise ValueError("invalid cover: " + "; ".join(problems))
 
 
-def ambient_presentation(a_pres: Presentation, stable: str = "t") -> Presentation:
-    """Presentation of A * Z: A's generators and relators plus a free letter."""
-    if stable in a_pres.generators:
-        raise ValueError(f"generator name {stable!r} already used")
+def ambient_presentation(a_pres: Presentation) -> Presentation:
+    """Presentation of A * Z: A's generators and relators plus the free
+    letter STABLE_LETTER."""
+    if STABLE_LETTER in a_pres.generators:
+        raise ValueError(f"generator name {STABLE_LETTER!r} already used")
     return Presentation(
-        generators=a_pres.generators + (stable,), relators=a_pres.relators
+        generators=a_pres.generators + (STABLE_LETTER,), relators=a_pres.relators
     )
 
 
-def cover_table(cover: CoverGraph, ambient: Presentation) -> CosetTable:
+def cover_table(cover: CoverGraph) -> CosetTable:
     """The cover as a coset table for A * Z (points = cosets of the
     base-point stabilizer)."""
-    if len(ambient.generators) != len(cover.a_perms) + 1:
-        raise ValueError("ambient presentation does not match the cover")
     return CosetTable(
-        pres=ambient,
+        pres=ambient_presentation(cover.group.pres),
         perms=cover.a_perms + (cover.sigma,),
         provenance=cover.provenance,
     )
@@ -861,18 +864,18 @@ class LevelComparison:
 
 
 def verify_level(
-    cover: CoverGraph, ambient: Presentation, primes=DEFAULT_PRIMES, effort: int = 1
+    cover: CoverGraph, primes=DEFAULT_PRIMES, effort: int = 0
 ) -> LevelComparison:
     group = cover.group
     n = cover.n
     p = cover.num_vertices
     mu = cover.mu
     pred = predict_stats(group.order, group.rank, group.b1p, n, p, mu, primes)
-    table = cover_table(cover, ambient)
+    table = cover_table(cover)
     if table.index != n:
         raise AssertionError("cover table index disagrees with point count")
     report = subgroup_homology(table, primes)
-    bounds = rank_bounds(ambient, table, primes=primes, effort=effort, report=report)
+    bounds = rank_bounds(table, report, effort)
     beta1 = report.beta1
     if beta1 == n - p + 1:
         formula = "n-p+1"
@@ -904,16 +907,15 @@ class TowerReport:
     limit_beta1: Fraction
 
 
-def tower_report(
-    covers, ambient: Presentation, primes=DEFAULT_PRIMES, effort: int = 0
-) -> TowerReport:
+def tower_report(covers, primes=DEFAULT_PRIMES, effort: int = 0) -> TowerReport:
     """Per-level comparisons plus the limit predictions of the deepest level.
 
-    Tietze effort defaults to 0 here: at tower sizes the simplification pass
-    dominates the runtime and the rank interval is reported against the
-    closed-form prediction anyway.
+    Tietze effort defaults to 0 here and in ``verify_level``: the rank
+    upper bound is then the Schreier count, taken without rewriting, and
+    the rank interval is reported against the closed-form prediction
+    anyway.
     """
-    comparisons = tuple(verify_level(c, ambient, primes, effort=effort) for c in covers)
+    comparisons = tuple(verify_level(c, primes, effort) for c in covers)
     last = comparisons[-1].predicted
     return TowerReport(
         mu_target=covers[0].mu,

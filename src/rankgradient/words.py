@@ -128,7 +128,7 @@ class SubgroupSpec:
                 raise ValueError(f"subgroup word {w} references an unknown generator")
 
 
-def _parse_word_tokens(tokens, gen_index, lineno, length_cap=DEFAULT_WORD_LENGTH_CAP):
+def _parse_word_tokens(tokens, gen_index, lineno):
     letters = []
     for tok in tokens:
         if tok == "1":
@@ -145,14 +145,16 @@ def _parse_word_tokens(tokens, gen_index, lineno, length_cap=DEFAULT_WORD_LENGTH
                 raise ParseError(f"bad exponent in token {tok!r}", line=lineno) from None
             if exp == 0:
                 raise ParseError(f"zero exponent in token {tok!r}", line=lineno)
-        if len(letters) + abs(exp) > length_cap:
-            raise ParseError(f"word exceeds the length cap of {length_cap} letters", line=lineno)
+        if len(letters) + abs(exp) > DEFAULT_WORD_LENGTH_CAP:
+            raise ParseError(
+                f"word exceeds the length cap of {DEFAULT_WORD_LENGTH_CAP} letters", line=lineno
+            )
         letter = gen_index[name] + 1
         letters.extend([letter if exp > 0 else -letter] * abs(exp))
     return free_reduce(letters)
 
 
-def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
+def parse_presentation(text):
     """Parse the presentation file format.
 
     Grammar (UTF-8, line based, ``#`` comments)::
@@ -165,7 +167,8 @@ def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
     nonzero integer), or the literal ``1`` for the empty word.  A generator
     name may not be ``1`` or ``normal`` or contain ``^``, ``,`` or ``=``.
     In ``sub`` lines the generator words are separated by commas; when no
-    comma is present each token is its own word.
+    comma is present each token is its own word.  A word may spell out at
+    most ``DEFAULT_WORD_LENGTH_CAP`` letters.
 
     Returns (Presentation, list of SubgroupSpec).
     """
@@ -197,11 +200,11 @@ def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
                 raise ParseError("'rel' before 'gens'", line=lineno)
             if "=" in rest:
                 eq = rest.index("=")
-                lhs = _parse_word_tokens(rest[:eq], gen_index, lineno, length_cap)
-                rhs = _parse_word_tokens(rest[eq + 1 :], gen_index, lineno, length_cap)
+                lhs = _parse_word_tokens(rest[:eq], gen_index, lineno)
+                rhs = _parse_word_tokens(rest[eq + 1 :], gen_index, lineno)
                 relators.append(concat(lhs, invert(rhs)))
             else:
-                relators.append(_parse_word_tokens(rest, gen_index, lineno, length_cap))
+                relators.append(_parse_word_tokens(rest, gen_index, lineno))
             relator_texts.append(" ".join(rest))
         elif keyword == "sub":
             if gens is None:
@@ -216,13 +219,13 @@ def parse_presentation(text, length_cap=DEFAULT_WORD_LENGTH_CAP):
             if "," in text:
                 groups = [seg.split() for seg in text.split(",")]
                 gen_words = tuple(
-                    _parse_word_tokens(g, gen_index, lineno, length_cap)
+                    _parse_word_tokens(g, gen_index, lineno)
                     for g in groups
                     if g
                 )
             else:
                 gen_words = tuple(
-                    _parse_word_tokens([tok], gen_index, lineno, length_cap)
+                    _parse_word_tokens([tok], gen_index, lineno)
                     for tok in words
                 )
             specs.append(SubgroupSpec(generators=gen_words, normal=normal, name=name))

@@ -263,8 +263,62 @@ def test_label_cap_is_not_an_option(capsys):
 
 
 def test_csv_unavailable_for_validate(capsys):
-    code, _, err = run(capsys, "validate", "--preset", "s3", "--format", "csv")
-    assert code == EXIT_PARSE
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--preset", "s3", "--format", "csv"])
+    assert exc.value.code == EXIT_PARSE
+
+
+ENUMERATE = ("enumerate", "--preset", "s3")
+LOWINDEX = ("lowindex", "--preset", "f2", "--max", "2")
+CHAIN = ("chain", "--preset", "fig8", "--depth", "1")
+GRADIENT = ("gradient", "--preset", "fig8", "--depth", "1")
+GRAPHING = ("graphing", "--preset", "fig8", "--depth", "1", "--level", "1")
+TOWER = ("tower", "--group", "s3", "--mu", "3/4", "--depth", "1")
+VALIDATE = ("validate", "--preset", "s3")
+
+
+@pytest.mark.parametrize("argv", [
+    ENUMERATE + ("--primes", "2"),
+    LOWINDEX + ("--primes", "2"),
+    LOWINDEX + ("--coset-cap", "10"),
+    LOWINDEX + ("--cache-dir", "cache"),
+    CHAIN + ("--cache-dir", "cache"),
+    GRADIENT + ("--cache-dir", "cache"),
+    GRAPHING + ("--primes", "2"),
+    GRAPHING + ("--effort", "0"),
+    GRAPHING + ("--cache-dir", "cache"),
+    TOWER + ("--preset", "s3"),
+    TOWER + ("--input", "s3.txt"),
+    TOWER + ("--coset-cap", "10"),
+    TOWER + ("--cache-dir", "cache"),
+    VALIDATE + ("--primes", "2"),
+    ENUMERATE + ("--format", "csv"),
+    GRAPHING + ("--format", "csv"),
+    VALIDATE + ("--format", "csv"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    # rejected while parsing, before any work is done
+    with mock.patch("rankgradient.cli.load_source") as load:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    assert exc.value.code == EXIT_PARSE
+    assert not load.called
+
+
+def test_effort_zero_does_not_rewrite_long_relators(capsys, tmp_path):
+    # effort 0 takes the Schreier count, so no relator is rewritten; effort 2
+    # still rewrites and reports the cap
+    path = tmp_path / "long.txt"
+    path.write_text("gens a t\nrel a^10001\n")
+    argv = ("gradient", "--input", str(path), "--kind", "hnn", "--depth", "1",
+            "--format", "text")
+    code, out, _ = run(capsys, *argv, "--effort", "0")
+    assert code == EXIT_OK
+    assert "ERROR" not in out
+    assert out.count("rank [1, 2]") == 2
+    code, out, _ = run(capsys, *argv, "--effort", "2")
+    assert code == EXIT_OK
+    assert out.count("ERROR relator length 10001 exceeds cap 10000") == 2
 
 
 def test_byte_identical_output(capsys):

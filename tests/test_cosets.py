@@ -416,8 +416,8 @@ def test_hlt_matches_reference_on_fig8_loop_images(monkeypatch):
     # homology screen spares it the enumeration.
     seen = []
     for m in tried_candidates(monkeypatch, chain, 3):
-        graph, loops = to_labeled_graph(m, chain)
-        if not graph.disconnected:
+        loops, disconnected = to_labeled_graph(m)
+        if not disconnected:
             seen.append(SubgroupSpec(generators=tuple(loops), name="loops"))
     assert len(seen) == 4
     outcomes = [assert_hlt_matches_reference(chain.ambient, spec) for spec in seen]

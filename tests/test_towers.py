@@ -134,7 +134,7 @@ def test_tower_determinism():
 def test_cover_table_and_stabilizer(s3_tower):
     ambient = ambient_presentation(pres_of(S3))
     cover = s3_tower[0]
-    table = cover_table(cover, ambient)
+    table = cover_table(cover)
     assert table.index == cover.n
     # the Schreier generators of the base-point stabilizer have index n
     spec = with_schreier_spec(table).spec
@@ -171,8 +171,7 @@ def test_predict_stats_limits():
 
 
 def test_verify_level_base(s3_tower):
-    ambient = ambient_presentation(pres_of(S3))
-    lc = verify_level(s3_tower[0], ambient, effort=0)
+    lc = verify_level(s3_tower[0], effort=0)
     assert lc.b1p_match
     assert lc.beta1_formula == "n-p+1"
     assert lc.computed_beta1 == lc.n - lc.p + 1
@@ -180,8 +179,7 @@ def test_verify_level_base(s3_tower):
 
 
 def test_tower_report_formulas(s3_tower):
-    ambient = ambient_presentation(pres_of(S3))
-    report = tower_report(s3_tower, ambient)
+    report = tower_report(s3_tower)
     assert report.limit_d == Fraction(11, 9)
     for lc in report.levels:
         assert lc.b1p_match

@@ -24,21 +24,22 @@ import rankgradient.cli as cli
 import spans
 
 recorder = spans.install()
-codes = []
+codes, marks = [], [0]
 for argv in (
     ["tower", "--group", "z2z2", "--mu", "1/2", "--depth", "1"],
     ["chain", "--preset", "fig8", "--depth", "3"],
+    ["graphing", "--preset", "fig8", "--depth", "3", "--level", "3"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-mark = len(recorder.spans)
-with contextlib.redirect_stdout(io.StringIO()):
-    codes.append(cli.main(["graphing", "--preset", "fig8", "--depth", "3", "--level", "3"]))
+    marks.append(len(recorder.spans))
 recorder.dump(spans_path, "hooks")
 recorded = spans.read_spans(spans_path)
-metrics = spans.layer_metrics([s for s in recorded if s["id"] < mark])
-graphing = spans.layer_metrics([s for s in recorded if s["id"] >= mark])
-print(json.dumps({"codes": codes, "metrics": metrics, "graphing": graphing}))
+tower, chain, graphing = (
+    spans.layer_metrics([s for s in recorded if start <= s["id"] < end])
+    for start, end in zip(marks, marks[1:])
+)
+print(json.dumps({"codes": codes, "tower": tower, "chain": chain, "graphing": graphing}))
 """
 
 
@@ -51,9 +52,15 @@ def test_span_hooks_wrap_and_count(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]
-    metrics = result["metrics"]
-    assert metrics["subgroups.matrix_nnz"] > 0
-    assert metrics["homology.nnz_in"] >= metrics["subgroups.matrix_nnz"]
+    for name in ("tower", "chain"):
+        metrics = result[name]
+        assert metrics["subgroups.matrix_nnz"] > 0
+        assert metrics["homology.nnz_in"] >= metrics["subgroups.matrix_nnz"]
+    # A tower reports rank bounds at effort 0: the Schreier count, taken
+    # without rewriting or Tietze; the chain simplifies each of its levels.
+    assert result["tower"]["subgroups.tietze_calls"] == 0
+    assert result["tower"]["subgroups.rewrite_s"] == 0
+    assert result["chain"]["subgroups.tietze_calls"] == 4
     # graphing --preset fig8 --depth 3 --level 3: five candidate deletions
     # and the final check.  Two candidates are disconnected, the homology
     # screen refutes the other three, and only the seed graphing's loop
