@@ -32,6 +32,7 @@ COMMANDS = {
     "gradient_lamplighter3_depth2_text": "gradient --preset lamplighter3 --depth 2 --format text",
     "chain_f2_depth3": "chain --preset f2 --depth 3",
     "tower_s3_mu34_depth2": "tower --group s3 --mu 3/4 --depth 2",
+    "tower_s3_mu34_depth3": "tower --group s3 --mu 3/4 --depth 3 --seed 0",
     "tower_z2z2_mu12_depth1_csv": "tower --group z2z2 --mu 1/2 --depth 1 --format csv",
     "tower_z2z2_mu12_depth1_text": "tower --group z2z2 --mu 1/2 --depth 1 --format text",
     "graphing_fig8_depth3_level3": "graphing --preset fig8 --depth 3 --level 3",
