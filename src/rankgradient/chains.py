@@ -25,7 +25,7 @@ from .cosets import (
     low_index,
     normal_core,
 )
-from .errors import BudgetError, InternalInvariantError
+from .errors import BudgetError, InternalInvariantError, RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES
 from .subgroups import rank_bounds, subgroup_homology
 from .words import Presentation, SubgroupSpec, Word, frac_str, free_reduce
@@ -218,6 +218,7 @@ class LevelStats:
     b1p: dict = None
     exact: bool = False
     error: str = None
+    note: str = None  # a cap that weakened a bound of this level, by name
 
     def ratios(self):
         """The four gradient ratios at this level as exact rationals."""
@@ -242,9 +243,17 @@ class GradientReport:
 
 
 def _level_stats(table, level, primes, effort):
+    """LevelStats of one level.  When rewriting for the Tietze upper bound
+    trips the relator length cap, the level keeps its homology and reports
+    the Schreier count (the effort-0 bound), with a note naming the cap."""
     try:
         report = subgroup_homology(table, primes)
-        lower, upper = rank_bounds(table, report, effort)
+        note = None
+        try:
+            lower, upper = rank_bounds(table, report, effort)
+        except RelatorLengthExceeded as exc:
+            lower, upper = rank_bounds(table, report, 0)
+            note = f"rank_upper is the Schreier count: {exc}"
         spec = table.spec
         if spec is not None and not spec.normal and spec.generators:
             # the spec words generate the subgroup by construction, so their
@@ -259,6 +268,7 @@ def _level_stats(table, level, primes, effort):
             beta1=report.beta1,
             b1p=dict(report.b1p),
             exact=lower == upper,
+            note=note,
         )
     except BudgetError as exc:
         return LevelStats(level=level, index=table.index, error=str(exc))
@@ -342,6 +352,8 @@ def report_to_obj(report: GradientReport) -> dict:
                 exact=st.exact,
                 ratios={k: frac_str(v) for k, v in st.ratios().items()},
             )
+            if st.note:
+                entry["note"] = st.note
         levels.append(entry)
     return {
         "schema_version": report.schema_version,
@@ -380,7 +392,7 @@ def report_to_csv(report: GradientReport) -> str:
                 + [st.b1p[p] for p in report.primes]
                 + [frac_str(ratios[k]) for k in ratio_keys]
                 + [f"{float(ratios[k]):.6f}" for k in ratio_keys]
-                + [st.exact, ""]
+                + [st.exact, f"NOTE {st.note}" if st.note else ""]
             )
         writer.writerow(row)
     return buf.getvalue()

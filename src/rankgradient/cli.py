@@ -244,7 +244,7 @@ def cmd_chain(args, gradient_only=False):
             ratios = ", ".join(f"{k}={frac_str(v)}" for k, v in st.ratios().items())
             lines.append(
                 f"level {st.level}: index {st.index} rank [{st.rank_lower}, {st.rank_upper}] "
-                f"beta1 {st.beta1} | {ratios}"
+                f"beta1 {st.beta1} | {ratios}" + (f" | NOTE {st.note}" if st.note else "")
             )
     return emit(
         config,

@@ -152,12 +152,25 @@ def _unit_reduce(matrix):
     diagonal 1, so SNF(input) = identity block of size ``units`` plus
     SNF(remainder).  Fox matrices of finite covers are huge but have a
     handful of +-1 entries per row, so this collapses them to a core the
-    dense routine can afford; pivots are picked by Markowitz cost via a
-    lazily revalidated heap.
+    dense routine can afford.
+
+    Duplicate rows are dropped first: they span the same lattice, and a
+    relator u^m gives the same Fox row at coset c and at c.u.  Pivots are
+    picked by Markowitz cost from a lazily revalidated heap: an entry is
+    pushed when it becomes +-1, and a popped entry whose cost has grown
+    since is pushed back at its current cost, so each +-1 entry of the
+    remainder has a heap entry until the heap runs dry.
 
     Returns (units, remainder), the remainder as {column: value} dict rows.
     """
-    rows = {i: dict(row) for i, row in enumerate(matrix) if row}
+    rows = {}
+    seen = set()
+    for row in matrix:
+        row = tuple(row)
+        if row and row not in seen:
+            seen.add(row)
+            rows[len(rows)] = dict(row)
+    del seen
     cols = {}
     for i, entries in rows.items():
         for j in entries:
@@ -187,22 +200,22 @@ def _unit_reduce(matrix):
         for j2 in pivot_row:
             cols[j2].discard(i)
         for r in list(cols.pop(j, ())):
-            factor = rows[r].pop(j) * value  # = entry / value since value is a unit
+            row = rows[r]
+            factor = row.pop(j) * value  # = entry / value since value is a unit
             for j2, v in pivot_row.items():
                 if j2 == j:
                     continue
-                new = rows[r].get(j2, 0) - factor * v
+                old = row.get(j2, 0)
+                new = old - factor * v
                 if new:
-                    rows[r][j2] = new
+                    row[j2] = new
                     cols[j2].add(r)
-                else:
-                    rows[r].pop(j2, None)
-                    cols[j2].discard(r)
-            if rows[r]:
-                for j2, v in rows[r].items():
-                    if v in (1, -1):
+                    if new in (1, -1) and old not in (1, -1):
                         heapq.heappush(heap, (cost(r, j2), r, j2))
-            else:
+                else:
+                    del row[j2]
+                    cols[j2].discard(r)
+            if not row:
                 del rows[r]
         units += 1
     return units, [rows[i] for i in sorted(rows)]
@@ -212,8 +225,13 @@ def _snf_by_components(rows):
     """(nonzero SNF diagonal as a divisibility chain, rank) of {column: value}
     dict rows, split into connected row/column blocks that are densified one
     at a time.  Block-diagonal up to permutation means the SNF is the union
-    of the blocks' invariant factors; the merged multiset is renormalized
-    into a chain by gcd/lcm swaps, which never needs to factor anything."""
+    of the blocks' invariant factors.
+
+    The merged multiset is renormalized into a chain by gcd/lcm swaps, which
+    never needs to factor anything.  The 1s divide everything and are set
+    aside; on the rest one pass suffices: after step i, entries[i] divides
+    every later entry, and a later swap replaces two multiples of entries[i]
+    by their gcd and lcm, which are multiples of it too."""
     if not rows:
         return [], 0
     parent = {}
@@ -242,18 +260,14 @@ def _snf_by_components(rows):
         diag, r = smith_normal_form(sub) if live else ([], 0)
         entries.extend(d for d in diag if d)
         rank += r
-    entries.sort()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if entries[j] % entries[i]:
-                    g = math.gcd(entries[i], entries[j])
-                    entries[i], entries[j] = g, entries[i] * entries[j] // g
-                    changed = True
-        entries.sort()
-    return entries, rank
+    ones = [d for d in entries if d == 1]
+    entries = sorted(d for d in entries if d != 1)
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if entries[j] % entries[i]:
+                g = math.gcd(entries[i], entries[j])
+                entries[i], entries[j] = g, entries[i] * entries[j] // g
+    return ones + entries, rank
 
 
 def report_from_matrix(matrix, num_generators, primes=DEFAULT_PRIMES):

@@ -118,10 +118,16 @@ class CoverGraph:
     a_perms: tuple  # one permutation per generator of A
     sigma: tuple
     provenance: str = field(default="", compare=False)
+    # the orbit map of a cover with the same a_perms, when the caller has
+    # one: the A-orbits do not depend on sigma
+    known_orbit_map: tuple = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _orbit_map(self):
-        """(A-orbits, orbit id of each point), computed once per cover."""
+        """(A-orbits, orbit id of each point), computed once per cover
+        unless known_orbit_map supplies it."""
+        if self.known_orbit_map is not None:
+            return self.known_orbit_map
         ids = [None] * self.n
         orbits = []
         for x in range(self.n):
@@ -265,7 +271,11 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
                 x = fixed + block * a + e
                 perm[x] = fixed + block * a + group.table.perms[g][e]
         a_perms.append(tuple(perm))
-    reg_points = list(range(fixed, n))
+    a_perms = tuple(a_perms)
+    # the A-orbits are the fixed points and the blocks, whatever the route
+    orbit_map = CoverGraph(group=group, n=n, a_perms=a_perms, sigma=tuple(range(n)))._orbit_map
+    ids = orbit_map[1]
+    block_points = [list(range(fixed + b * a, fixed + (b + 1) * a)) for b in range(regular)]
 
     def cover_for(route):
         sigma = [0] * n
@@ -274,18 +284,18 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
         return CoverGraph(
             group=group,
             n=n,
-            a_perms=tuple(a_perms),
+            a_perms=a_perms,
             sigma=tuple(sigma),
             provenance=f"tower level 0 (mu={mu}, scale={scale})",
+            known_orbit_map=orbit_map,
         )
 
-    def edge_profile(cover):
+    def edge_profile(sigma):
         """(max multiplicity, loop count) of the covering graph."""
-        ids = cover.orbit_ids()
         counts = {}
         loops = 0
         for x in range(n):
-            u, v = ids[x], ids[cover.sigma[x]]
+            u, v = ids[x], ids[sigma[x]]
             if u == v:
                 loops += 1
             key = (min(u, v), max(u, v))
@@ -311,9 +321,9 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
     # remaining fixed points spread among them as evenly as possible.
     plan = chain_rest[:half] + [0] + chain_rest[half:] if chain_len else []
     credit = Fraction(0)
-    per_slot = Fraction(len(spread), len(reg_points))
+    per_slot = Fraction(len(spread), a * regular)
     placed = 0
-    for _ in reg_points:
+    for _ in range(a * regular):
         plan.append(None)
         credit += per_slot
         while credit >= 1 and placed < len(spread):
@@ -322,18 +332,16 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
             credit -= 1
     plan.extend(spread[placed:])
 
-    def block_of(x):
-        return (x - fixed) // a
-
     rng = random.Random(rng_seed)
     best = None
     for _ in range(ROUTE_TRIES):
         # greedy assignment: never put two points of the same hub next to
-        # each other and never use a direct hub pair more than twice
-        remaining = {}
-        for x in reg_points:
-            remaining.setdefault(block_of(x), []).append(x)
-        pair_count = {}
+        # each other and never use a direct hub pair more than twice; live
+        # lists the blocks with points left in ascending order, so the
+        # candidates come out sorted
+        remaining = [list(points) for points in block_points]
+        live = list(range(regular))
+        pair_count = [[0] * regular for _ in range(regular)]
         route = []
         prev_hub = None
         ok = True
@@ -342,32 +350,29 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
                 route.append(fixed_point)
                 prev_hub = None
                 continue
-            candidates = [
-                b
-                for b, pts in remaining.items()
-                if pts
-                and b != prev_hub
-                and (
-                    prev_hub is None
-                    or pair_count.get((min(b, prev_hub), max(b, prev_hub)), 0) < 2
-                )
-            ]
-            if not candidates and regular == 1:
-                candidates = [b for b, pts in remaining.items() if pts]
+            if prev_hub is None:
+                candidates = live
+            else:
+                row = pair_count[prev_hub]
+                candidates = [b for b in live if b != prev_hub and row[b] < 2]
+                if not candidates and regular == 1:
+                    candidates = live
             if not candidates:
                 ok = False
                 break
-            b = rng.choice(sorted(candidates))
-            x = remaining[b].pop()
-            route.append(x)
+            b = rng.choice(candidates)
+            points = remaining[b]
+            route.append(points.pop())
+            if not points:
+                live.remove(b)
             if prev_hub is not None:
-                key = (min(b, prev_hub), max(b, prev_hub))
-                pair_count[key] = pair_count.get(key, 0) + 1
+                pair_count[b][prev_hub] += 1
+                pair_count[prev_hub][b] += 1
             prev_hub = b
         if not ok:
             continue
         cover = cover_for(route)
-        multiplicity, loops = edge_profile(cover)
+        multiplicity, loops = edge_profile(cover.sigma)
         clean = loops == 0 and multiplicity <= 2
         radius = injectivity_radius(cover)
         # prefer clean routes with a small starting radius: the lifts can
@@ -505,6 +510,10 @@ class _TwistSearch:
         self.by_point = {x: list(members) for x, members in through.items()}
         self.below = {x: sorted(members) for x, members in through.items()}
         self._old = [0] * len(walks)
+        # walks by endpoint vertex, each list in index order
+        self.at_vertex = {}
+        for i, w in enumerate(walks):
+            self.at_vertex.setdefault(w[0], []).append(i)
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
@@ -613,6 +622,14 @@ class _TwistSearch:
                 counter[key] = m + 1
 
     def _conflict_point(self, prods, tables, totals, rng):
+        """A point to re-draw, or None: a random unmet spec, then for a
+        forbidding spec a random walk of a random colliding key, for a
+        demanding one a random nonempty walk of its window, then a random
+        point of that walk's path.
+
+        The members of a key v * kmax + r are the walks at vertex v in the
+        window with product = r mod k, listed in index order from the
+        vertex's walk list rather than by a scan of the whole window."""
         unmet = [
             si
             for si, (_, _, forbid) in enumerate(self.specs)
@@ -624,9 +641,9 @@ class _TwistSearch:
         _, k, forbid = self.specs[si]
         if forbid:
             bad = [key for key, m in tables[si].items() if m > 1]
-            key = rng.choice(bad)
-            vkey = self.vkey
-            members = [i for i in range(self.ends[si]) if vkey[i] + prods[i] % k == key]
+            v, r = divmod(rng.choice(bad), self.kmax)
+            end = self.ends[si]
+            members = [i for i in self.at_vertex[v] if i < end and prods[i] % k == r]
         else:
             members = range(1, self.ends[si])
         path = self.walks[rng.choice(members)][1]

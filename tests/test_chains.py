@@ -158,3 +158,27 @@ def test_gradient_report_serialization_round_trip():
     assert last["ratio_rank_upper"] == f"{st.ratios()['rank_upper']}"
     approx = float(last["ratio_rank_upper_approx"])
     assert abs(approx - float(st.ratios()["rank_upper"])) < 1e-6
+
+
+def test_relator_cap_keeps_the_level_and_names_the_cap():
+    # rewriting a^10001 trips the 10,000-letter relator cap at effort 2
+    chain = hnn_chain(parsed("gens a t\nrel a^10001\n")[0], "t", 1)
+    capped = gradient_sequence(chain, effort=2)
+    plain = gradient_sequence(chain, effort=0)
+    for st, st0 in zip(capped.levels, plain.levels):
+        assert st.error is None and st0.note is None
+        assert (st.rank_lower, st.rank_upper, st.schreier_upper, st.beta1, st.b1p) == (
+            st0.rank_lower, st0.rank_upper, st0.schreier_upper, st0.beta1, st0.b1p
+        )
+        assert st.note == (
+            "rank_upper is the Schreier count: relator length 10001 exceeds cap 10000 (coset 0)"
+        )
+    assert [lv["note"] for lv in json.loads(report_to_json(capped))["levels"]] == [
+        st.note for st in capped.levels
+    ]
+    rows = list(csv.DictReader(io.StringIO(report_to_csv(capped))))
+    assert [row["error"] for row in rows] == [f"NOTE {st.note}" for st in capped.levels]
+    # a level that does not trip the cap carries no note
+    fig8 = gradient_sequence(hnn_chain(parsed(FIG8)[0], "t", 2))
+    assert all(st.note is None for st in fig8.levels)
+    assert all("note" not in lv for lv in json.loads(report_to_json(fig8))["levels"])

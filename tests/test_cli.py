@@ -307,18 +307,27 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
 
 def test_effort_zero_does_not_rewrite_long_relators(capsys, tmp_path):
     # effort 0 takes the Schreier count, so no relator is rewritten; effort 2
-    # still rewrites and reports the cap
+    # still rewrites, trips the relator cap, and falls back to the same
+    # bound with a note naming the cap
     path = tmp_path / "long.txt"
     path.write_text("gens a t\nrel a^10001\n")
-    argv = ("gradient", "--input", str(path), "--kind", "hnn", "--depth", "1",
-            "--format", "text")
-    code, out, _ = run(capsys, *argv, "--effort", "0")
+    argv = ("gradient", "--input", str(path), "--kind", "hnn", "--depth", "1")
+    code, out, _ = run(capsys, *argv, "--effort", "0", "--format", "text")
+    assert code == EXIT_OK
+    assert "ERROR" not in out and "NOTE" not in out
+    assert out.count("rank [1, 2] beta1 1 |") == 2
+    effort0_lines = out.splitlines()[2:]
+    code, out, _ = run(capsys, *argv, "--effort", "2", "--format", "text")
     assert code == EXIT_OK
     assert "ERROR" not in out
-    assert out.count("rank [1, 2]") == 2
+    note = " | NOTE rank_upper is the Schreier count: relator length 10001 exceeds cap 10000 (coset 0)"
+    assert out.splitlines()[2:] == [line + note for line in effort0_lines]
     code, out, _ = run(capsys, *argv, "--effort", "2")
     assert code == EXIT_OK
-    assert out.count("ERROR relator length 10001 exceeds cap 10000") == 2
+    for level in json.loads(out)["report"]["levels"]:
+        assert "error" not in level
+        assert (level["rank_lower"], level["rank_upper"], level["beta1"]) == (1, 2, 1)
+        assert "exceeds cap 10000" in level["note"]
 
 
 def test_byte_identical_output(capsys):

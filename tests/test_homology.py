@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankgradient.cosets import enumerate_cosets
 from rankgradient.homology import (
     _snf_by_components,
     _unit_reduce,
@@ -13,6 +15,7 @@ from rankgradient.homology import (
     report_from_matrix,
     smith_normal_form,
 )
+from rankgradient.subgroups import subgroup_homology
 from rankgradient.words import parse_presentation
 
 
@@ -137,6 +140,76 @@ def test_snf_by_components_blocks():
     diag, rank = _snf_by_components([dict(row) for row in sparse(matrix)])
     assert diag == [1, 6]
     assert rank == 2
+
+
+def random_block_diagonal(rng):
+    """A dense matrix that is block-diagonal up to a row and a column
+    permutation: many +-1 blocks, repeated 2s and 3s, a few small mixed
+    blocks and some zero columns."""
+    blocks = [[[rng.choice((1, -1))]] for _ in range(rng.randint(5, 30))]
+    blocks += [[[rng.choice((2, -2, 3, -3, 4, 6, 9))]] for _ in range(rng.randint(0, 8))]
+    for _ in range(rng.randint(0, 4)):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        blocks.append([[rng.choice((0, 1, -1, 2, -2, 3, 6)) for _ in range(n)] for _ in range(m)])
+    rows = sum(len(b) for b in blocks)
+    cols = sum(len(b[0]) for b in blocks) + rng.randint(0, 3)
+    dense = [[0] * cols for _ in range(rows)]
+    r = c = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            dense[r + i][c : c + len(row)] = row
+        r, c = r + len(block), c + len(block[0])
+    rng.shuffle(dense)
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in dense]
+
+
+def test_snf_by_components_matches_dense_snf_on_block_matrices():
+    rng = random.Random(1303)
+    for _ in range(150):
+        matrix = random_block_diagonal(rng)
+        rows = [dict(row) for row in sparse(matrix) if row]
+        diag, rank = _snf_by_components(rows)
+        expected, expected_rank = smith_normal_form(matrix)
+        assert diag == [d for d in expected if d]
+        assert rank == expected_rank
+        # duplicated rows span the same lattice: the peel drops them
+        doubled = sparse(matrix) + sparse(matrix)[::2]
+        rng.shuffle(doubled)
+        units, core = _unit_reduce(doubled)
+        # every entry that became +-1 was queued, so none is left
+        assert all(v not in (1, -1) for row in core for v in row.values())
+        core_diag, core_rank = _snf_by_components(core)
+        assert sorted([1] * units + core_diag) == diag
+        assert units + core_rank == expected_rank
+
+
+def abelian_group(a, b, c, sub=""):
+    text = (
+        f"gens a b c\nrel a^{a}\nrel b^{b}\nrel c^{c}\n"
+        "rel a b a^-1 b^-1\nrel a c a^-1 c^-1\nrel b c b^-1 c^-1\n"
+    )
+    if sub:
+        text += f"sub H {sub}\n"
+    pres, specs = parse_presentation(text)
+    return enumerate_cosets(pres, specs[0] if specs else None)
+
+
+# Every subgroup H of a finite abelian group is abelian, so H1(H) = H.
+@pytest.mark.parametrize("sub,index,torsion", [
+    ("", 2000, ()),
+    ("a", 200, (10,)),
+    ("a b, a^2 b^2", 200, (10,)),  # the single cyclic subgroup <ab>
+    ("a c^4", 40, (5, 10)),
+])
+def test_subgroup_homology_of_abelian_groups_is_the_subgroup(sub, index, torsion):
+    table = abelian_group(10, 10, 20, sub)
+    assert table.index == index
+    report = subgroup_homology(table)
+    assert report.beta1 == 0
+    assert report.torsion == torsion
+    assert report.b1p == {p: sum(1 for d in torsion if d % p == 0) for p in (2, 3, 5)}
 
 
 entry = st.integers(min_value=-9, max_value=9)

@@ -409,6 +409,27 @@ def test_incremental_annealer_matches_full_path_oracle():
     assert reverts > 1000
 
 
+def test_conflict_draws_match_full_path_oracle():
+    # the same point and the same rng state from many annealer states, so
+    # the per-vertex member lists equal the oracle's scan of the window
+    layout = search_layout("s3", "3/4", 0, 12, 2)
+    fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
+    rng = random.Random(5)
+    forbidding = 0
+    for trial in range(300):
+        twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
+        prods = fast._products(twists)
+        tables, totals = fast._tables(prods)
+        oracle_tables, oracle_totals = oracle._tables(oracle._products(twists))
+        fast_rng, oracle_rng = random.Random(trial), random.Random(trial)
+        for _ in range(20):
+            point = fast._conflict_point(prods, tables, totals, fast_rng)
+            assert point == oracle._conflict_point(prods, oracle_tables, oracle_totals, oracle_rng)
+            assert fast_rng.getstate() == oracle_rng.getstate()
+        forbidding += sum(1 for (_, _, forbid), t in zip(fast.specs, totals) if forbid and t)
+    assert forbidding > 300
+
+
 # layouts whose search succeeds within a few thousand moves
 @pytest.mark.parametrize("group,mu,seed,chain_len,route_seed", [
     ("s3", "3/4", 0, 12, 3),
@@ -672,3 +693,176 @@ def test_feasible_reduces_in_basis_order():
     verdict = search.feasible()
     assert verdict == echelon_feasible(search)
     assert verdict == (False, "two walks share every point mod 2, forcing a collision")
+
+
+# Reference route search: _base_cover as it stood before the per-layout
+# block lists and pair-count matrix, rebuilding the candidate hub list by a
+# scan of every block for each regular slot and an orbit map per route.
+
+
+def reference_base_cover(group, mu, scale, rng_seed=0, chain_len=None):
+    a = group.order
+    fixed = mu.numerator * scale
+    regular = (mu.denominator - mu.numerator) * scale
+    if regular == 0:
+        raise ValueError("mu = 1 is not realizable by finite covers of this kind")
+    n = fixed + a * regular
+    if n > towers.BASE_POINT_CAP:
+        raise ValueError(
+            f"mu = {mu} at scale {scale} needs {n} points, over the cap {towers.BASE_POINT_CAP}; "
+            f"the minimal point count for this mu is {mu.numerator + a * (mu.denominator - mu.numerator)}"
+        )
+    a_perms = []
+    for g in range(group.pres.rank):
+        perm = list(range(n))
+        for block in range(regular):
+            for e in range(a):
+                x = fixed + block * a + e
+                perm[x] = fixed + block * a + group.table.perms[g][e]
+        a_perms.append(tuple(perm))
+    reg_points = list(range(fixed, n))
+
+    def cover_for(route):
+        sigma = [0] * n
+        for i, x in enumerate(route):
+            sigma[x] = route[(i + 1) % n]
+        return CoverGraph(group=group, n=n, a_perms=tuple(a_perms), sigma=tuple(sigma))
+
+    def edge_profile(cover):
+        ids = cover.orbit_ids()
+        counts = {}
+        loops = 0
+        for x in range(n):
+            u, v = ids[x], ids[cover.sigma[x]]
+            if u == v:
+                loops += 1
+            key = (min(u, v), max(u, v))
+            counts[key] = counts.get(key, 0) + 1
+        return max(counts.values()), loops
+
+    if chain_len is None:
+        chain_len = max(fixed // 2, min(fixed, 1))
+    chain_len = min(chain_len, fixed)
+    others = list(range(1, fixed))
+    cut = max(chain_len - 1, 0)
+    chain_rest, spread = others[:cut], others[cut:]
+    half = len(chain_rest) // 2
+    plan = chain_rest[:half] + [0] + chain_rest[half:] if chain_len else []
+    credit = Fraction(0)
+    per_slot = Fraction(len(spread), len(reg_points))
+    placed = 0
+    for _ in reg_points:
+        plan.append(None)
+        credit += per_slot
+        while credit >= 1 and placed < len(spread):
+            plan.append(spread[placed])
+            placed += 1
+            credit -= 1
+    plan.extend(spread[placed:])
+
+    def block_of(x):
+        return (x - fixed) // a
+
+    rng = random.Random(rng_seed)
+    best = None
+    for _ in range(towers.ROUTE_TRIES):
+        remaining = {}
+        for x in reg_points:
+            remaining.setdefault(block_of(x), []).append(x)
+        pair_count = {}
+        route = []
+        prev_hub = None
+        ok = True
+        for fixed_point in plan:
+            if fixed_point is not None:
+                route.append(fixed_point)
+                prev_hub = None
+                continue
+            candidates = [
+                b
+                for b, pts in remaining.items()
+                if pts
+                and b != prev_hub
+                and (
+                    prev_hub is None
+                    or pair_count.get((min(b, prev_hub), max(b, prev_hub)), 0) < 2
+                )
+            ]
+            if not candidates and regular == 1:
+                candidates = [b for b, pts in remaining.items() if pts]
+            if not candidates:
+                ok = False
+                break
+            b = rng.choice(sorted(candidates))
+            x = remaining[b].pop()
+            route.append(x)
+            if prev_hub is not None:
+                key = (min(b, prev_hub), max(b, prev_hub))
+                pair_count[key] = pair_count.get(key, 0) + 1
+            prev_hub = b
+        if not ok:
+            continue
+        cover = cover_for(route)
+        multiplicity, loops = edge_profile(cover)
+        clean = loops == 0 and multiplicity <= 2
+        key = (clean, -injectivity_radius(cover))
+        if best is None or key > best[0]:
+            best = (key, cover)
+    if best is None:
+        raise ValueError(
+            f"no route satisfying the hub constraints found for mu={mu}, "
+            f"scale={scale}; try a larger scale"
+        )
+    (clean, _), cover = best
+    if not clean and regular > 1:
+        raise ValueError(
+            f"no loop-free route with edge multiplicity <= 2 found for mu={mu}, "
+            f"scale={scale}; try a larger scale"
+        )
+    return cover
+
+
+def route_outcome(search, group, mu, scale, rng_seed, chain_len):
+    """("sigma", sigma, a_perms) of the chosen route, or ("error", text)."""
+    try:
+        cover = search(group, mu, scale, rng_seed=rng_seed, chain_len=chain_len)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("sigma", cover.sigma, cover.a_perms)
+
+
+ROUTE_GRID = (
+    # (group, mu, scale, rng_seeds, chain_lens)
+    [("s3", mu, scale, (0, 3), (None, 8))
+     for mu in ("0", "1/3", "1/2", "2/3", "3/4") for scale in (1, 4, 6)]
+    + [("z2z2", mu, scale, (1,), (None, 1, 12))
+       for mu in ("0", "1/2", "3/4", "4/5") for scale in (1, 3, 6)]
+    + [("s3", "3/4", 12, (0, 2), (12, 14)), ("z2z2", "1/2", 12, (5,), (None,))]
+)
+
+
+@pytest.mark.parametrize("group,mu,scale,seeds,chain_lens", ROUTE_GRID)
+def test_route_search_matches_reference(group, mu, scale, seeds, chain_lens):
+    data = finite_group_data(preset(group))
+    mu = Fraction(mu)
+    for rng_seed in seeds:
+        for chain_len in chain_lens:
+            args = (data, mu, scale, rng_seed, chain_len)
+            assert route_outcome(_base_cover, *args) == route_outcome(
+                reference_base_cover, *args
+            ), (group, mu, scale, rng_seed, chain_len)
+
+
+def test_route_search_reference_covers_the_edge_cases():
+    s3 = finite_group_data(preset("s3"))
+    # one block: the hub rule cannot hold, every regular slot falls back
+    # to the sole block, and the looped route is still returned
+    one_block = route_outcome(_base_cover, s3, Fraction(1, 2), 1, 0, None)
+    assert one_block[0] == "sigma"
+    assert one_block == route_outcome(reference_base_cover, s3, Fraction(1, 2), 1, 0, None)
+    # scale 4 at mu = 3/4: every greedy route runs out of candidates
+    assert route_outcome(_base_cover, s3, Fraction(3, 4), 4, 0, 12) == (
+        "error",
+        "no route satisfying the hub constraints found for mu=3/4, scale=4; "
+        "try a larger scale",
+    )
