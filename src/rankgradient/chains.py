@@ -245,15 +245,18 @@ class GradientReport:
 def _level_stats(table, level, primes, effort):
     """LevelStats of one level.  When rewriting for the Tietze upper bound
     trips the relator length cap, the level keeps its homology and reports
-    the Schreier count (the effort-0 bound), with a note naming the cap."""
+    the Schreier count (the effort-0 bound), with a note naming the cap;
+    a note of the Tietze result (refused eliminations, the step limit) is
+    carried over."""
     try:
         report = subgroup_homology(table, primes)
-        note = None
         try:
-            lower, upper = rank_bounds(table, report, effort)
+            bounds = rank_bounds(table, report, effort)
+            note = bounds.note
         except RelatorLengthExceeded as exc:
-            lower, upper = rank_bounds(table, report, 0)
+            bounds = rank_bounds(table, report, 0)
             note = f"rank_upper is the Schreier count: {exc}"
+        lower, upper = bounds
         spec = table.spec
         if spec is not None and not spec.normal and spec.generators:
             # the spec words generate the subgroup by construction, so their

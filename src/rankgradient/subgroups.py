@@ -13,7 +13,11 @@ free ambient groups).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .cosets import CosetTable, cotree_pairs, schreier_generators
 from .errors import RelatorLengthExceeded
@@ -141,129 +145,201 @@ def _canonical_relator_key(w):
 # Relators are searched as strings with one code point per letter:
 # chr(letter + offset) for offset = generator count, so a presentation may
 # have at most sys.maxunicode // 2 generators (checked in tietze_simplify).
+# chr(offset), the code point of the non-letter 0, separates relators.
 MAX_ENCODED_RANK = sys.maxunicode // 2
 
 
 def _encode(word, offset):
-    return "".join([chr(letter + offset) for letter in word])
+    return "".join(map(chr, map(offset.__add__, word)))
 
 
-def _shorten_by(ri, relators, codes, offset):
-    """First substitution that shortens another relator by a piece of
-    relators[ri], as (rj, shortened relator), or None.
+class _Relator:
+    """A cyclically reduced relator with the values the Tietze loop reads,
+    each computed once: generator counts, the generators occurring once, a
+    signature that all its rotations and inverses share, and on demand the
+    canonical key and the search string."""
 
-    A piece is a prefix longer than half of a rotation of relators[ri] or
-    of its inverse; it is replaced by the inverse of the rest of that
-    rotation, which is shorter, so the first match is taken.  Search order:
-    piece length descending, rotations of the relator then of its inverse,
-    then rj, then position in relators[rj].  ``codes`` holds
-    ``_encode(s, offset)`` for each relator s.
-    """
-    r = relators[ri]
-    n = len(r)
-    doubled = [(base + base, _encode(base + base, offset)) for base in (r, invert(r))]
-    for length in range(n - 1, n // 2, -1):
-        for word, code in doubled:
-            for i in range(n):
-                piece = code[i : i + length]
-                for rj, s in enumerate(relators):
-                    if rj == ri:
-                        continue
-                    k = codes[rj].find(piece)
-                    if k != -1:
-                        complement = invert(word[i + length : i + n])
-                        return rj, cyclic_reduce(s[:k] + complement + s[k + length :])
-    return None
+    def __init__(self, word, offset):
+        self.word = word
+        self.offset = offset
+        self.counts = Counter(map(abs, word))
+        self.once = sorted(g for g, c in self.counts.items() if c == 1)
+        self.sig = (len(word), tuple(sorted(self.counts.items())))
+
+    @cached_property
+    def key(self):
+        return _canonical_relator_key(self.word)
+
+    @cached_property
+    def code(self):
+        return _encode(self.word, self.offset)
 
 
-def _substitute(word, target, replacement):
-    """Replace letter ``target`` by ``replacement`` (and inverses) in word."""
+def _join_reduced(chunks):
+    """Free reduction of the concatenation of freely reduced words: letters
+    cancel only where the kept part of one chunk meets the next."""
+    kept = []  # [word, start, end]: word[start:end] survives so far
+    for w in chunks:
+        i, n = 0, len(w)
+        while i < n and kept:
+            top = kept[-1]
+            if top[0][top[2] - 1] != -w[i]:
+                break
+            i += 1
+            top[2] -= 1
+            if top[2] == top[1]:
+                kept.pop()
+        if i < n:
+            kept.append([w, i, n])
     out = []
-    inv_rep = invert(replacement)
-    for letter in word:
-        if letter == target:
-            out.extend(replacement)
-        elif letter == -target:
-            out.extend(inv_rep)
-        else:
-            out.append(letter)
-    return free_reduce(out)
+    for w, i, n in kept:
+        out += w[i:n]
+    return tuple(out)
 
 
-def _renumber(words, removed_letter):
-    def remap(letter):
-        g = abs(letter)
-        shifted = g - 1 if g > removed_letter else g
-        return shifted if letter > 0 else -shifted
-
-    return [tuple(remap(x) for x in w) for w in words]
+def _cyclically_reduced(w):
+    """Cyclic reduction of a freely reduced word."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i : j + 1]
 
 
 def _clean(relators):
-    """Nontrivial cyclically reduced relators sorted by (length, word), one
-    per canonical key.  Idempotent: a clean list comes back unchanged."""
-    seen = set()
+    """Nontrivial relators sorted by (length, word), one per canonical key;
+    a key is computed only for a relator whose signature an earlier kept
+    relator has."""
     out = []
-    for r in sorted((cyclic_reduce(r) for r in relators), key=lambda w: (len(w), w)):
-        if not r:
-            continue
-        key = _canonical_relator_key(r)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
+    by_sig = {}
+    for rel in sorted(relators, key=lambda rel: (len(rel.word), rel.word)):
+        same = by_sig.setdefault(rel.sig, [])
+        if rel.word and not any(other.key == rel.key for other in same):
+            same.append(rel)
+            out.append(rel)
     return out
 
 
-def _eliminate_once(relators, names):
-    """Find a relator containing some generator exactly once (as g or g^-1)
-    and solve for it, in deterministic scan order; relators and names are
-    updated in place.  False, with nothing changed, when every elimination
-    is blocked or would grow a relator past DEFAULT_RELATOR_CAP."""
-    for ri, r in enumerate(relators):
-        counts = {}
-        for letter in r:
-            counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-        for g in sorted(counts):
-            if counts[g] != 1:
+def _substituted(rel, g, relators):
+    """Solve relator ``rel`` for g, which occurs in it once, and substitute
+    into the relators containing g: {relator: freely reduced new word}.
+    None when some other relator would have more than DEFAULT_RELATOR_CAP
+    letters afterwards, a relator without g because it has them already."""
+    if any(
+        other is not rel and g not in other.counts and len(other.word) > DEFAULT_RELATOR_CAP
+        for other in relators
+    ):
+        return None
+    r = rel.word
+    pos = r.index(g) if g in r else r.index(-g)
+    rest = r[pos + 1 :] + r[:pos]
+    image = {g: invert(rest), -g: rest} if r[pos] == g else {g: rest, -g: invert(rest)}
+    changed = {}
+    for other in relators:
+        if other is not rel and g in other.counts:
+            s = other.word
+            chunks, start = [], 0
+            for i in [i for i, x in enumerate(s) if x == g or x == -g]:
+                chunks += (s[start:i], image[s[i]])
+                start = i + 1
+            chunks.append(s[start:])
+            changed[other] = w = _join_reduced(chunks)
+            if len(w) > DEFAULT_RELATOR_CAP:
+                return None
+    return changed
+
+
+def _eliminate_once(relators):
+    """First elimination in scan order (relator, then generator occurring
+    once in it, ascending) that takes no relator past DEFAULT_RELATOR_CAP,
+    as (generator, new relators): the relator it is solved from is dropped
+    and only the relators containing it change.  (None, refused
+    generators) when there is none."""
+    refused = set()
+    for rel in relators:
+        for g in rel.once:
+            changed = _substituted(rel, g, relators)
+            if changed is None:
+                refused.add(g)
                 continue
-            pos = next(i for i, letter in enumerate(r) if abs(letter) == g)
-            if r[pos] < 0:
-                r = invert(r)
-                pos = len(r) - 1 - pos
-            u, v = r[:pos], r[pos + 1 :]
-            replacement = free_reduce(invert(u) + invert(v))
-            new_relators = []
-            ok = True
-            for rj, s in enumerate(relators):
-                if rj == ri:
-                    continue
-                s2 = _substitute(s, g, replacement)
-                if len(s2) > DEFAULT_RELATOR_CAP:
-                    ok = False
-                    break
-                new_relators.append(s2)
-            if not ok:
+            return g, [
+                _Relator(_cyclically_reduced(changed[other]), rel.offset)
+                if other in changed else other
+                for other in relators
+                if other is not rel
+            ]
+    return None, refused
+
+
+def _shorten_by(ri, words, joined, starts, offset):
+    """First substitution that shortens another relator by a piece of
+    words[ri], as (rj, shortened relator), or None.
+
+    A piece is a prefix longer than half of a rotation of words[ri] or of
+    its inverse; it is replaced by the inverse of the rest of that rotation,
+    which is shorter, so the first match is taken.  Search order: piece
+    length descending, rotations of the relator then of its inverse, then
+    rj, then position in words[rj].  ``joined`` is the search strings of
+    all relators joined by the separator, relator j starting at
+    ``starts[j]``; one search before and one after relator ri finds the
+    lowest rj, then the lowest position.  Every prefix of an occurring
+    piece occurs, so only rotations whose shortest piece occurs are
+    searched further, by bisection on the length.
+    """
+    r = words[ri]
+    n = len(r)
+    after = starts[ri] + n
+
+    def find(piece):
+        k = joined.find(piece, 0, starts[ri])
+        return joined.find(piece, after) if k == -1 else k
+
+    longest = max((len(s) for rj, s in enumerate(words) if rj != ri), default=0)
+    shortest, most = n // 2 + 1, min(n - 1, longest)
+    if shortest > most:
+        return None
+    best = None  # (length, word, code, i) of the first longest piece
+    for base in (r, invert(r)):
+        word = base + base
+        code = _encode(word, offset)
+        for i in range(n):
+            if find(code[i : i + shortest]) == -1:
                 continue
-            del names[g - 1]
-            relators[:] = _renumber(new_relators, g)
-            return True
-    return False
+            lo, hi = shortest, most  # the piece of length lo occurs
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if find(code[i : i + mid]) == -1:
+                    hi = mid - 1
+                else:
+                    lo = mid
+            if best is None or lo > best[0]:
+                best = (lo, word, code, i)
+    if best is None:
+        return None
+    length, word, code, i = best
+    k = find(code[i : i + length])
+    rj = bisect_right(starts, k) - 1
+    k -= starts[rj]
+    s = words[rj]
+    complement = invert(word[i + length : i + n])
+    return rj, _cyclically_reduced(_join_reduced((s[:k], complement, s[k + length :])))
 
 
 def _shorten_once(relators, offset):
     """Shorten one relator, in place, by a long piece (_shorten_by) of
     another of at most SHORTEN_LIMIT letters; False, with nothing changed,
     when there is none."""
-    codes = [_encode(s, offset) for s in relators]
-    for ri, r in enumerate(relators):
-        if len(r) < 2 or len(r) > SHORTEN_LIMIT:
-            continue
-        found = _shorten_by(ri, relators, codes, offset)
-        if found is not None:
-            rj, s2 = found
-            relators[rj] = s2
-            return True
+    words = [rel.word for rel in relators]
+    codes = [rel.code for rel in relators]
+    starts = list(accumulate((len(code) + 1 for code in codes[:-1]), initial=0))
+    joined = chr(offset).join(codes)
+    for ri, r in enumerate(words):
+        if 2 <= len(r) <= SHORTEN_LIMIT:
+            found = _shorten_by(ri, words, joined, starts, offset)
+            if found is not None:
+                rj, w = found
+                relators[rj] = _Relator(w, offset)
+                return True
     return False
 
 
@@ -276,29 +352,59 @@ def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
     ``TIETZE_PASSES`` such steps are made.  The generator count never
     increases and the group is unchanged up to isomorphism.
 
-    The substitution pass runs one C string search per piece of a relator
-    (quadratically many in its length) against every other relator, so it
-    takes pieces only from relators of at most ``SHORTEN_LIMIT`` letters.
-    Duplicate relators are found by a canonical key linear in their length;
-    they are dropped once up front and again after each elimination or
-    substitution, the only steps that change the relators.
+    The loop is incremental.  Letters keep their input numbers until one
+    renumbering at the end, which is monotone, so every sort, rotation and
+    search comes out as if renumbered after each step.  Each relator's
+    counts, key (Booth's least rotation, only when another relator has the
+    same length and letter multiset) and search string are computed once.
+    An elimination substitutes only into the relators containing the
+    generator and is refused when a relator would pass
+    ``DEFAULT_RELATOR_CAP``.  Substitutions take pieces only from relators
+    of at most ``SHORTEN_LIMIT`` letters, one C string search per piece.
+
+    The result's ``note`` names what the loop left undone: eliminations
+    refused at the relator cap (one per generator still occurring once in
+    a relator), or a stop at the step limit.
     """
-    names = list(pres.generators)
-    offset = len(names)
+    offset = pres.rank
     if effort >= 2 and offset > MAX_ENCODED_RANK:
         raise ValueError(
             f"Tietze effort 2 handles at most {MAX_ENCODED_RANK} generators, "
             f"not {offset}; use effort 1"
         )
-    relators = _clean(pres.relators)
+    # Presentation relators are cyclically reduced already.
+    relators = _clean([_Relator(w, offset) for w in pres.relators])
+    eliminated = set()
+    refused = ()
+    note = None
     for _ in range(TIETZE_PASSES):
-        if (effort >= 1 and _eliminate_once(relators, names)) or (
-            effort >= 2 and _shorten_once(relators, offset)
-        ):
+        if effort >= 1:
+            g, found = _eliminate_once(relators)
+            if g is not None:
+                eliminated.add(g)
+                relators = _clean(found)
+                continue
+            refused = found
+        if effort >= 2 and _shorten_once(relators, offset):
             relators = _clean(relators)
-        else:
-            break
-    return Presentation(generators=tuple(names), relators=tuple(relators))
+            continue
+        if refused:
+            note = (
+                f"Tietze refused {len(refused)} elimination{'s' * (len(refused) > 1)} "
+                f"at relator cap {DEFAULT_RELATOR_CAP}"
+            )
+        break
+    else:
+        note = f"Tietze stopped at its {TIETZE_PASSES}-step limit"
+    survivors = [g for g in range(1, offset + 1) if g not in eliminated]
+    new = {}
+    for i, g in enumerate(survivors, 1):
+        new[g], new[-g] = i, -i
+    return Presentation(
+        generators=tuple(pres.generators[g - 1] for g in survivors),
+        relators=tuple(tuple(map(new.__getitem__, rel.word)) for rel in relators),
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +412,20 @@ def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
 # ---------------------------------------------------------------------------
 
 
-def rank_bounds(table: CosetTable, report, effort: int = 2):
+class RankBounds(tuple):
+    """The rank interval (lower, upper); ``note`` is the note of the Tietze
+    result the upper bound came from, or None."""
+
+    def __new__(cls, lower, upper, note=None):
+        bounds = super().__new__(cls, (lower, upper))
+        bounds.note = note
+        return bounds
+
+    def __getnewargs__(self):  # for copy and pickle
+        return (*self, self.note)
+
+
+def rank_bounds(table: CosetTable, report, effort: int = 2) -> RankBounds:
     """Rank interval [lower, upper] for the subgroup of the table, given
     its homology report.
 
@@ -317,13 +436,15 @@ def rank_bounds(table: CosetTable, report, effort: int = 2):
     1 + index * (rank - 1), taken without rewriting.
     """
     lower = max([report.beta1] + list(report.b1p.values()))
+    note = None
     if effort == 0 or not table.pres.relators:
         upper = 1 + table.index * (table.pres.rank - 1)
     else:
-        upper = tietze_simplify(rewrite_presentation(table), effort=effort).rank
+        simplified = tietze_simplify(rewrite_presentation(table), effort=effort)
+        upper, note = simplified.rank, simplified.note
     if lower > upper:
         raise AssertionError(f"rank bounds crossed: {lower} > {upper}")
-    return lower, upper
+    return RankBounds(lower, upper, note)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,8 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
     if chain_len is None:
         chain_len = max(fixed // 2, min(fixed, 1))
     chain_len = min(chain_len, fixed)
-    others = list(range(1, fixed))
+    # without a base chain the base point is spread with the others
+    others = list(range(1 if chain_len else 0, fixed))
     cut = max(chain_len - 1, 0)
     chain_rest, spread = others[:cut], others[cut:]
     half = len(chain_rest) // 2

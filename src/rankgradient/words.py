@@ -80,6 +80,8 @@ class Presentation:
     generators: tuple
     relators: tuple = ()
     relator_texts: tuple = field(default=None, compare=False)
+    # what a simplification left undone, by name (set by tietze_simplify)
+    note: str = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):

@@ -1,15 +1,18 @@
+import re
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgradient.chains import hnn_chain, lamplighter_chain
+from rankgradient.chains import gradient_sequence, hnn_chain, lamplighter_chain
 from rankgradient.cosets import enumerate_cosets, low_index, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
     _canonical_relator_key,
-    _encode,
     _shorten_by,
     fold_subgroup_graph,
     rank_bounds,
@@ -25,6 +28,7 @@ from rankgradient.words import (
     Presentation,
     SubgroupSpec,
     cyclic_reduce,
+    free_reduce,
     invert,
     parse_presentation,
 )
@@ -152,6 +156,222 @@ def test_rank_bounds_sandwich():
     assert lower >= 1  # <a> in the subgroup maps onto Z/3
 
 
+# Reference Tietze loop: tietze_simplify as it stood before the incremental
+# loop, which renumbered and re-keyed every relator after every step and
+# searched each piece in each relator separately.  It reads the limits from
+# the subgroups module, so a test may lower them for both sides at once.
+
+
+def _ref_encode(word, offset):
+    return "".join([chr(letter + offset) for letter in word])
+
+
+def _ref_shorten_by(ri, relators, codes, offset):
+    r = relators[ri]
+    n = len(r)
+    doubled = [(base + base, _ref_encode(base + base, offset)) for base in (r, invert(r))]
+    for length in range(n - 1, n // 2, -1):
+        for word, code in doubled:
+            for i in range(n):
+                piece = code[i : i + length]
+                for rj, s in enumerate(relators):
+                    if rj == ri:
+                        continue
+                    k = codes[rj].find(piece)
+                    if k != -1:
+                        complement = invert(word[i + length : i + n])
+                        return rj, cyclic_reduce(s[:k] + complement + s[k + length :])
+    return None
+
+
+def _ref_substitute(word, target, replacement):
+    out = []
+    inv_rep = invert(replacement)
+    for letter in word:
+        if letter == target:
+            out.extend(replacement)
+        elif letter == -target:
+            out.extend(inv_rep)
+        else:
+            out.append(letter)
+    return free_reduce(out)
+
+
+def _ref_renumber(words, removed_letter):
+    def remap(letter):
+        g = abs(letter)
+        shifted = g - 1 if g > removed_letter else g
+        return shifted if letter > 0 else -shifted
+
+    return [tuple(remap(x) for x in w) for w in words]
+
+
+def _ref_clean(relators):
+    seen = set()
+    out = []
+    for r in sorted((cyclic_reduce(r) for r in relators), key=lambda w: (len(w), w)):
+        if not r:
+            continue
+        key = REF["key"](r)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(r)
+    return out
+
+
+def _ref_eliminate_once(relators, names):
+    for ri, r in enumerate(relators):
+        counts = {}
+        for letter in r:
+            counts[abs(letter)] = counts.get(abs(letter), 0) + 1
+        for g in sorted(counts):
+            if counts[g] != 1:
+                continue
+            pos = next(i for i, letter in enumerate(r) if abs(letter) == g)
+            if r[pos] < 0:
+                r = invert(r)
+                pos = len(r) - 1 - pos
+            u, v = r[:pos], r[pos + 1 :]
+            replacement = free_reduce(invert(u) + invert(v))
+            new_relators = []
+            ok = True
+            for rj, s in enumerate(relators):
+                if rj == ri:
+                    continue
+                s2 = _ref_substitute(s, g, replacement)
+                if len(s2) > subgroups.DEFAULT_RELATOR_CAP:
+                    ok = False
+                    break
+                new_relators.append(s2)
+            if not ok:
+                continue
+            del names[g - 1]
+            relators[:] = _ref_renumber(new_relators, g)
+            return True
+    return False
+
+
+def _ref_shorten_once(relators, offset):
+    codes = [_ref_encode(s, offset) for s in relators]
+    for ri, r in enumerate(relators):
+        if len(r) < 2 or len(r) > subgroups.SHORTEN_LIMIT:
+            continue
+        found = REF["shorten_by"](ri, relators, codes, offset)
+        if found is not None:
+            rj, s2 = found
+            relators[rj] = s2
+            return True
+    return False
+
+
+# The key and piece search of the reference loop; a test may swap in the
+# slicing oracles below.
+REF = {"key": _canonical_relator_key, "shorten_by": _ref_shorten_by}
+
+
+def reference_tietze(pres, effort):
+    names = list(pres.generators)
+    offset = len(names)
+    relators = _ref_clean(pres.relators)
+    for _ in range(subgroups.TIETZE_PASSES):
+        if (effort >= 1 and _ref_eliminate_once(relators, names)) or (
+            effort >= 2 and _ref_shorten_once(relators, offset)
+        ):
+            relators = _ref_clean(relators)
+        else:
+            break
+    return Presentation(generators=tuple(names), relators=tuple(relators))
+
+
+def once_occurring(pres):
+    """Generators occurring exactly once in some relator of pres."""
+    return {g for r in pres.relators for g, c in Counter(map(abs, r)).items() if c == 1}
+
+
+def refused_count(note):
+    """The elimination count of a Tietze note, 0 for no note."""
+    if note is None:
+        return 0
+    match = re.fullmatch(r"Tietze refused (\d+) eliminations? at relator cap 10000", note)
+    assert match, note
+    return int(match.group(1))
+
+
+def assert_matches_reference(pres, efforts=(0, 1, 2)):
+    for effort in efforts:
+        simplified = tietze_simplify(pres, effort=effort)
+        assert simplified == reference_tietze(pres, effort), (pres, effort)
+        if effort >= 1 and simplified.note is None:
+            assert not once_occurring(simplified)
+
+
+@pytest.mark.parametrize("levels", [range(1, 9), range(9, 13), range(13, 17)])
+def test_tietze_matches_reference_on_fig8(levels):
+    chain = hnn_chain(preset("fig8"), "t", max(levels))
+    for n in levels:
+        assert_matches_reference(rewrite_presentation(chain.levels[n]))
+
+
+def tower_rewrites():
+    for group, mu in (("z2z2", Fraction(1, 2)), ("s3", Fraction(3, 4))):
+        for cover in build_tower(preset(group), mu, 1, scale=12, seed=0):
+            yield rewrite_presentation(cover_table(cover))
+
+
+def test_tietze_matches_reference_on_tower_rewrites():
+    for pres in tower_rewrites():
+        assert_matches_reference(pres)
+
+
+@pytest.mark.parametrize(
+    "name,max_index", [("fig8", 4), ("surface2", 3), ("s3", 6), ("z2z2", 4), ("lamplighter2", 4)]
+)
+def test_tietze_matches_reference_on_low_index_subgroups(name, max_index):
+    tables = low_index(preset(name), max_index)
+    assert tables
+    for table in tables:
+        assert_matches_reference(rewrite_presentation(table))
+
+
+def test_tietze_over_cap_relator_blocks_only_what_it_does_not_contain():
+    big = (1, 2) * 5001  # (a b)^5001, 10002 letters
+    # b a solves a = b^-1, which empties the big relator: allowed
+    pres = Presentation(generators=("a", "b", "c"), relators=(big, (2, 1), (3, 3)))
+    assert_matches_reference(pres)
+    simplified = tietze_simplify(pres, effort=1)
+    assert simplified.generators == ("b", "c")
+    assert simplified.note is None
+    # c d^-1 could eliminate c or d, but the big relator holds neither
+    pres = Presentation(generators=("a", "b", "c", "d"), relators=(big, (3, -4)))
+    assert_matches_reference(pres)
+    simplified = tietze_simplify(pres, effort=2)
+    assert simplified.rank == 4
+    assert simplified.note == "Tietze refused 2 eliminations at relator cap 10000"
+    assert len(once_occurring(simplified)) == 2
+
+
+def test_tietze_names_its_step_limit(monkeypatch):
+    pres = rewrite_presentation(hnn_chain(preset("fig8"), "t", 6).levels[6])
+    monkeypatch.setattr(subgroups, "TIETZE_PASSES", 3)
+    assert_matches_reference(pres)
+    simplified = tietze_simplify(pres, effort=1)
+    assert simplified.rank == pres.rank - 3
+    assert simplified.note == "Tietze stopped at its 3-step limit"
+
+
+def test_tietze_notes_pinned_at_fig8_depth_24():
+    chain = hnn_chain(preset("fig8"), "t", 24)
+    report = gradient_sequence(chain)
+    counts = [refused_count(st.note) for st in report.levels]
+    assert counts == [0] * 17 + [1, 1, 2, 2, 2, 2, 1, 3]
+    # independently: the generators that still occur once in a relator
+    for n in range(17, 25):
+        simplified = tietze_simplify(rewrite_presentation(chain.levels[n]))
+        assert len(once_occurring(simplified)) == counts[n]
+        assert report.levels[n].rank_upper == 3  # the spec words still bound it
+
+
 # Oracles for the Tietze internals: the plain slicing versions.
 
 
@@ -219,20 +439,60 @@ def relator_lists(draw):
 @settings(max_examples=300, deadline=None)
 def test_piece_search_matches_slicing(data):
     rank, relators = data
-    codes = [_encode(s, rank) for s in relators]
+    codes = [_ref_encode(s, rank) for s in relators]
+    starts = list(accumulate((len(code) + 1 for code in codes[:-1]), initial=0))
+    joined = chr(rank).join(codes)
     for ri in range(len(relators)):
-        assert _shorten_by(ri, relators, codes, rank) == slice_shortening(ri, relators)
+        expected = slice_shortening(ri, relators)
+        assert _ref_shorten_by(ri, relators, codes, rank) == expected
+        assert _shorten_by(ri, relators, joined, starts, rank) == expected
 
 
 def test_tietze_matches_slicing_oracles_on_fig8(monkeypatch):
     chain = hnn_chain(preset("fig8"), "t", 12)
     rewritten = [rewrite_presentation(chain.levels[n]) for n in range(1, 13)]
     fast = [tietze_simplify(pres) for pres in rewritten]
-    monkeypatch.setattr(subgroups, "_canonical_relator_key", rotation_key)
-    monkeypatch.setattr(
-        subgroups, "_shorten_by", lambda ri, relators, codes, offset: slice_shortening(ri, relators)
+    monkeypatch.setitem(REF, "key", rotation_key)
+    monkeypatch.setitem(
+        REF, "shorten_by", lambda ri, relators, codes, offset: slice_shortening(ri, relators)
     )
-    assert [tietze_simplify(pres) for pres in rewritten] == fast
+    assert [reference_tietze(pres, 2) for pres in rewritten] == fast
+
+
+@st.composite
+def tietze_inputs(draw):
+    """Relator lists with planted rotations, inverses and pieces of other
+    relators, and small caps and limits so that refusals, the step limit
+    and the shortening limit all come up."""
+    rank, relators = draw(relator_lists())
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.sampled_from(relators))
+        base = draw(st.sampled_from((r, invert(r))))
+        i = draw(st.integers(0, max(len(base) - 1, 0)))
+        relators.append(base[i:] + base[:i])
+    relators = draw(st.permutations(relators))
+    pres = Presentation(generators=tuple(f"x{i}" for i in range(rank)), relators=tuple(relators))
+    limits = {
+        "DEFAULT_RELATOR_CAP": draw(st.sampled_from((4, 8, 16, 10_000))),
+        "TIETZE_PASSES": draw(st.sampled_from((1, 2, 200))),
+        "SHORTEN_LIMIT": draw(st.sampled_from((3, 6, 200))),
+    }
+    return pres, limits
+
+
+@given(tietze_inputs())
+@settings(max_examples=400, deadline=None)
+def test_tietze_matches_reference_on_planted_relators(data):
+    pres, limits = data
+    with mock.patch.multiple(subgroups, **limits):
+        for effort in (0, 1, 2):
+            simplified = tietze_simplify(pres, effort=effort)
+            assert simplified == reference_tietze(pres, effort), (pres, effort, limits)
+            if simplified.note and simplified.note.startswith("Tietze refused"):
+                count = int(simplified.note.split()[2])
+                assert count == len(once_occurring(simplified))
+            elif simplified.note is None and effort >= 1:
+                assert not once_occurring(simplified)
 
 
 def test_tietze_rejects_ranks_beyond_the_encoding(monkeypatch):
@@ -247,15 +507,15 @@ def cleaning_after_every_pass(pres, effort):
     """Reference Tietze loop that cleans the relators after every pass, even
     one that changed nothing."""
     names = list(pres.generators)
-    relators = subgroups._clean(pres.relators)
+    relators = _ref_clean(pres.relators)
     for _ in range(200):
         progress = False
-        if effort >= 1 and subgroups._eliminate_once(relators, names):
+        if effort >= 1 and _ref_eliminate_once(relators, names):
             progress = True
-        relators = subgroups._clean(relators)
-        if effort >= 2 and not progress and subgroups._shorten_once(relators, pres.rank):
+        relators = _ref_clean(relators)
+        if effort >= 2 and not progress and _ref_shorten_once(relators, pres.rank):
             progress = True
-            relators = subgroups._clean(relators)
+            relators = _ref_clean(relators)
         if not progress:
             break
     return Presentation(generators=tuple(names), relators=tuple(relators))
@@ -264,9 +524,7 @@ def cleaning_after_every_pass(pres, effort):
 def test_tietze_cleans_only_after_a_change(monkeypatch):
     chain = hnn_chain(preset("fig8"), "t", 12)
     corpus = [rewrite_presentation(chain.levels[n]) for n in range(1, 13)]
-    for group, mu in (("z2z2", Fraction(1, 2)), ("s3", Fraction(3, 4))):
-        for cover in build_tower(preset(group), mu, 1, scale=12, seed=0):
-            corpus.append(rewrite_presentation(cover_table(cover)))
+    corpus += tower_rewrites()
     for pres in corpus:
         for effort in (0, 1, 2):
             expected = cleaning_after_every_pass(pres, effort)

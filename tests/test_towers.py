@@ -866,3 +866,17 @@ def test_route_search_reference_covers_the_edge_cases():
         "no route satisfying the hub constraints found for mu=3/4, scale=4; "
         "try a larger scale",
     )
+
+
+@pytest.mark.parametrize("group", ["s3", "z2z2"])
+@pytest.mark.parametrize("mu", ["1/2", "3/4"])
+def test_route_without_base_chain_visits_the_base_point(group, mu):
+    # chain_len=0 spreads the base point 0 with the other fixed points
+    data = finite_group_data(preset(group))
+    for scale in (1, 6, 12):
+        cover = _base_cover(data, Fraction(mu), scale, chain_len=0)
+        x, cycle = 0, []
+        while x not in cycle:
+            cycle.append(x)
+            x = cover.sigma[x]
+        assert sorted(cycle) == list(range(cover.n))
