@@ -218,7 +218,7 @@ class LevelStats:
     b1p: dict = None
     exact: bool = False
     error: str = None
-    note: str = None  # a cap that weakened a bound of this level, by name
+    note: str = None  # a cap or limit met in bounding this level, by name
 
     def ratios(self):
         """The four gradient ratios at this level as exact rationals."""
@@ -245,9 +245,10 @@ class GradientReport:
 def _level_stats(table, level, primes, effort):
     """LevelStats of one level.  When rewriting for the Tietze upper bound
     trips the relator length cap, the level keeps its homology and reports
-    the Schreier count (the effort-0 bound), with a note naming the cap;
-    a note of the Tietze result (refused eliminations, the step limit) is
-    carried over."""
+    the Schreier count (the effort-0 bound), with a note naming the cap.
+    A note of the Tietze result (the step limit, refused eliminations) is
+    carried over, saying so when the spec words give a lower rank_upper
+    than Tietze, which the note then does not touch."""
     try:
         report = subgroup_homology(table, primes)
         try:
@@ -262,6 +263,11 @@ def _level_stats(table, level, primes, effort):
             # the spec words generate the subgroup by construction, so their
             # count is a certified upper bound too
             upper = max(min(upper, len(spec.generators)), lower)
+            if bounds.note and upper < bounds[1]:
+                note = (
+                    f"{bounds.note} (its bound is {bounds[1]}; rank_upper {upper} "
+                    "comes from the spec words and is unaffected)"
+                )
         return LevelStats(
             level=level,
             index=table.index,

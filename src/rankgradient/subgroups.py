@@ -155,16 +155,24 @@ def _encode(word, offset):
 
 class _Relator:
     """A cyclically reduced relator with the values the Tietze loop reads,
-    each computed once: generator counts, the generators occurring once, a
-    signature that all its rotations and inverses share, and on demand the
-    canonical key and the search string."""
+    each computed once and only when read: a signature that all its
+    rotations and inverses share (its length and generator set), generator
+    counts, the generators occurring once, the canonical key and the search
+    string."""
 
     def __init__(self, word, offset):
         self.word = word
         self.offset = offset
-        self.counts = Counter(map(abs, word))
-        self.once = sorted(g for g, c in self.counts.items() if c == 1)
-        self.sig = (len(word), tuple(sorted(self.counts.items())))
+        self.gens = frozenset(map(abs, word))
+        self.sig = (len(word), self.gens)
+
+    @cached_property
+    def counts(self):
+        return Counter(map(abs, self.word))
+
+    @cached_property
+    def once(self):
+        return sorted(g for g, c in self.counts.items() if c == 1)
 
     @cached_property
     def key(self):
@@ -213,8 +221,12 @@ def _clean(relators):
     out = []
     by_sig = {}
     for rel in sorted(relators, key=lambda rel: (len(rel.word), rel.word)):
-        same = by_sig.setdefault(rel.sig, [])
-        if rel.word and not any(other.key == rel.key for other in same):
+        same = by_sig.get(rel.sig)
+        if same is None:
+            if rel.word:
+                by_sig[rel.sig] = [rel]
+                out.append(rel)
+        elif all(other.key != rel.key for other in same):
             same.append(rel)
             out.append(rel)
     return out
@@ -226,7 +238,7 @@ def _substituted(rel, g, relators):
     None when some other relator would have more than DEFAULT_RELATOR_CAP
     letters afterwards, a relator without g because it has them already."""
     if any(
-        other is not rel and g not in other.counts and len(other.word) > DEFAULT_RELATOR_CAP
+        other is not rel and g not in other.gens and len(other.word) > DEFAULT_RELATOR_CAP
         for other in relators
     ):
         return None
@@ -236,7 +248,7 @@ def _substituted(rel, g, relators):
     image = {g: invert(rest), -g: rest} if r[pos] == g else {g: rest, -g: invert(rest)}
     changed = {}
     for other in relators:
-        if other is not rel and g in other.counts:
+        if other is not rel and g in other.gens:
             s = other.word
             chunks, start = [], 0
             for i in [i for i, x in enumerate(s) if x == g or x == -g]:
@@ -252,9 +264,10 @@ def _substituted(rel, g, relators):
 def _eliminate_once(relators):
     """First elimination in scan order (relator, then generator occurring
     once in it, ascending) that takes no relator past DEFAULT_RELATOR_CAP,
-    as (generator, new relators): the relator it is solved from is dropped
-    and only the relators containing it change.  (None, refused
-    generators) when there is none."""
+    as (generator, new relators, generators refused before it): the
+    relator it is solved from is dropped and only the relators containing
+    the generator change.  (None, None, refused generators) when there is
+    none."""
     refused = set()
     for rel in relators:
         for g in rel.once:
@@ -267,8 +280,8 @@ def _eliminate_once(relators):
                 if other in changed else other
                 for other in relators
                 if other is not rel
-            ]
-    return None, refused
+            ], refused
+    return None, None, refused
 
 
 def _shorten_by(ri, words, joined, starts, offset):
@@ -326,9 +339,8 @@ def _shorten_by(ri, words, joined, starts, offset):
 
 
 def _shorten_once(relators, offset):
-    """Shorten one relator, in place, by a long piece (_shorten_by) of
-    another of at most SHORTEN_LIMIT letters; False, with nothing changed,
-    when there is none."""
+    """The relators with one shortened by a long piece (_shorten_by) of
+    another of at most SHORTEN_LIMIT letters, or None when there is none."""
     words = [rel.word for rel in relators]
     codes = [rel.code for rel in relators]
     starts = list(accumulate((len(code) + 1 for code in codes[:-1]), initial=0))
@@ -338,9 +350,8 @@ def _shorten_once(relators, offset):
             found = _shorten_by(ri, words, joined, starts, offset)
             if found is not None:
                 rj, w = found
-                relators[rj] = _Relator(w, offset)
-                return True
-    return False
+                return relators[:rj] + [_Relator(w, offset)] + relators[rj + 1 :]
+    return None
 
 
 def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
@@ -356,15 +367,17 @@ def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
     renumbering at the end, which is monotone, so every sort, rotation and
     search comes out as if renumbered after each step.  Each relator's
     counts, key (Booth's least rotation, only when another relator has the
-    same length and letter multiset) and search string are computed once.
+    same length and generator set) and search string are computed at most
+    once, when first read, so effort 0 builds neither counts nor strings.
     An elimination substitutes only into the relators containing the
     generator and is refused when a relator would pass
     ``DEFAULT_RELATOR_CAP``.  Substitutions take pieces only from relators
     of at most ``SHORTEN_LIMIT`` letters, one C string search per piece.
 
-    The result's ``note`` names what the loop left undone: eliminations
-    refused at the relator cap (one per generator still occurring once in
-    a relator), or a stop at the step limit.
+    The result's ``note`` names what the loop left undone: a stop at the
+    step limit, when one more step was there to take, and the eliminations
+    the last scan refused at the relator cap.  Without a stop at the limit
+    these are one per generator still occurring once in a relator.
     """
     offset = pres.rank
     if effort >= 2 and offset > MAX_ENCODED_RANK:
@@ -375,35 +388,39 @@ def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
     # Presentation relators are cyclically reduced already.
     relators = _clean([_Relator(w, offset) for w in pres.relators])
     eliminated = set()
-    refused = ()
-    note = None
-    for _ in range(TIETZE_PASSES):
+    # The step after the last allowed one is looked for but not taken, so
+    # that the limit is named only when it left a step undone.
+    for step in range(TIETZE_PASSES + 1):
+        g = found = None
+        refused = ()
         if effort >= 1:
-            g, found = _eliminate_once(relators)
-            if g is not None:
-                eliminated.add(g)
-                relators = _clean(found)
-                continue
-            refused = found
-        if effort >= 2 and _shorten_once(relators, offset):
-            relators = _clean(relators)
-            continue
-        if refused:
-            note = (
-                f"Tietze refused {len(refused)} elimination{'s' * (len(refused) > 1)} "
-                f"at relator cap {DEFAULT_RELATOR_CAP}"
-            )
-        break
-    else:
-        note = f"Tietze stopped at its {TIETZE_PASSES}-step limit"
+            g, found, refused = _eliminate_once(relators)
+        if found is None and effort >= 2:
+            found = _shorten_once(relators, offset)
+        if found is None or step == TIETZE_PASSES:
+            break
+        if g is not None:
+            eliminated.add(g)
+        relators = _clean(found)
+    undone = []
+    if found is not None:
+        undone.append(f"stopped at its {TIETZE_PASSES}-step limit")
+    if refused:
+        undone.append(
+            f"refused {len(refused)} elimination{'s' * (len(refused) > 1)} "
+            f"at relator cap {DEFAULT_RELATOR_CAP}"
+        )
     survivors = [g for g in range(1, offset + 1) if g not in eliminated]
-    new = {}
-    for i, g in enumerate(survivors, 1):
-        new[g], new[-g] = i, -i
+    words = [rel.word for rel in relators]
+    if eliminated:
+        new = {}
+        for i, g in enumerate(survivors, 1):
+            new[g], new[-g] = i, -i
+        words = [tuple(map(new.__getitem__, w)) for w in words]
     return Presentation(
         generators=tuple(pres.generators[g - 1] for g in survivors),
-        relators=tuple(tuple(map(new.__getitem__, rel.word)) for rel in relators),
-        note=note,
+        relators=tuple(words),
+        note="Tietze " + " and ".join(undone) if undone else None,
     )
 
 
@@ -420,9 +437,6 @@ class RankBounds(tuple):
         bounds = super().__new__(cls, (lower, upper))
         bounds.note = note
         return bounds
-
-    def __getnewargs__(self):  # for copy and pickle
-        return (*self, self.note)
 
 
 def rank_bounds(table: CosetTable, report, effort: int = 2) -> RankBounds:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankgradient import chains
 from rankgradient.chains import (
     farber_chain,
     farber_defect,
@@ -17,6 +18,7 @@ from rankgradient.chains import (
 )
 from rankgradient.cosets import enumerate_cosets, is_normal
 from rankgradient.errors import BudgetError
+from rankgradient.subgroups import RankBounds
 from rankgradient.words import free_reduce, parse_presentation
 
 FIG8 = "gens a b t\nrel t^-1 a t = b^-1\nrel t^-1 b t = b^2 a b\n"
@@ -182,3 +184,19 @@ def test_relator_cap_keeps_the_level_and_names_the_cap():
     fig8 = gradient_sequence(hnn_chain(parsed(FIG8)[0], "t", 2))
     assert all(st.note is None for st in fig8.levels)
     assert all("note" not in lv for lv in json.loads(report_to_json(fig8))["levels"])
+
+
+def test_tietze_note_says_when_the_spec_words_give_rank_upper(monkeypatch):
+    # fig8 level 4 has 3 spec words
+    table = hnn_chain(parsed(FIG8)[0], "t", 4).levels[4]
+    assert len(table.spec.generators) == 3
+    note = "Tietze refused 1 elimination at relator cap 10000"
+    for tietze_upper, expected in [
+        (3, note),
+        (5, f"{note} (its bound is 5; rank_upper 3 comes from the spec words and is unaffected)"),
+    ]:
+        monkeypatch.setattr(
+            chains, "rank_bounds", lambda table, report, effort: RankBounds(3, tietze_upper, note)
+        )
+        st = chains._level_stats(table, 4, (2,), 2)
+        assert (st.rank_upper, st.note) == (3, expected)

@@ -289,13 +289,38 @@ def once_occurring(pres):
     return {g for r in pres.relators for g, c in Counter(map(abs, r)).items() if c == 1}
 
 
-def refused_count(note):
-    """The elimination count of a Tietze note, 0 for no note."""
+def note_parts(note):
+    """(whether it names a stop at the step limit, refused eliminations) of
+    a Tietze note; (False, 0) for no note."""
     if note is None:
-        return 0
-    match = re.fullmatch(r"Tietze refused (\d+) eliminations? at relator cap 10000", note)
+        return False, 0
+    assert note.startswith("Tietze "), note
+    parts = note.removeprefix("Tietze ").split(" and ")
+    limit = parts[0] == f"stopped at its {subgroups.TIETZE_PASSES}-step limit"
+    parts = parts[limit:]
+    if not parts:
+        return limit, 0
+    (part,) = parts
+    match = re.fullmatch(
+        rf"refused (\d+) elimination(s?) at relator cap {subgroups.DEFAULT_RELATOR_CAP}", part
+    )
     assert match, note
-    return int(match.group(1))
+    count = int(match.group(1))
+    assert count >= 1 and (match.group(2) == "s") == (count > 1), note
+    return limit, count
+
+
+def refused_count(note):
+    """The elimination count of a Tietze note that names no step limit."""
+    limit, count = note_parts(note)
+    assert not limit, note
+    return count
+
+
+def reference_at_limit(pres, effort, passes):
+    """The reference loop with at most ``passes`` steps."""
+    with mock.patch.object(subgroups, "TIETZE_PASSES", passes):
+        return reference_tietze(pres, effort)
 
 
 def assert_matches_reference(pres, efforts=(0, 1, 2)):
@@ -360,16 +385,54 @@ def test_tietze_names_its_step_limit(monkeypatch):
     assert simplified.note == "Tietze stopped at its 3-step limit"
 
 
+@pytest.mark.parametrize("effort", [1, 2])
+def test_tietze_names_the_step_limit_only_when_a_step_is_left(effort):
+    pres = rewrite_presentation(hnn_chain(preset("fig8"), "t", 6).levels[6])
+    final = reference_tietze(pres, effort)
+    # the fewest steps that reach the final presentation
+    steps = next(k for k in range(1, 200) if reference_at_limit(pres, effort, k) == final)
+    with mock.patch.object(subgroups, "TIETZE_PASSES", steps):
+        simplified = tietze_simplify(pres, effort=effort)
+        assert simplified == final
+        assert simplified.note is None
+    with mock.patch.object(subgroups, "TIETZE_PASSES", steps - 1):
+        simplified = tietze_simplify(pres, effort=effort)
+        assert simplified == reference_tietze(pres, effort) != final
+        assert simplified.note == f"Tietze stopped at its {steps - 1}-step limit"
+
+
+def test_tietze_names_refusals_with_the_step_limit(monkeypatch):
+    big = (1, 2) * 5001  # (a b)^5001, 10002 letters
+    # a c: a = c^-1 leaves the big relator over the cap, and it holds no c,
+    # so both are refused before b a eliminates a, which empties it
+    pres = Presentation(generators=("a", "b", "c"), relators=(big, (2, 1), (1, 3)))
+    monkeypatch.setattr(subgroups, "TIETZE_PASSES", 0)
+    assert_matches_reference(pres)
+    simplified = tietze_simplify(pres, effort=1)
+    assert simplified.rank == 3
+    assert simplified.note == (
+        "Tietze stopped at its 0-step limit and refused 2 eliminations at relator cap 10000"
+    )
+    monkeypatch.setattr(subgroups, "TIETZE_PASSES", 1)
+    assert tietze_simplify(pres, effort=1).generators == ("b", "c")
+
+
 def test_tietze_notes_pinned_at_fig8_depth_24():
     chain = hnn_chain(preset("fig8"), "t", 24)
     report = gradient_sequence(chain)
-    counts = [refused_count(st.note) for st in report.levels]
+    notes = [st.note and st.note.split(" (")[0] for st in report.levels]
+    counts = [refused_count(note) for note in notes]
     assert counts == [0] * 17 + [1, 1, 2, 2, 2, 2, 1, 3]
     # independently: the generators that still occur once in a relator
     for n in range(17, 25):
         simplified = tietze_simplify(rewrite_presentation(chain.levels[n]))
         assert len(once_occurring(simplified)) == counts[n]
-        assert report.levels[n].rank_upper == 3  # the spec words still bound it
+        # the spec words still bound rank_upper, and the note says so
+        assert report.levels[n].rank_upper == 3 < simplified.rank
+        assert report.levels[n].note == (
+            f"{notes[n]} (its bound is {simplified.rank}; rank_upper 3 "
+            "comes from the spec words and is unaffected)"
+        )
 
 
 # Oracles for the Tietze internals: the plain slicing versions.
@@ -488,11 +551,16 @@ def test_tietze_matches_reference_on_planted_relators(data):
         for effort in (0, 1, 2):
             simplified = tietze_simplify(pres, effort=effort)
             assert simplified == reference_tietze(pres, effort), (pres, effort, limits)
-            if simplified.note and simplified.note.startswith("Tietze refused"):
-                count = int(simplified.note.split()[2])
+            # the limit is named exactly when one more step changes the result
+            limit, count = note_parts(simplified.note)
+            passes = limits["TIETZE_PASSES"]
+            assert limit == (reference_at_limit(pres, effort, passes + 1) != simplified)
+            if effort == 0:
+                assert simplified.note is None
+            elif limit:
+                assert count <= len(once_occurring(simplified))
+            else:
                 assert count == len(once_occurring(simplified))
-            elif simplified.note is None and effort >= 1:
-                assert not once_occurring(simplified)
 
 
 def test_tietze_rejects_ranks_beyond_the_encoding(monkeypatch):
