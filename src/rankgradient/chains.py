@@ -10,8 +10,6 @@ generators while the index is only 2^n.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -28,7 +26,7 @@ from .cosets import (
 from .errors import BudgetError, InternalInvariantError, RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES
 from .subgroups import rank_bounds, subgroup_homology
-from .words import Presentation, SubgroupSpec, Word, frac_str, free_reduce
+from .words import Presentation, SubgroupSpec, Word, csv_table, frac_str, free_reduce
 
 DEFAULT_CHAIN_INDEX_CAP = 10_000
 
@@ -378,7 +376,6 @@ def report_to_json(report: GradientReport) -> str:
 
 def report_to_csv(report: GradientReport) -> str:
     """CSV with exact "p/q" ratio columns plus 6-place decimal approximations."""
-    buf = io.StringIO()
     ratio_keys = ["rank_upper", "rank_lower", "beta1"] + [
         f"b1_{p}" for p in report.primes
     ]
@@ -389,19 +386,17 @@ def report_to_csv(report: GradientReport) -> str:
         + [f"ratio_{k}_approx" for k in ratio_keys]
         + ["exact", "error"]
     )
-    writer = csv.writer(buf)
-    writer.writerow(header)
+    rows = []
     for st in report.levels:
         if st.error:
-            row = [st.level, st.index] + [""] * (len(header) - 4) + ["", st.error]
+            rows.append([st.level, st.index] + [""] * (len(header) - 4) + ["", st.error])
         else:
             ratios = st.ratios()
-            row = (
+            rows.append(
                 [st.level, st.index, st.rank_lower, st.rank_upper, st.schreier_upper, st.beta1]
                 + [st.b1p[p] for p in report.primes]
                 + [frac_str(ratios[k]) for k in ratio_keys]
                 + [f"{float(ratios[k]):.6f}" for k in ratio_keys]
                 + [st.exact, f"NOTE {st.note}" if st.note else ""]
             )
-        writer.writerow(row)
-    return buf.getvalue()
+    return csv_table(header, rows)

@@ -2,10 +2,10 @@
 
 Commands: enumerate, lowindex, chain, gradient, graphing, tower, validate.
 Each command takes only the options it reads, and offers --format csv
-only where a CSV form exists.  Every report embeds the tool version and an
-echo of the effective config, in which an option the command does not take
-shows its RunConfig default; repeated runs with the same config produce
-byte-identical output.
+only where a CSV form exists.  Every report embeds the tool version and a
+config echo: the command, its source and every option its parser defines,
+as parsed (defaults included), with keys sorted; repeated runs with the
+same config produce byte-identical output.
 
 Exit codes: 0 ok, 1 I/O error, 2 parse/config error, 3 budget exhausted,
 4 internal invariant violation (a bug).
@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from importlib import resources
 
 from . import __version__
 from .cache import CACHE_DIR_ENV, TableCache
 from .chains import (
+    DEFAULT_CHAIN_INDEX_CAP,
     farber_chain,
     gradient_sequence,
     hnn_chain,
@@ -41,7 +41,13 @@ from .towers import (
     tower_report_to_csv,
     tower_report_to_obj,
 )
-from .words import ParseError, frac_str, parse_presentation, serialize_presentation
+from .words import (
+    ParseError,
+    csv_table,
+    frac_str,
+    parse_presentation,
+    serialize_presentation,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -59,21 +65,6 @@ PRESET_NAMES = (
     "lamplighter2",
     "lamplighter3",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    source: str  # "preset:<name>" or "file:<path>"
-    depth: int = None
-    coset_cap: int = DEFAULT_COSET_CAP
-    index_cap: int = None
-    effort: int = 2
-    primes: tuple = DEFAULT_PRIMES
-    format: str = "json"
-    cache_dir: str = None
-    seed: int = 0
-    extra: tuple = ()  # command-specific (flag, value) pairs, sorted
 
 
 def load_source(args):
@@ -108,32 +99,22 @@ def pick_spec(args, specs):
     return None
 
 
-def _config(args, source, **extra):
-    """RunConfig of a command: the options it takes, RunConfig defaults for
-    the rest."""
-    taken = {
-        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
-    }
-    return RunConfig(
-        **taken,
-        source=source,
-        extra=tuple(sorted((k, str(v)) for k, v in extra.items() if v is not None)),
-    )
+def emit(args, source, body_obj=None, body_csv=None, body_text=None) -> str:
+    """Wrap a report in the version/config envelope for the chosen format.
 
-
-def emit(config: RunConfig, body_obj=None, body_csv=None, body_text=None) -> str:
-    """Wrap a report in the version/config envelope for the chosen format."""
-    echo = asdict(config)
-    echo["primes"] = list(echo["primes"])
-    echo["extra"] = [list(kv) for kv in echo["extra"]]
-    if config.format == "json":
+    The config echoes the command, the source and every option the
+    command's parser defines, as parsed; --preset and --input are left to
+    ``source``.
+    """
+    echo = {k: v for k, v in vars(args).items() if k not in ("preset", "input")}
+    echo["source"] = source
+    echo = dict(sorted(echo.items()))
+    if args.format == "json":
         return json.dumps(
-            {"version": __version__, "config": echo, "report": body_obj},
-            indent=2,
-            sort_keys=False,
+            {"version": __version__, "config": echo, "report": body_obj}, indent=2
         ) + "\n"
-    header = f"# rankgradient {__version__}\n# config {json.dumps(echo, sort_keys=True)}\n"
-    return header + (body_csv if config.format == "csv" else body_text)
+    header = f"# rankgradient {__version__}\n# config {json.dumps(echo)}\n"
+    return header + (body_csv if args.format == "csv" else body_text)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +127,6 @@ def cmd_enumerate(args):
     spec = pick_spec(args, specs)
     cache = TableCache(args.cache_dir)
     table = cache.enumerate(pres, spec, cap=args.coset_cap, provenance="cli")
-    config = _config(args, source, sub=args.sub)
     obj = {
         "index": table.index,
         "subgroup": spec.name if spec else "1",
@@ -159,7 +139,7 @@ def cmd_enumerate(args):
         f"index {table.index} (subgroup {obj['subgroup']}, "
         f"cache {'hit' if cache.hits else 'miss'})\n"
     )
-    return emit(config, body_obj=obj, body_text=text)
+    return emit(args, source, body_obj=obj, body_text=text)
 
 
 def cmd_lowindex(args):
@@ -168,18 +148,17 @@ def cmd_lowindex(args):
     counts = {}
     for t in tables:
         counts[t.index] = counts.get(t.index, 0) + 1
-    config = _config(args, source, max=args.max)
     obj = {
         "counts": {str(k): counts.get(k, 0) for k in range(1, args.max + 1)},
         "total": len(tables),
     }
-    csv_body = "index,count\n" + "".join(
-        f"{k},{counts.get(k, 0)}\n" for k in range(1, args.max + 1)
+    csv_body = csv_table(
+        ["index", "count"], [[k, counts.get(k, 0)] for k in range(1, args.max + 1)]
     )
     text = "".join(
         f"index {k}: {counts.get(k, 0)} subgroups\n" for k in range(1, args.max + 1)
     )
-    return emit(config, body_obj=obj, body_csv=csv_body, body_text=text)
+    return emit(args, source, body_obj=obj, body_csv=csv_body, body_text=text)
 
 
 def build_chain(args, pres, specs, source):
@@ -203,8 +182,9 @@ def build_chain(args, pres, specs, source):
             if len(specs) != 1:
                 raise ParseError("farber chains need --sub naming the seed subgroup")
             spec = next(iter(specs.values()))
-        kwargs = {} if args.index_cap is None else {"index_cap": args.index_cap}
-        return farber_chain(pres, spec, args.depth, coset_cap=args.coset_cap, **kwargs)
+        return farber_chain(
+            pres, spec, args.depth, coset_cap=args.coset_cap, index_cap=args.index_cap
+        )
     if kind == "hnn":
         return hnn_chain(pres, args.stable, args.depth)
     if kind == "lamplighter":
@@ -221,10 +201,6 @@ def cmd_chain(args, gradient_only=False):
     pres, specs, source = load_source(args)
     chain = build_chain(args, pres, specs, source)
     report = gradient_sequence(chain, primes=args.primes, effort=args.effort)
-    config = _config(
-        args, source, kind=args.kind, sub=args.sub,
-        stable=args.stable, m=args.m,
-    )
     body = report_to_obj(report)
     if not gradient_only:
         body["chain"] = {
@@ -247,7 +223,8 @@ def cmd_chain(args, gradient_only=False):
                 f"beta1 {st.beta1} | {ratios}" + (f" | NOTE {st.note}" if st.note else "")
             )
     return emit(
-        config,
+        args,
+        source,
         body_obj=body,
         body_csv=report_to_csv(report),
         body_text="\n".join(lines) + "\n",
@@ -266,10 +243,6 @@ def cmd_graphing(args):
         )
         gens = sub_specs[0].generators
     graphing, bound = minimize_graphing(chain, args.level, gens, args.coset_cap)
-    config = _config(
-        args, source, kind=args.kind, sub=args.sub,
-        stable=args.stable, m=args.m, level=args.level, gens=args.gens,
-    )
     measure = edge_measure(graphing)
     obj = {
         "level": args.level,
@@ -282,7 +255,7 @@ def cmd_graphing(args):
         f"level {args.level}: index {graphing.index}, edge measure {frac_str(measure)}, "
         f"rank bound {bound}\n"
     )
-    return emit(config, body_obj=obj, body_text=text)
+    return emit(args, source, body_obj=obj, body_text=text)
 
 
 def cmd_tower(args):
@@ -291,7 +264,6 @@ def cmd_tower(args):
     mu = Fraction(args.mu)
     levels = build_tower(a_pres, mu, args.depth, scale=args.scale, seed=args.seed)
     report = tower_report(levels, args.primes, args.effort)
-    config = _config(args, source, group=args.group, mu=args.mu, scale=args.scale)
     obj = tower_report_to_obj(report)
     if args.covers:
         obj["covers"] = [cover_to_json_obj(c) for c in levels]
@@ -309,7 +281,8 @@ def cmd_tower(args):
         + f", beta1 {frac_str(report.limit_beta1)}"
     )
     return emit(
-        config,
+        args,
+        source,
         body_obj=obj,
         body_csv=tower_report_to_csv(report),
         body_text="\n".join(lines) + "\n",
@@ -319,7 +292,6 @@ def cmd_tower(args):
 def cmd_validate(args):
     pres, specs, source = load_source(args)
     cache = TableCache(args.cache_dir)
-    config = _config(args, source)
     results = []
     for name in sorted(specs):
         table = cache.enumerate(pres, specs[name], cap=args.coset_cap, provenance="validate")
@@ -337,7 +309,7 @@ def cmd_validate(args):
     }
     text = f"ok: {len(pres.generators)} generators, {len(pres.relators)} relators, " \
            f"{len(results)} subgroup(s) enumerated\n"
-    return emit(config, body_obj=obj, body_text=text)
+    return emit(args, source, body_obj=obj, body_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +397,7 @@ def build_parser():
     chain.add_argument("--stable", default="t", help="stable letter (hnn)")
     chain.add_argument("--m", type=int, default=None, help="wreath exponent (lamplighter)")
     chain.add_argument("--depth", type=int, required=True)
-    chain.add_argument("--index-cap", type=_positive_int, default=None)
+    chain.add_argument("--index-cap", type=_positive_int, default=DEFAULT_CHAIN_INDEX_CAP)
     effort = _parent("--effort", type=int, default=2, choices=(0, 1, 2))
 
     parser = argparse.ArgumentParser(

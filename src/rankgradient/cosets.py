@@ -321,18 +321,19 @@ def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:
 # ---------------------------------------------------------------------------
 
 
-def low_index(pres: Presentation, n_max: int, node_cap: int = DEFAULT_NODE_CAP):
+def low_index(pres: Presentation, n_max: int):
     """All subgroups of index <= n_max, one coset table each.
 
     Subgroups correspond bijectively to transitive pointed actions with
     canonical (first-touch) coset numbering, so the backtracking emits every
     subgroup exactly once -- not conjugacy representatives.  Output order is
-    deterministic: ascending index, then lexicographic table.
+    deterministic: ascending index, then lexicographic table.  The search
+    visits at most ``DEFAULT_NODE_CAP`` nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     found = []
-    budget = [0, node_cap, found]
+    budget = [0, DEFAULT_NODE_CAP, found]
     for k in range(1, n_max + 1):
         tables = []
         _search_index(pres, k, tables, budget)

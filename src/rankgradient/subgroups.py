@@ -26,6 +26,7 @@ from .words import (
     Presentation,
     SubgroupSpec,
     cyclic_reduce,
+    cyclic_strip,
     free_reduce,
     invert,
 )
@@ -205,15 +206,6 @@ def _join_reduced(chunks):
     return tuple(out)
 
 
-def _cyclically_reduced(w):
-    """Cyclic reduction of a freely reduced word."""
-    i, j = 0, len(w) - 1
-    while i < j and w[i] == -w[j]:
-        i += 1
-        j -= 1
-    return w[i : j + 1]
-
-
 def _clean(relators):
     """Nontrivial relators sorted by (length, word), one per canonical key;
     a key is computed only for a relator whose signature an earlier kept
@@ -276,7 +268,7 @@ def _eliminate_once(relators):
                 refused.add(g)
                 continue
             return g, [
-                _Relator(_cyclically_reduced(changed[other]), rel.offset)
+                _Relator(cyclic_strip(changed[other]), rel.offset)
                 if other in changed else other
                 for other in relators
                 if other is not rel
@@ -335,7 +327,7 @@ def _shorten_by(ri, words, joined, starts, offset):
     k -= starts[rj]
     s = words[rj]
     complement = invert(word[i + length : i + n])
-    return rj, _cyclically_reduced(_join_reduced((s[:k], complement, s[k + length :])))
+    return rj, cyclic_strip(_join_reduced((s[:k], complement, s[k + length :])))
 
 
 def _shorten_once(relators, offset):

@@ -13,8 +13,6 @@ injectively into the cover.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -25,7 +23,7 @@ from .cosets import CosetTable, enumerate_cosets, schreier_transversal, validate
 from .errors import BudgetError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import rank_bounds, subgroup_homology
-from .words import Presentation, SubgroupSpec, frac_str
+from .words import Presentation, SubgroupSpec, csv_table, frac_str
 
 DEFAULT_GROUP_ORDER_CAP = 1_000
 STABLE_LETTER = "t"  # the generator of the Z factor
@@ -959,8 +957,6 @@ def tower_report_to_csv(report: TowerReport) -> str:
     """One row per level; exact rationals as p/q plus 6-place decimal
     columns marked _approx."""
     primes = sorted(report.limit_b1p)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     header = (
         ["level", "n", "p", "mu", "radius", "predicted_d", "predicted_beta1"]
         + [f"predicted_b1p_{q}" for q in primes]
@@ -970,14 +966,14 @@ def tower_report_to_csv(report: TowerReport) -> str:
         + ["gradient_d", "gradient_b1p_2", "gradient_beta1"]
         + ["gradient_d_approx", "gradient_b1p_2_approx", "gradient_beta1_approx"]
     )
-    writer.writerow(header)
+    rows = []
     for i, lc in enumerate(report.levels):
         grads = (
             Fraction(lc.predicted.d - 1, lc.n),
             Fraction(lc.computed_b1p.get(2, lc.computed_beta1) - 1, lc.n),
             Fraction(lc.computed_beta1 - 1, lc.n),
         )
-        writer.writerow(
+        rows.append(
             [i, lc.n, lc.p, frac_str(lc.mu), lc.radius, frac_str(lc.predicted.d), frac_str(lc.predicted.beta1)]
             + [frac_str(lc.predicted.b1p[q]) for q in primes]
             + [lc.computed_beta1]
@@ -986,12 +982,12 @@ def tower_report_to_csv(report: TowerReport) -> str:
             + [frac_str(g) for g in grads]
             + [f"{float(g):.6f}" for g in grads]
         )
-    writer.writerow([])
-    writer.writerow(
+    rows.append([])
+    rows.append(
         ["limit", "", "", "", "", frac_str(report.limit_d), frac_str(report.limit_beta1)]
         + [frac_str(report.limit_b1p[q]) for q in primes]
     )
-    return buf.getvalue()
+    return csv_table(header, rows)
 
 
 def tower_report_to_obj(report: TowerReport) -> dict:

@@ -7,6 +7,8 @@ reduced everywhere; the empty tuple is the identity.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,11 +59,18 @@ def concat(*ws: Word) -> Word:
     return free_reduce(merged)
 
 
+def cyclic_strip(w: Word) -> Word:
+    """Cyclic reduction of a freely reduced word: strip the conjugating
+    letter pairs from both ends in one slice."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i : j + 1]
+
+
 def cyclic_reduce(w: Word) -> Word:
-    w = free_reduce(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    return cyclic_strip(free_reduce(w))
 
 
 def max_generator(w: Word) -> int:
@@ -259,6 +268,15 @@ def frac_str(q) -> str:
     """Exact rational as "p/q"; integers come out as "n/1"."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
+
+
+def csv_table(header, rows) -> str:
+    """CSV text of a header row and data rows; every row ends in \\r\\n."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def canonical_form(pres: Presentation, spec: SubgroupSpec | None = None) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -348,3 +349,67 @@ def test_input_file_equivalent_to_preset(capsys, tmp_path):
     assert (
         json.loads(by_preset)["report"] == json.loads(by_file)["report"]
     )
+
+
+# One cheap run of each command, for the config echo tests.
+ECHO_ARGV = {
+    "enumerate": ("--preset", "f2", "--sub", "K"),
+    "lowindex": ("--preset", "f2", "--max", "2"),
+    "chain": ("--preset", "fig8", "--depth", "2"),
+    "gradient": ("--preset", "fig8", "--depth", "2"),
+    "graphing": ("--preset", "fig8", "--depth", "1", "--level", "1"),
+    "tower": ("--group", "z2z2", "--mu", "1/2", "--depth", "0"),
+    "validate": ("--preset", "s3"),
+}
+
+
+def subparsers():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
+def echo_of(capsys, monkeypatch, command, *extra):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    code, out, _ = run(capsys, command, *ECHO_ARGV[command], *extra)
+    assert code == EXIT_OK
+    return json.loads(out)["config"]
+
+
+def test_every_command_has_an_echo_case():
+    assert set(subparsers()) == set(ECHO_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_ARGV))
+def test_echo_keys_are_the_options_the_command_parses(capsys, monkeypatch, command):
+    config = echo_of(capsys, monkeypatch, command)
+    dests = {a.dest for a in subparsers()[command]._actions if a.dest != "help"}
+    want = {"command", "source"} | dests - {"preset", "input"}
+    assert set(config) == want
+    assert list(config) == sorted(config)
+    assert config["command"] == command
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_ARGV))
+def test_text_header_echoes_the_same_config(capsys, monkeypatch, command):
+    config = echo_of(capsys, monkeypatch, command)
+    _, out, _ = run(capsys, command, *ECHO_ARGV[command], "--format", "text")
+    assert out.splitlines()[1] == "# config " + json.dumps({**config, "format": "text"})
+
+
+def test_tower_echoes_covers(capsys, monkeypatch):
+    assert echo_of(capsys, monkeypatch, "tower", "--covers")["covers"] is True
+    assert echo_of(capsys, monkeypatch, "tower")["covers"] is False
+
+
+def test_chain_echoes_the_index_cap_in_effect(capsys, monkeypatch):
+    assert echo_of(capsys, monkeypatch, "chain")["index_cap"] == 10000
+    assert echo_of(capsys, monkeypatch, "chain", "--index-cap", "7")["index_cap"] == 7
+
+
+def test_lowindex_echoes_no_settings_it_does_not_take(capsys, monkeypatch):
+    config = echo_of(capsys, monkeypatch, "lowindex")
+    assert not {"effort", "primes", "seed", "depth"} & set(config)
+    assert config == {"command": "lowindex", "format": "json", "max": 2,
+                      "source": "preset:f2"}
+

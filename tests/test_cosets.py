@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankgradient import cosets
 from rankgradient.cli import PRESET_NAMES
 from rankgradient.cosets import (
     DEFAULT_COSET_CAP,
@@ -103,10 +104,11 @@ def test_low_index_deterministic_and_valid():
         assert check.index == t.index
 
 
-def test_low_index_budget():
+def test_low_index_budget(monkeypatch):
     pres, _ = parsed("gens a b\n")
+    monkeypatch.setattr(cosets, "DEFAULT_NODE_CAP", 100)
     with pytest.raises(LowIndexBudget) as exc:
-        low_index(pres, 6, node_cap=100)
+        low_index(pres, 6)
     assert isinstance(exc.value.partial, list)
 
 
@@ -528,15 +530,16 @@ def test_low_index_search_matches_full_rescan(name, n_max):
 
 
 @pytest.mark.parametrize("name, n_max", LOW_INDEX_CASES)
-def test_low_index_budget_trips_like_full_rescan(name, n_max):
+def test_low_index_budget_trips_like_full_rescan(name, n_max, monkeypatch):
     pres, _ = preset(name)
     for node_cap in (1, 2, 5, 20, 100, 500, 2000, 5000):
         got = low_index_outcome(_search_index, pres, n_max, node_cap)
         assert got == low_index_outcome(reference_search_index, pres, n_max, node_cap)
+        monkeypatch.setattr(cosets, "DEFAULT_NODE_CAP", node_cap)
         if got[0] == "cap":
             with pytest.raises(LowIndexBudget) as exc:
-                low_index(pres, n_max, node_cap=node_cap)
+                low_index(pres, n_max)
             assert [t.perms for t in exc.value.partial] == got[2]
             assert str(exc.value) == got[3]
         else:
-            assert [t.perms for t in low_index(pres, n_max, node_cap=node_cap)] == got
+            assert [t.perms for t in low_index(pres, n_max)] == got

@@ -8,6 +8,7 @@ from rankgradient.words import (
     SubgroupSpec,
     canonical_form,
     concat,
+    csv_table,
     cyclic_reduce,
     free_reduce,
     invert,
@@ -51,6 +52,31 @@ def test_cyclic_reduce_fixed_point(raw):
     assert cyclic_reduce(w) == w
     if len(w) >= 2:
         assert w[0] != -w[-1]
+
+
+def old_cyclic_reduce(w):
+    """Reference cyclic reduction: one slice per conjugating pair."""
+    w = free_reduce(w)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+# raw words, and conjugates u w u^-1 so that many pairs are stripped
+conjugated_words = st.one_of(
+    raw_words,
+    st.tuples(raw_words, raw_words).map(lambda uw: uw[0] + uw[1] + list(invert(uw[0]))),
+)
+
+
+@given(conjugated_words)
+def test_cyclic_reduce_matches_slicing_loop(raw):
+    assert cyclic_reduce(raw) == old_cyclic_reduce(raw)
+
+
+def test_csv_table_rows_end_in_crlf_and_quote():
+    text = csv_table(["a", "b"], [[1, "x, y"], [], ["", True]])
+    assert text == 'a,b\r\n1,"x, y"\r\n\r\n,True\r\n'
 
 
 def test_max_generator():
