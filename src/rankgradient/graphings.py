@@ -23,7 +23,7 @@ from .cosets import (
 )
 from .errors import IndexBoundExceeded, LabelLengthExceeded
 from .homology import DEFAULT_PRIMES, mod_p_rank
-from .subgroups import edge_row, subgroup_abelianized_matrix
+from .subgroups import subgroup_abelianized_matrix
 from .words import SubgroupSpec, free_reduce, invert
 
 DEFAULT_LABEL_CAP = 64
@@ -224,15 +224,14 @@ class LGraphingCertificate:
 def loop_screen(table, loops):
     """None, or why the loops cannot generate the subgroup H of the table.
 
-    If they generate H, their edge rows and the Fox rows span the cycle
-    space of the cover graph, of dimension index * rank - index + 1, over
-    Z; that space is a direct summand of the edge lattice, so they span it
-    over every F_p too.  A rank below that over some p in ``DEFAULT_PRIMES``
-    refutes them; passing proves nothing.
+    If they generate H, their rows and the Fox rows span the cycle lattice
+    of the cover graph over Z.  ``subgroup_abelianized_matrix`` reads each
+    cycle off the cotree edges, which maps that lattice onto all of its
+    columns, index * rank - index + 1 of them, so the rows span the column
+    space over every F_p too.  A rank below the column count over some p in
+    ``DEFAULT_PRIMES`` refutes them; passing proves nothing.
     """
-    rows, cols = subgroup_abelianized_matrix(table)
-    rows.extend(edge_row(table, 0, loop) for loop in loops)
-    cycles = cols - table.index + 1
+    rows, cycles = subgroup_abelianized_matrix(table, loops)
     for p in DEFAULT_PRIMES:
         got = mod_p_rank(rows, p)
         if got < cycles:

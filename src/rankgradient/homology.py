@@ -30,10 +30,11 @@ class HomologyReport:
     b1p: dict
 
 
-def abelianized_matrix(pres: Presentation):
-    """Relation matrix: row i holds (j, exponent sum of generator j in relator i)."""
+def abelianized_matrix(relators):
+    """Relation matrix of relator words: row i holds (j, exponent sum of
+    generator j + 1 in relator i)."""
     rows = []
-    for relator in pres.relators:
+    for relator in relators:
         sums = {}
         for letter in relator:
             j = abs(letter) - 1
@@ -285,4 +286,4 @@ def report_from_matrix(matrix, num_generators, primes=DEFAULT_PRIMES):
 
 def homology_report(pres: Presentation, primes=DEFAULT_PRIMES) -> HomologyReport:
     """beta1, torsion and b_{1,p} of the abelianization of a presented group."""
-    return report_from_matrix(abelianized_matrix(pres), pres.rank, primes)
+    return report_from_matrix(abelianized_matrix(pres.relators), pres.rank, primes)

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 from .cosets import CosetTable, cotree_pairs, schreier_generators
 from .errors import RelatorLengthExceeded
-from .homology import DEFAULT_PRIMES, report_from_matrix
+from .homology import DEFAULT_PRIMES, abelianized_matrix, report_from_matrix
 from .words import (
     Presentation,
     SubgroupSpec,
@@ -36,78 +36,75 @@ TIETZE_PASSES = 200  # eliminations and substitutions per simplification
 SHORTEN_LIMIT = 200  # letters in a relator whose pieces are substituted
 
 
-def _relator_edges(table: CosetTable, c: int, relator):
-    """The (coset d, generator g, sign) of each edge d -g-> d.g that the loop
-    of a relator at coset c crosses, in order: sign +1 forwards, -1
-    backwards."""
-    d = c
-    for letter in relator:
-        if letter > 0:
-            yield d, letter, 1
-            d = table.perms[letter - 1][d]
-        else:
-            d = table.letter_perm(letter)[d]
-            yield d, -letter, -1
-    assert d == c, "relator trace did not close"
-
-
-def edge_row(table: CosetTable, c: int, word):
-    """The loop of a word at coset c as a 1-cycle of the cover graph: sparse
-    (column, value) pairs, column d * rank + g - 1 holding the signed count
-    of crossings of the edge d -g-> d.g."""
+def _schreier_words(table: CosetTable, loops=()):
+    """(coset c, word) for each relator at each coset c, then for each loop
+    word at coset 0: the loop of the word at c in the cover graph, as the
+    signed numbers of the cotree edges it crosses, in order.  The edge
+    c -g-> c.g that ``cotree_pairs`` lists i-th reads i + 1 crossed forwards
+    and -(i + 1) backwards; tree edges are skipped, so the word is the
+    Reidemeister-Schreier rewrite, unreduced."""
     rank = table.pres.rank
-    counts = {}
-    for d, g, sign in _relator_edges(table, c, word):
-        col = d * rank + g - 1
-        counts[col] = counts.get(col, 0) + sign
-    return sorted((j, v) for j, v in counts.items() if v)
+    number = [0] * (table.index * rank)  # edge c -g-> c.g at c * rank + g - 1
+    for i, (c, g) in enumerate(cotree_pairs(table), 1):
+        number[c * rank + g - 1] = i
+    perms = table.perms
+    inverses = [table.letter_perm(-g) for g in range(1, rank + 1)]
+
+    def walk(c, word):
+        out = []
+        d = c
+        for letter in word:
+            if letter > 0:
+                i = number[d * rank + letter - 1]
+                d = perms[letter - 1][d]
+            else:
+                d = inverses[-letter - 1][d]
+                i = -number[d * rank - letter - 1]
+            if i:
+                out.append(i)
+        assert d == c, "relator trace did not close"
+        return out
+
+    for c in range(table.index):
+        for relator in table.pres.relators:
+            yield c, walk(c, relator)
+    for loop in loops:
+        yield 0, walk(0, loop)
 
 
 def rewrite_presentation(table: CosetTable) -> Presentation:
     """Reidemeister-Schreier presentation of the subgroup of the table.
 
-    Generators are the nontrivial Schreier generators; there is one rewritten
-    relator per (coset, ambient relator) pair before reduction, each of at
-    most ``DEFAULT_RELATOR_CAP`` letters.
+    Generators are the nontrivial Schreier generators, one per cotree edge;
+    there is one rewritten relator per (coset, ambient relator) pair before
+    reduction, each of at most ``DEFAULT_RELATOR_CAP`` letters.
     """
-    schreier_index = {pair: i for i, pair in enumerate(cotree_pairs(table))}
     relators = []
-    for c in range(table.index):
-        for relator in table.pres.relators:
-            w = []
-            for d, g, sign in _relator_edges(table, c, relator):
-                idx = schreier_index.get((d, g))
-                if idx is not None:
-                    w.append(sign * (idx + 1))
-            w = cyclic_reduce(w)
-            if len(w) > DEFAULT_RELATOR_CAP:
-                raise RelatorLengthExceeded(DEFAULT_RELATOR_CAP, len(w), context=f"coset {c}")
-            relators.append(w)
-    names = tuple(f"x{i}" for i in range(len(schreier_index)))
+    for c, w in _schreier_words(table):
+        w = cyclic_reduce(w)
+        if len(w) > DEFAULT_RELATOR_CAP:
+            raise RelatorLengthExceeded(DEFAULT_RELATOR_CAP, len(w), context=f"coset {c}")
+        relators.append(w)
+    names = tuple(f"x{i}" for i in range(1 + table.index * (table.pres.rank - 1)))
     return Presentation(generators=names, relators=tuple(relators))
 
 
-def subgroup_abelianized_matrix(table: CosetTable):
-    """Fox matrix of the subgroup H of a coset table: the boundary map
-    C2 -> C1 of the index-sheeted cover of the presentation complex.
+def subgroup_abelianized_matrix(table: CosetTable, loops=()):
+    """Fox matrix of the cover of the subgroup H of a coset table on its
+    cotree columns, plus one row per loop word at coset 0: the abelianized
+    ``_schreier_words``.  Reading a 1-cycle off the cotree edges maps the
+    cycle lattice onto the columns, so the cokernel of the relator rows is
+    H1(H) (Magnus, Karrass and Solitar, Combinatorial Group Theory, 2.3).
 
-    Returns (rows, index * rank); row (c, R) is the ``edge_row`` of relator R
-    at coset c.  The cokernel is H1(H) + Z^(index - 1); no Schreier
-    transversal is needed.
+    Returns (rows, index * (rank - 1) + 1 cotree columns).
     """
-    rows = [
-        edge_row(table, c, relator)
-        for c in range(table.index)
-        for relator in table.pres.relators
-    ]
-    return rows, table.index * table.pres.rank
+    rows = abelianized_matrix(w for _, w in _schreier_words(table, loops))
+    return rows, 1 + table.index * (table.pres.rank - 1)
 
 
 def subgroup_homology(table: CosetTable, primes=DEFAULT_PRIMES):
     """HomologyReport of the subgroup of a coset table."""
-    matrix, cols = subgroup_abelianized_matrix(table)
-    # Cycles of the connected cover graph: cols - (index - 1) generators.
-    return report_from_matrix(matrix, cols - table.index + 1, primes)
+    return report_from_matrix(*subgroup_abelianized_matrix(table), primes)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_snf_invariant_under_transpose(m, n, data):
 
 def test_abelianized_matrix():
     pres, _ = parse_presentation("gens a b\nrel a^2 b^-3\nrel a b a^-1 b^-1\n")
-    assert abelianized_matrix(pres) == [[(0, 2), (1, -3)], []]
+    assert abelianized_matrix(pres.relators) == [[(0, 2), (1, -3)], []]
 
 
 def test_homology_report_klein_bottle():
