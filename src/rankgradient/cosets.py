@@ -343,9 +343,9 @@ def low_index(pres: Presentation, n_max: int):
 
 def _search_index(pres, k, out, budget):
     """Append to ``out`` the perms of every canonically numbered transitive
-    action on k points in which every relator closes; each ``extend`` call
-    is one node against ``budget``.  A node is pruned when some relator trace
-    is fully defined and does not close.  Only traces through the edge
+    action on k points in which every relator closes; each descent to a
+    slot is one node against ``budget``.  A node is pruned when some
+    relator trace is fully defined and does not close.  Only traces through the edge
     c -g-> d just set are checked, which prunes exactly what a scan of all
     k * |R| traces would: every other defined trace was defined, and closed,
     at the parent.  A trace crosses the edge at some occurrence of g^+-1 in
@@ -364,7 +364,10 @@ def _search_index(pres, k, out, budget):
                 [act[_column(-x)] for x in reversed(w[:i])],
                 [act[_column(x)] for x in w[i + 1:]],
             ))
-    slots = [(c, g) for c in range(k) for g in range(rank)]
+    # (c, g, row of g, row of g^-1) per slot, then a sentinel at which
+    # every branch ends
+    slots = [(c, g, act[2 * g], act[2 * g + 1]) for c in range(k) for g in range(rank)]
+    slots.append((k, None, None, None))
 
     def edge_ok(g, c, d):
         for forward, back, ahead in through[g]:
@@ -381,35 +384,45 @@ def _search_index(pres, k, out, budget):
                         return False
         return True
 
-    def extend(pos, used):
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            raise LowIndexBudget(budget[1], list(budget[2]))
-        if pos == len(slots):
-            if used == k:
-                out.append(tuple(tuple(act[2 * g]) for g in range(rank)))
-            return
-        c, g = slots[pos]
-        if c >= used:
-            # Rows 0..used-1 are closed under the action, so the table can
-            # never become transitive on k points: dead branch.
-            return
-        fwd, bwd = act[2 * g], act[2 * g + 1]
-        if fwd[c] is not None:
-            extend(pos + 1, used)
-            return
-        limit = min(used + 1, k)
-        for d in range(limit):
-            if bwd[d] is not None:
+    # Depth-first over the slots in a loop, not by recursion, which would
+    # nest k * rank calls deep.  Per slot: the points used on entering it,
+    # the images left to try there and the image set there.
+    points = [1] * len(slots)  # only points[0] is read before it is set
+    tries = [None] * len(slots)
+    image = [None] * len(slots)
+    nodes, cap = budget[0], budget[1]
+    pos, descending = 0, True
+    while pos >= 0:
+        c, g, fwd, bwd = slots[pos]
+        if descending:
+            nodes += 1  # one node per descent
+            if nodes > cap:
+                budget[0] = nodes
+                raise LowIndexBudget(cap, list(budget[2]))
+            used = points[pos]
+            if c >= used:
+                # Rows 0..used-1 are closed under the action, so the table
+                # is complete or can never become transitive on k points.
+                if c == k and used == k:
+                    out.append(tuple(tuple(act[2 * g]) for g in range(rank)))
+                pos, descending = pos - 1, False
                 continue
-            fwd[c] = d
-            bwd[d] = c
-            if edge_ok(g, c, d):
-                extend(pos + 1, max(used, d + 1))
-            fwd[c] = None
-            bwd[d] = None
-
-    extend(0, 1)
+            tries[pos] = iter(range(min(used + 1, k)))
+        else:
+            fwd[c] = bwd[image[pos]] = None  # undo the image tried last
+        for d in tries[pos]:
+            if bwd[d] is None:
+                fwd[c] = d
+                bwd[d] = c
+                if edge_ok(g, c, d):
+                    image[pos] = d
+                    points[pos + 1] = max(points[pos], d + 1)
+                    pos, descending = pos + 1, True
+                    break
+                fwd[c] = bwd[d] = None
+        else:
+            pos, descending = pos - 1, False
+    budget[0] = nodes
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from rankgradient import __version__
 from rankgradient.cache import CACHE_DIR_ENV
@@ -170,6 +170,41 @@ def test_enumerate_cap_exits_0_or_3_and_names_the_cap(source, cap):
     else:
         assert json.loads(out.getvalue())["report"]["index"] <= cap
     assert "Traceback" not in err.getvalue()
+
+
+LOWINDEX_COUNTS = {}  # (preset, max) -> report at the default node cap
+
+
+def lowindex_run(preset, n_max):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lowindex", "--preset", preset, "--max", str(n_max)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.sampled_from([("surface2", 3), ("surface2", 4), ("f2", 3), ("f2", 4)]),
+    cap=st.integers(min_value=1, max_value=150_000),
+)
+def test_lowindex_cap_exits_0_or_3_and_names_the_cap(source, cap):
+    import rankgradient.cosets as cosets
+
+    if source not in LOWINDEX_COUNTS:
+        code, out, _ = lowindex_run(*source)
+        assert code == EXIT_OK
+        LOWINDEX_COUNTS[source] = json.loads(out)["report"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cosets, "DEFAULT_NODE_CAP", cap)
+        code, out, err = lowindex_run(*source)
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    if code == EXIT_BUDGET:
+        assert out == ""
+        assert f"exceeded {cap} nodes" in err
+    else:
+        assert json.loads(out)["report"] == LOWINDEX_COUNTS[source]
+    assert "Traceback" not in err
 
 
 def test_hnn_input_without_a_z_quotient_is_a_parse_error(capsys, tmp_path):

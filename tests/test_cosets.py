@@ -543,3 +543,89 @@ def test_low_index_budget_trips_like_full_rescan(name, n_max, monkeypatch):
             assert str(exc.value) == got[3]
         else:
             assert [t.perms for t in low_index(pres, n_max)] == got
+
+
+def recursive_search_index(pres, k, out, budget):
+    """The search as one recursive call per node, nesting k * rank deep."""
+    rank = pres.rank
+    act = [[None] * k for _ in range(2 * rank)]
+    through = [[] for _ in range(rank)]
+    for w in pres.relators:
+        for i, letter in enumerate(w):
+            through[abs(letter) - 1].append((
+                letter > 0,
+                [act[cosets._column(-x)] for x in reversed(w[:i])],
+                [act[cosets._column(x)] for x in w[i + 1:]],
+            ))
+    slots = [(c, g) for c in range(k) for g in range(rank)]
+
+    def edge_ok(g, c, d):
+        for forward, back, ahead in through[g]:
+            s, e = (c, d) if forward else (d, c)
+            for r in back:
+                if (s := r[s]) is None:
+                    break
+            else:
+                for r in ahead:
+                    if (e := r[e]) is None:
+                        break
+                else:
+                    if e != s:
+                        return False
+        return True
+
+    def extend(pos, used):
+        budget[0] += 1
+        if budget[0] > budget[1]:
+            raise LowIndexBudget(budget[1], list(budget[2]))
+        if pos == len(slots):
+            if used == k:
+                out.append(tuple(tuple(act[2 * g]) for g in range(rank)))
+            return
+        c, g = slots[pos]
+        if c >= used:
+            return
+        fwd, bwd = act[2 * g], act[2 * g + 1]
+        for d in range(min(used + 1, k)):
+            if bwd[d] is not None:
+                continue
+            fwd[c] = d
+            bwd[d] = c
+            if edge_ok(g, c, d):
+                extend(pos + 1, max(used, d + 1))
+            fwd[c] = None
+            bwd[d] = None
+
+    extend(0, 1)
+
+
+@pytest.mark.parametrize("name, n_max", [("surface2", 4), ("fig8", 6), ("f2", 5)])
+def test_low_index_loop_matches_recursive_search(name, n_max):
+    pres, _ = preset(name)
+    for k in range(1, n_max + 1):
+        got, want = [], []
+        got_budget, want_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
+        _search_index(pres, k, got, got_budget)
+        recursive_search_index(pres, k, want, want_budget)
+        assert got == want  # same tables in the same order
+        assert got_budget[0] == want_budget[0]  # same node count
+    for node_cap in (1, 2, 3, 7, 50, 333, 1000, 4000, 20000, 60000, 200000):
+        got = low_index_outcome(_search_index, pres, n_max, node_cap)
+        assert got == low_index_outcome(recursive_search_index, pres, n_max, node_cap)
+
+
+def test_low_index_search_needs_no_recursion_depth():
+    # Index 300 of Z has 300 slots, one recursive call deep each; the
+    # search must run with only 200 frames to spare.
+    import inspect
+    import sys
+
+    pres, _ = parsed("gens a\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        out = []
+        _search_index(pres, 300, out, [0, DEFAULT_NODE_CAP, []])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == [(tuple(range(1, 300)) + (0,),)]
