@@ -4,6 +4,10 @@ bounds, and Stallings folding as the exact-rank oracle inside free groups.
 The Schreier generators themselves live in ``cosets`` and are re-exported
 here.
 
+The cover's edges off its BFS spanning tree are numbered once, in
+``_schreier_words``: the rewritten relators are its words, and the Fox
+matrix, on those cotree columns, is their exponent sums.
+
 Exact rank is uncomputable in general, so everything rank-shaped is reported
 as a [lower, upper] interval; the interval is degenerate exactly when the
 homology lower bound meets the presentation upper bound (always the case for

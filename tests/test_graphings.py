@@ -22,7 +22,10 @@ from rankgradient.graphings import (
     to_labeled_graph,
     union,
 )
+from rankgradient.homology import mod_p_rank
+from rankgradient.subgroups import subgroup_abelianized_matrix
 from rankgradient.words import SubgroupSpec, free_reduce, parse_presentation
+from test_subgroups import full_edge_matrix
 
 
 def parsed(text):
@@ -224,6 +227,18 @@ def tried_candidates(monkeypatch, chain, level):
     return tried
 
 
+def assert_screen_ranks_match_full_edge_matrix(table, loops):
+    """The cotree rows of ``loop_screen`` have the ranks over F_2, F_3 and
+    F_5 of the relator and loop rows on every edge of the cover graph, and
+    as many columns as the cycle space has dimensions."""
+    rows, cols = subgroup_abelianized_matrix(table, loops)
+    full, full_cols = full_edge_matrix(table, loops)
+    assert cols == full_cols - table.index + 1
+    ranks = [mod_p_rank(rows, p) for p in (2, 3, 5)]
+    assert ranks == [mod_p_rank(full, p) for p in (2, 3, 5)]
+    return ranks
+
+
 @pytest.mark.parametrize("make_chain, level, refutations", [
     (fig8_chain, 3, 3),
     (f2_chain, 2, 17),
@@ -245,6 +260,7 @@ def test_loop_screen_refutes_only_non_generating_loops(
             index = enumerate_cosets(chain.ambient, spec).index
         except IndexBoundExceeded:
             index = None
+        assert_screen_ranks_match_full_edge_matrix(m.table, loops)
         reason = loop_screen(m.table, loops)
         if reason is None:
             verdict = is_l_graphing(m).verdict
@@ -255,6 +271,19 @@ def test_loop_screen_refutes_only_non_generating_loops(
             assert index != m.index, reason
             assert is_l_graphing(m).reason == reason
     assert (refuted, accepted) == (refutations, 1)
+
+
+@pytest.mark.parametrize("gens, rank", [("a,t^3", 6), ("a,b", 6), ("t^3", 5)])
+def test_non_generating_gens_screen_ranks_match_full_edge_matrix(gens, rank):
+    # the loop sets of the graphing --gens cases the CLI refuses
+    chain = fig8_chain()
+    words = parse_presentation(
+        "gens " + " ".join(chain.ambient.generators) + "\nsub G " + gens + "\n"
+    )[1][0].generators
+    m = graphing_from_generators(chain, 3, words)
+    loops, disconnected = to_labeled_graph(m)
+    assert not disconnected
+    assert assert_screen_ranks_match_full_edge_matrix(m.table, loops)[0] == rank
 
 
 def test_loop_screen_needs_p_2_on_fig8(monkeypatch):
