@@ -345,10 +345,10 @@ def _search_index(pres, k, out, budget):
     """Append to ``out`` the perms of every canonically numbered transitive
     action on k points in which every relator closes; each descent to a
     slot is one node against ``budget``.  A node is pruned when some
-    relator trace is fully defined and does not close.  Only traces through the edge
-    c -g-> d just set are checked, which prunes exactly what a scan of all
-    k * |R| traces would: every other defined trace was defined, and closed,
-    at the parent.  A trace crosses the edge at some occurrence of g^+-1 in
+    relator trace is fully defined and does not close.  Only traces through
+    the edge c -g-> d just set are checked, which prunes exactly what a scan
+    of all k * |R| traces would: every other defined trace was defined, and
+    closed, at the parent.  A trace crosses the edge at some occurrence of g^+-1 in
     its relator; as the partial table is injective, it is fully defined iff
     the prefix traced backward from one end of the edge and the suffix traced
     forward from the other both are, and then it closes iff they meet.
@@ -385,11 +385,10 @@ def _search_index(pres, k, out, budget):
         return True
 
     # Depth-first over the slots in a loop, not by recursion, which would
-    # nest k * rank calls deep.  Per slot: the points used on entering it,
-    # the images left to try there and the image set there.
+    # nest k * rank calls deep.  Per slot: the points used on entering it
+    # and the images left to try there; the image set there is in ``act``.
     points = [1] * len(slots)  # only points[0] is read before it is set
     tries = [None] * len(slots)
-    image = [None] * len(slots)
     nodes, cap = budget[0], budget[1]
     pos, descending = 0, True
     while pos >= 0:
@@ -409,13 +408,12 @@ def _search_index(pres, k, out, budget):
                 continue
             tries[pos] = iter(range(min(used + 1, k)))
         else:
-            fwd[c] = bwd[image[pos]] = None  # undo the image tried last
+            bwd[fwd[c]] = fwd[c] = None  # undo the image tried last
         for d in tries[pos]:
             if bwd[d] is None:
                 fwd[c] = d
                 bwd[d] = c
                 if edge_ok(g, c, d):
-                    image[pos] = d
                     points[pos + 1] = max(points[pos], d + 1)
                     pos, descending = pos + 1, True
                     break
