@@ -133,7 +133,9 @@ def farber_chain(
     return _finish_chain(pres, levels, f"farber(H={sub.name}, depth={depth})", truncated)
 
 
-def hnn_chain(pres: Presentation, stable: str, depth: int) -> Chain:
+def hnn_chain(
+    pres: Presentation, stable: str, depth: int, coset_cap: int = DEFAULT_COSET_CAP
+) -> Chain:
     """Cyclic-power sequence over a stable letter: level n = <A, t^n> where A
     is generated by the other generators.
 
@@ -152,7 +154,7 @@ def hnn_chain(pres: Presentation, stable: str, depth: int) -> Chain:
     levels = [_whole_group_level(pres)]
     for n in range(1, depth + 1):
         spec = SubgroupSpec(generators=base_letters + ((t_letter,) * n,), name=f"G{n}")
-        table = enumerate_cosets(pres, spec, provenance=f"hnn level {n}")
+        table = enumerate_cosets(pres, spec, cap=coset_cap, provenance=f"hnn level {n}")
         if table.index != n:
             raise ValueError(
                 f"level {n} has index {table.index}, expected {n}; "
@@ -174,7 +176,7 @@ def lamplighter_presentation(m: int) -> Presentation:
     return Presentation(generators=("a", "t"), relators=tuple(relators))
 
 
-def lamplighter_chain(m: int, depth: int) -> Chain:
+def lamplighter_chain(m: int, depth: int, coset_cap: int = DEFAULT_COSET_CAP) -> Chain:
     """Levels inside the finite wreath quotient of exponent m.
 
     Level n is generated by the 2^n conjugates t^-i a t^i (0 <= i < 2^n)
@@ -191,7 +193,9 @@ def lamplighter_chain(m: int, depth: int) -> Chain:
             free_reduce([-2] * i + [1] + [2] * i) for i in range(2 ** n)
         ) + ((2,) * (2 ** n),)
         spec = SubgroupSpec(generators=gens, name=f"G{n}")
-        table = enumerate_cosets(pres, spec, provenance=f"lamplighter level {n}")
+        table = enumerate_cosets(
+            pres, spec, cap=coset_cap, provenance=f"lamplighter level {n}"
+        )
         if table.index != 2 ** n:
             raise InternalInvariantError(
                 f"level {n} has index {table.index}, expected {2 ** n}"

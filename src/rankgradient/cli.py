@@ -186,14 +186,14 @@ def build_chain(args, pres, specs, source):
             pres, spec, args.depth, coset_cap=args.coset_cap, index_cap=args.index_cap
         )
     if kind == "hnn":
-        return hnn_chain(pres, args.stable, args.depth)
+        return hnn_chain(pres, args.stable, args.depth, coset_cap=args.coset_cap)
     if kind == "lamplighter":
         m = args.m
         if m is None and source.startswith("preset:lamplighter"):
             m = int(source.rsplit("lamplighter", 1)[1])
         if m is None:
             raise ParseError("lamplighter chains need --m")
-        return lamplighter_chain(m, args.depth)
+        return lamplighter_chain(m, args.depth, coset_cap=args.coset_cap)
     raise ParseError(f"unknown chain kind {kind!r}")
 
 

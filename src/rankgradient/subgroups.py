@@ -47,6 +47,8 @@ def _schreier_words(table: CosetTable, loops=()):
     c -g-> c.g that ``cotree_pairs`` lists i-th reads i + 1 crossed forwards
     and -(i + 1) backwards; tree edges are skipped, so the word is the
     Reidemeister-Schreier rewrite, unreduced."""
+    if not table.pres.relators and not loops:
+        return  # no word to walk, so no cotree to number
     rank = table.pres.rank
     number = [0] * (table.index * rank)  # edge c -g-> c.g at c * rank + g - 1
     for i, (c, g) in enumerate(cotree_pairs(table), 1):

@@ -475,7 +475,14 @@ class _TwistSearch:
     The walks form a BFS prefix tree, so a walk's product is its parent's
     product times the label of its last edge, and the walks of length <= lim
     are a prefix of the walk list.  A table counts walks by the int key
-    v * kmax + (g mod k), a bijective image of (v, g mod k)."""
+    v * kmax + (g mod k), a bijective image of (v, g mod k).
+
+    Only the forbid tables are order-sensitive: _conflict_point draws a
+    colliding key from a forbid table's insertion order, so those stay dicts
+    that drop a key whose count reaches 0.  A demand table is read only
+    through its total, so it is a flat count list.  A move saves the old
+    products of the walks it touches, and a rejected move is undone by
+    swapping them back, not by recomputing."""
 
     def __init__(self, base, walks, r0, depth, orders):
         self.r0 = r0
@@ -494,25 +501,26 @@ class _TwistSearch:
         self.parent = [w[3] for w in walks]
         self.last = [w[1][-1] if w[1] else None for w in walks]
         self.vkey = [w[0] * kmax for w in walks]
-        self.windows = [
-            tuple((si, k) for si, (lim, k, _) in enumerate(self.specs) if w[2] <= lim)
-            for w in walks
-        ]
+        # walks by endpoint vertex, each list in index order
+        self.at_vertex = {}
+        for i, w in enumerate(walks):
+            self.at_vertex.setdefault(w[0], []).append(i)
+        self.size = (max(self.at_vertex) + 1) * kmax  # length of a demand table
         through = {}
         for i, (_, path, _, _) in enumerate(walks):
             for x, _ in path:
                 through.setdefault(x, set()).add(i)
         # The walks through x are closed under extension.  Their products
-        # are recomputed in index order (parents first); the table updates
-        # follow the set's iteration order, which fixes the tables' key
-        # order and with it every draw of _conflict_point.
-        self.by_point = {x: list(members) for x, members in through.items()}
+        # are recomputed in index order (parents first); each table is then
+        # updated over its window's share of them in the set's iteration
+        # order, which fixes the forbid tables' key order and with it every
+        # draw of _conflict_point.
         self.below = {x: sorted(members) for x, members in through.items()}
+        self.members = {
+            x: [[i for i in members if i < end] for end in self.ends]
+            for x, members in through.items()
+        }
         self._old = [0] * len(walks)
-        # walks by endpoint vertex, each list in index order
-        self.at_vertex = {}
-        for i, w in enumerate(walks):
-            self.at_vertex.setdefault(w[0], []).append(i)
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
@@ -575,13 +583,19 @@ class _TwistSearch:
     def _tables(self, prods):
         tables, totals = [], []
         vkey = self.vkey
-        for (_, k, _), end in zip(self.specs, self.ends):
-            counter = {}
-            for i in range(end):
-                key = vkey[i] + prods[i] % k
-                counter[key] = counter.get(key, 0) + 1
+        for (_, k, forbid), end in zip(self.specs, self.ends):
+            if forbid:
+                counter = {}
+                for i in range(end):
+                    key = vkey[i] + prods[i] % k
+                    counter[key] = counter.get(key, 0) + 1
+                counts = counter.values()
+            else:
+                counts = counter = [0] * self.size
+                for i in range(end):
+                    counter[vkey[i] + prods[i] % k] += 1
             tables.append(counter)
-            totals.append(sum(m * (m - 1) // 2 for m in counter.values()))
+            totals.append(sum(m * (m - 1) // 2 for m in counts))
         return tables, totals
 
     def _objective(self, totals):
@@ -591,34 +605,54 @@ class _TwistSearch:
         return obj
 
     def _change(self, twists, x, value, prods, tables, totals):
+        """Set twist x to value: recompute the products of the walks through
+        x, saving the old ones in _old, and update the tables."""
         twists[x] = value
         mul, inv, parent, last, old = self.mul, self.inv, self.parent, self.last, self._old
         for i in self.below[x]:
             y, d = last[i]
             old[i] = prods[i]
             prods[i] = mul[prods[parent[i]]][twists[y] if d == 1 else inv[twists[y]]]
-        vkey, windows = self.vkey, self.windows
-        for i in self.by_point[x]:
-            g_old, g = old[i], prods[i]
-            if g == g_old:
-                continue
-            v = vkey[i]
-            for si, k in windows[i]:
-                r_old, r_new = g_old % k, g % k
-                if r_old == r_new:
-                    continue
-                counter = tables[si]
-                key = v + r_old
-                m = counter[key]
-                totals[si] -= m - 1
-                if m == 1:
-                    del counter[key]
-                else:
-                    counter[key] = m - 1
-                key = v + r_new
-                m = counter.get(key, 0)
-                totals[si] += m
-                counter[key] = m + 1
+        self._retable(x, prods, tables, totals)
+
+    def _undo(self, twists, x, value, prods, tables, totals):
+        """Take back the last _change, made at x, which had the twist value:
+        swap the saved products back instead of recomputing them."""
+        twists[x] = value
+        old = self._old
+        for i in self.below[x]:
+            prods[i], old[i] = old[i], prods[i]
+        self._retable(x, prods, tables, totals)
+
+    def _retable(self, x, prods, tables, totals):
+        """Move each walk through x from its key under _old to its key under
+        prods, one loop per table."""
+        old, vkey = self._old, self.vkey
+        for si, members in enumerate(self.members[x]):
+            _, k, forbid = self.specs[si]
+            counter, total = tables[si], totals[si]
+            if forbid:
+                for i in members:
+                    r_old, r = old[i] % k, prods[i] % k
+                    if r_old != r:
+                        key = vkey[i] + r_old
+                        m = counter[key]
+                        total -= m - 1
+                        if m == 1:
+                            del counter[key]
+                        else:
+                            counter[key] = m - 1
+                        key = vkey[i] + r
+                        m = counter.get(key, 0)
+                        total += m
+                        counter[key] = m + 1
+            else:  # src == dst leaves the counts and the total as they were
+                for i in members:
+                    src, dst = vkey[i] + old[i] % k, vkey[i] + prods[i] % k
+                    counter[src] -= 1
+                    total += counter[dst] - counter[src]
+                    counter[dst] += 1
+            totals[si] = total
 
     def _conflict_point(self, prods, tables, totals, rng):
         """A point to re-draw, or None: a random unmet spec, then for a
@@ -675,7 +709,7 @@ class _TwistSearch:
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                     obj = new_obj
                 else:
-                    self._change(twists, x, old, prods, tables, totals)
+                    self._undo(twists, x, old, prods, tables, totals)
                 temperature = max(0.15, temperature * 0.99995)
             if obj == 0:
                 return twists

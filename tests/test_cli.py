@@ -23,6 +23,7 @@ from rankgradient.cli import (
     is_prime,
     main,
 )
+from rankgradient.towers import BASE_POINT_CAP
 
 
 def run(capsys, *argv):
@@ -175,11 +176,17 @@ def test_enumerate_cap_exits_0_or_3_and_names_the_cap(source, cap):
 LOWINDEX_COUNTS = {}  # (preset, max) -> report at the default node cap
 
 
-def lowindex_run(preset, n_max):
+def run_main(*argv):
+    """(exit code, stdout, stderr) of an in-process run, without capsys,
+    which hypothesis tests cannot share between examples."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["lowindex", "--preset", preset, "--max", str(n_max)])
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def lowindex_run(preset, n_max):
+    return run_main("lowindex", "--preset", preset, "--max", str(n_max))
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,6 +211,81 @@ def test_lowindex_cap_exits_0_or_3_and_names_the_cap(source, cap):
         assert f"exceeded {cap} nodes" in err
     else:
         assert json.loads(out)["report"] == LOWINDEX_COUNTS[source]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["chain", "gradient"])
+@pytest.mark.parametrize("source", [
+    ("--preset", "fig8", "--depth", "3", "--coset-cap", "2"),
+    ("--preset", "lamplighter3", "--depth", "3", "--coset-cap", "4"),
+])
+def test_hnn_and_lamplighter_chains_honour_coset_cap(capsys, command, source):
+    code, out, err = run(capsys, command, *source)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert f"exceeded {source[-1]} live cosets" in err
+    assert "Traceback" not in err
+
+
+F2_CHAIN = {}  # indices of chain --preset f2 --depth 3 at the default index cap
+
+
+@settings(max_examples=30, deadline=None)
+@given(cap=st.integers(min_value=1, max_value=5000))
+def test_chain_index_cap_truncates_or_gives_the_full_chain(cap):
+    argv = ("chain", "--preset", "f2", "--depth", "3")
+    if not F2_CHAIN:
+        code, out, _ = run_main(*argv)
+        assert code == EXIT_OK
+        F2_CHAIN["indices"] = json.loads(out)["report"]["chain"]["indices"]
+    code, out, err = run_main(*argv, "--index-cap", str(cap))
+    assert code == EXIT_OK
+    chain = json.loads(out)["report"]["chain"]
+    event("truncated" if chain["truncated"] else "full")
+    if chain["truncated"]:
+        assert f"exceeds cap {cap}" in chain["truncated"]
+        assert chain["indices"] == F2_CHAIN["indices"][: len(chain["indices"])]
+    else:
+        assert chain["indices"] == F2_CHAIN["indices"]
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    argv=st.sampled_from([
+        ("chain", "--preset", "fig8", "--depth", "4"),
+        ("gradient", "--preset", "lamplighter3", "--depth", "3"),
+        ("graphing", "--preset", "fig8", "--depth", "3", "--level", "3"),
+        ("graphing", "--preset", "f2", "--depth", "2", "--level", "2"),
+    ]),
+    cap=st.integers(min_value=1, max_value=40),
+)
+def test_chain_and_graphing_coset_cap_exit_0_or_3_and_name_the_cap(argv, cap):
+    code, out, err = run_main(*argv, "--coset-cap", str(cap))
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    if code == EXIT_BUDGET:
+        assert out == ""
+        assert f"exceeded {cap} live cosets" in err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    group=st.sampled_from([("s3", "3/4"), ("z2z2", "1/2"), ("z2z2", "0")]),
+    # small scales build quickly; large ones trip the point cap before any work
+    scale=st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1000)),
+)
+def test_tower_scale_exits_0_or_3_naming_the_point_cap_or_the_route(group, scale):
+    name, mu = group
+    code, out, err = run_main(
+        "tower", "--group", name, "--mu", mu, "--depth", "1", "--scale", str(scale)
+    )
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    if code == EXIT_BUDGET:
+        assert out == ""
+        assert f"over the cap {BASE_POINT_CAP}" in err or "route" in err or "layout (" in err
     assert "Traceback" not in err
 
 

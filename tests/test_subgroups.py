@@ -175,6 +175,23 @@ def test_subgroup_homology_matches_full_edge_matrix():
     assert count == 1 + 5511 + 8 + 3 + 2
 
 
+def test_relator_free_homology_numbers_no_cotree(monkeypatch):
+    # with no relator and no loop there is no word to walk; a loop word still
+    # needs the numbering
+    pres, spec = parsed("gens a b\nsub K a, b^2, b a b^-1\n")
+    table = enumerate_cosets(pres, spec)
+    calls = []
+    cotree_pairs = subgroups.cotree_pairs
+    monkeypatch.setattr(
+        subgroups, "cotree_pairs", lambda t: calls.append(1) or cotree_pairs(t)
+    )
+    rows, cols = full_edge_matrix(table)
+    assert subgroup_homology(table) == report_from_matrix(rows, cols - table.index + 1)
+    assert table.index == 2 and calls == []
+    subgroups.subgroup_abelianized_matrix(table, [(1, 1)])
+    assert calls == [1]
+
+
 def test_tietze_removes_redundant_generators():
     # <x, y | x y^-1> is Z
     pres, _ = parsed("gens x y\nrel x y^-1\n")

@@ -278,8 +278,9 @@ def test_budget_error_texts_are_pinned():
 
 
 # Reference annealer: every changed walk's product is taken along its whole
-# path, tables count (vertex, residue) tuples, and counter updates follow the
-# iteration order of the set of walks through the changed point.
+# path, tables count (vertex, residue) tuples, counter updates follow the
+# iteration order of the set of walks through the changed point, and a
+# rejected move is taken back by recomputing it.
 
 
 class FullPathSearch(_TwistSearch):
@@ -337,6 +338,9 @@ class FullPathSearch(_TwistSearch):
                 counter[key_new] = m + 1
             prods[i] = g
 
+    def _undo(self, twists, x, value, prods, tables, totals):
+        self._change(twists, x, value, prods, tables, totals)
+
     def _conflict_point(self, prods, tables, totals, rng):
         unmet = [
             si
@@ -375,8 +379,18 @@ def search_layout(group, mu, seed, chain_len, route_seed, depth=3):
     return base, walks, r0, depth, _copy_orders(walks, r0, depth)[0]
 
 
-def decoded(table, kmax):
-    return [(divmod(key, kmax), m) for key, m in table.items()]
+def assert_same_tables(fast, tables, oracle_tables):
+    """Forbid tables item by item, in order (_conflict_point draws from that
+    order); demand tables, read only through their totals, as their nonzero
+    counts."""
+    kmax = fast.kmax
+    for (_, _, forbid), table, oracle_table in zip(fast.specs, tables, oracle_tables):
+        if forbid:
+            assert [(divmod(key, kmax), m) for key, m in table.items()] == list(
+                oracle_table.items()
+            )
+        else:
+            assert {divmod(key, kmax): m for key, m in enumerate(table) if m} == oracle_table
 
 
 def test_incremental_annealer_matches_full_path_oracle():
@@ -405,8 +419,37 @@ def test_incremental_annealer_matches_full_path_oracle():
             assert prods == oracle_prods == oracle._products(twists)
             assert prods == fast._products(twists)
             assert totals == oracle_totals
-            assert [decoded(t, kmax) for t in tables] == [list(t.items()) for t in oracle_tables]
+            assert_same_tables(fast, tables, oracle_tables)
     assert reverts > 1000
+
+
+def test_undo_matches_full_path_oracle():
+    # _undo swaps the saved products back; the oracle recomputes them
+    layout = search_layout("s3", "3/4", 0, 12, 2)
+    fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
+    rng = random.Random(13)
+    twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
+    oracle_twists = list(twists)
+    prods = fast._products(twists)
+    tables, totals = fast._tables(prods)
+    oracle_prods = oracle._products(oracle_twists)
+    oracle_tables, oracle_totals = oracle._tables(oracle_prods)
+    points = sorted(oracle.through)
+    undone = 0
+    for _ in range(2500):
+        x, value = rng.choice(points), rng.randrange(fast.kmax)
+        old = twists[x]
+        fast._change(twists, x, value, prods, tables, totals)
+        oracle._change(oracle_twists, x, value, oracle_prods, oracle_tables, oracle_totals)
+        if rng.random() < 0.5:
+            fast._undo(twists, x, old, prods, tables, totals)
+            oracle._undo(oracle_twists, x, old, oracle_prods, oracle_tables, oracle_totals)
+            undone += 1
+        assert twists == oracle_twists
+        assert prods == oracle_prods == fast._products(twists)
+        assert totals == oracle_totals
+        assert_same_tables(fast, tables, oracle_tables)
+    assert undone > 1000
 
 
 def test_conflict_draws_match_full_path_oracle():
