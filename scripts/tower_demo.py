@@ -35,13 +35,18 @@ def main():
 
     print("verifying homology against the closed forms ...")
     report = tower_report(covers)
-    header = f"  {'n':>6} {'p':>5} {'beta1':>6} {'b_12':>6} {'pred d':>7} {'(d-1)/n':>9}"
+    header = (
+        f"  {'n':>6} {'p':>5} {'beta1':>6} {'b_12':>6} {'pred d':>7} "
+        f"{'rank':>13} {'(d-1)/n':>9}"
+    )
     print(header)
     for lc in report.levels:
         assert lc.b1p_match, "mod-p homology disagrees with the prediction"
+        lower, upper = lc.computed_rank
         print(
             f"  {lc.n:>6} {lc.p:>5} {lc.computed_beta1:>6} {lc.computed_b1p[2]:>6} "
-            f"{str(lc.predicted.d):>7} {str(Fraction(lc.predicted.d - 1, lc.n)):>9}"
+            f"{str(lc.predicted.d):>7} {f'[{lower}, {upper}]':>13} "
+            f"{str(Fraction(lc.predicted.d - 1, lc.n)):>9}"
         )
     print(
         f"limit gradients: d -> {report.limit_d}, "

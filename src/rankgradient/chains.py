@@ -20,8 +20,8 @@ from .cosets import (
     enumerate_cosets,
     intersect,
     is_normal,
-    low_index,
     normal_core,
+    subgroups_of_index,
 )
 from .errors import BudgetError, InternalInvariantError, RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES
@@ -104,16 +104,17 @@ def farber_chain(
         raise ValueError("depth must be at least 1")
     levels = [_whole_group_level(pres)]
     h_table = enumerate_cosets(pres, sub, cap=coset_cap, provenance="chain seed")
-    levels.append(h_table)
     truncated = None
-    if depth >= 2:
+    if h_table.index > index_cap:
+        truncated = f"stopped before level 1: level index {h_table.index} exceeds cap {index_cap}"
+    else:
+        levels.append(h_table)
+    if depth >= 2 and truncated is None:
         core = normal_core(h_table)
         delta = None  # running intersection of all subgroups of index <= n
         for n in range(2, depth + 1):
             try:
-                for t in low_index(pres, n):
-                    if t.index != n:
-                        continue
+                for t in subgroups_of_index(pres, n):
                     if delta is not None and contains(t, delta):
                         continue  # intersection already inside t
                     delta = t if delta is None else intersect(delta, t)
@@ -123,9 +124,7 @@ def farber_chain(
                         )
                 level = intersect(core, delta) if delta is not None else core
                 if level.index > index_cap:
-                    raise BudgetError(
-                        f"level index {level.index} exceeds cap {index_cap}"
-                    )
+                    raise BudgetError(f"level index {level.index} exceeds cap {index_cap}")
             except BudgetError as exc:
                 truncated = f"stopped before level {n}: {exc}"
                 break

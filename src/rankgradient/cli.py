@@ -263,7 +263,7 @@ def cmd_tower(args):
     a_pres, _, source = load_source(ns)
     mu = Fraction(args.mu)
     levels = build_tower(a_pres, mu, args.depth, scale=args.scale, seed=args.seed)
-    report = tower_report(levels, args.primes, args.effort)
+    report = tower_report(levels, args.primes)
     obj = tower_report_to_obj(report)
     if args.covers:
         obj["covers"] = [cover_to_json_obj(c) for c in levels]
@@ -433,7 +433,6 @@ def build_parser():
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--scale", type=_positive_int, default=12)
     p.add_argument("--seed", type=int, default=0, help="tower search seed")
-    p.add_argument("--effort", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--covers", action="store_true", help="embed the cover permutations")
 
     subs.add_parser("validate", parents=[source, plain, coset_cap, cache_dir],

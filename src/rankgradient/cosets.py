@@ -335,10 +335,20 @@ def low_index(pres: Presentation, n_max: int):
     found = []
     budget = [0, DEFAULT_NODE_CAP, found]
     for k in range(1, n_max + 1):
-        tables = []
-        _search_index(pres, k, tables, budget)
-        found += [CosetTable(pres, t, provenance=f"low_index({k})") for t in sorted(tables)]
+        found += _index_tables(pres, k, budget)
     return found
+
+
+def subgroups_of_index(pres: Presentation, k: int):
+    """The subgroups of index exactly k, in the order low_index lists them;
+    the search of index k alone visits at most ``DEFAULT_NODE_CAP`` nodes."""
+    return _index_tables(pres, k, [0, DEFAULT_NODE_CAP, []])
+
+
+def _index_tables(pres, k, budget):
+    tables = []
+    _search_index(pres, k, tables, budget)
+    return [CosetTable(pres, t, provenance=f"low_index({k})") for t in sorted(tables)]
 
 
 def _search_index(pres, k, out, budget):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .cosets import CosetTable, enumerate_cosets, schreier_transversal, validate
 from .errors import BudgetError
 from .homology import DEFAULT_PRIMES, homology_report
-from .subgroups import rank_bounds, subgroup_homology
+from .subgroups import subgroup_homology
 from .words import Presentation, SubgroupSpec, csv_table, frac_str
 
 DEFAULT_GROUP_ORDER_CAP = 1_000
@@ -115,7 +115,6 @@ class CoverGraph:
     n: int
     a_perms: tuple  # one permutation per generator of A
     sigma: tuple
-    provenance: str = field(default="", compare=False)
     # the orbit map of a cover with the same a_perms, when the caller has
     # one: the A-orbits do not depend on sigma
     known_orbit_map: tuple = field(default=None, compare=False, repr=False)
@@ -188,7 +187,6 @@ def cover_table(cover: CoverGraph) -> CosetTable:
     return CosetTable(
         pres=ambient_presentation(cover.group.pres),
         perms=cover.a_perms + (cover.sigma,),
-        provenance=cover.provenance,
     )
 
 
@@ -284,7 +282,6 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
             n=n,
             a_perms=a_perms,
             sigma=tuple(sigma),
-            provenance=f"tower level 0 (mu={mu}, scale={scale})",
             known_orbit_map=orbit_map,
         )
 
@@ -716,7 +713,7 @@ class _TwistSearch:
         return None
 
 
-def _lift(base, twists, level, k):
+def _lift(base, twists, k):
     """Degree-k cover of the level-0 cover: points x + c*n0 for copy labels
     c in the order-k dihedral group; the A-action acts blockwise and sigma
     right-multiplies the copy label by the twist of the base point."""
@@ -730,13 +727,7 @@ def _lift(base, twists, level, k):
         c = x // n0
         t = twists[x % n0] % k
         sigma[x] = base.sigma[x % n0] + _dihedral_mul(c, t, k) * n0
-    return CoverGraph(
-        group=base.group,
-        n=n,
-        a_perms=a_perms,
-        sigma=tuple(sigma),
-        provenance=f"tower level {level}",
-    )
+    return CoverGraph(group=base.group, n=n, a_perms=a_perms, sigma=tuple(sigma))
 
 
 def check_projection(upper: CoverGraph, lower: CoverGraph):
@@ -839,7 +830,7 @@ def build_tower(a_pres: Presentation, mu_target, depth: int, scale: int = 1, see
         radii = [r0]
         good = True
         for j, k in enumerate(orders, start=1):
-            lifted = _lift(base, twists, j, k)
+            lifted = _lift(base, twists, k)
             r = injectivity_radius(lifted)
             if r <= radii[-1]:
                 layout_errors.append(f"{name}: radius stalled at level {j}")
@@ -913,9 +904,12 @@ class LevelComparison:
     beta1_formula: str  # which closed form the computed beta1 matches
 
 
-def verify_level(
-    cover: CoverGraph, primes=DEFAULT_PRIMES, effort: int = 0
-) -> LevelComparison:
+def verify_level(cover: CoverGraph, primes=DEFAULT_PRIMES) -> LevelComparison:
+    """Computed statistics of a cover against the closed forms.  The rank
+    interval is [best homology bound, Kurosh count]: the base-point
+    stabilizer is F_{n-p+1} * A^{*f} for the f = mu * p one-point A-orbits
+    (a graph of groups with trivial edge groups), so n - p + 1 + f times
+    A's generator count elements generate it."""
     group = cover.group
     n = cover.n
     p = cover.num_vertices
@@ -925,7 +919,10 @@ def verify_level(
     if table.index != n:
         raise AssertionError("cover table index disagrees with point count")
     report = subgroup_homology(table, primes)
-    bounds = rank_bounds(table, report, effort)
+    lower = max([report.beta1, *report.b1p.values()])
+    upper = n - p + 1 + int(mu * p) * group.pres.rank
+    if lower > upper:
+        raise AssertionError(f"rank bounds crossed: {lower} > {upper}")
     beta1 = report.beta1
     if beta1 == n - p + 1:
         formula = "n-p+1"
@@ -940,7 +937,7 @@ def verify_level(
         radius=injectivity_radius(cover),
         predicted=pred,
         computed_index=table.index,
-        computed_rank=bounds,
+        computed_rank=(lower, upper),
         computed_beta1=beta1,
         computed_b1p=dict(report.b1p),
         b1p_match=all(report.b1p[q] == pred.b1p[q] for q in primes),
@@ -957,15 +954,9 @@ class TowerReport:
     limit_beta1: Fraction
 
 
-def tower_report(covers, primes=DEFAULT_PRIMES, effort: int = 0) -> TowerReport:
-    """Per-level comparisons plus the limit predictions of the deepest level.
-
-    Tietze effort defaults to 0 here and in ``verify_level``: the rank
-    upper bound is then the Schreier count, taken without rewriting, and
-    the rank interval is reported against the closed-form prediction
-    anyway.
-    """
-    comparisons = tuple(verify_level(c, primes, effort) for c in covers)
+def tower_report(covers, primes=DEFAULT_PRIMES) -> TowerReport:
+    """Per-level comparisons plus the limit predictions of the deepest level."""
+    comparisons = tuple(verify_level(c, primes) for c in covers)
     last = comparisons[-1].predicted
     return TowerReport(
         mu_target=covers[0].mu,

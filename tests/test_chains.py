@@ -16,7 +16,15 @@ from rankgradient.chains import (
     report_to_csv,
     report_to_json,
 )
-from rankgradient.cosets import enumerate_cosets, is_normal
+from rankgradient import cosets
+from rankgradient.cosets import (
+    contains,
+    enumerate_cosets,
+    intersect,
+    is_normal,
+    low_index,
+    normal_core,
+)
 from rankgradient.errors import BudgetError
 from rankgradient.subgroups import RankBounds
 from rankgradient.words import free_reduce, parse_presentation
@@ -121,6 +129,59 @@ def test_farber_chain_truncates_on_cap():
     chain = farber_chain(pres, spec, 3, index_cap=10)
     assert chain.truncated is not None
     assert len(chain.levels) >= 2
+
+
+def test_farber_chain_seed_above_the_index_cap_is_not_a_level():
+    pres, spec = parsed("gens a b\nsub K normal a^4, b^4, a b a^-1 b^-1\n")
+    chain = farber_chain(pres, spec, 4, index_cap=5)
+    assert chain.indices() == (1,)
+    assert chain.truncated == "stopped before level 1: level index 16 exceeds cap 5"
+
+
+def reference_farber_levels(pres, spec, depth):
+    """Levels 1..depth as the chain once built them: level n took the
+    index-n tables out of a fresh low_index(pres, n)."""
+    h_table = enumerate_cosets(pres, spec)
+    core = normal_core(h_table)
+    levels, delta = [h_table], None
+    for n in range(2, depth + 1):
+        for t in low_index(pres, n):
+            if t.index == n and (delta is None or not contains(t, delta)):
+                delta = t if delta is None else intersect(delta, t)
+        levels.append(intersect(core, delta) if delta is not None else core)
+    return levels
+
+
+def test_farber_chain_searches_each_index_once(monkeypatch):
+    pres, spec = parsed("gens a b\nsub K normal a^4, b^4, a b a^-1 b^-1\n")
+    reference = reference_farber_levels(pres, spec, 3)
+    searches = []  # (index, nodes) per low-index search
+    search_index = cosets._search_index
+
+    def counted(pres, k, out, budget):
+        search_index(pres, k, out, budget)
+        searches.append((k, budget[0]))
+
+    monkeypatch.setattr(cosets, "_search_index", counted)
+    chain = farber_chain(pres, spec, 4)
+    # level 4 is searched, then truncated at the intersection index cap
+    assert chain.truncated.startswith("stopped before level 4: intersection index")
+    assert searches == [(2, 13), (3, 58), (4, 309)]
+    assert [t.perms for t in chain.levels[1:]] == [t.perms for t in reference]
+
+
+def test_farber_chain_node_cap_covers_one_index(monkeypatch):
+    # each level's search has DEFAULT_NODE_CAP nodes for its own index:
+    # index 2 takes 13 nodes and index 3 takes 58, so a cap of 15 stops
+    # the chain before level 3 (the old search of indices 1-2, 16 nodes,
+    # stopped it before level 2)
+    pres, spec = parsed("gens a b\nsub K normal a^4, b^4, a b a^-1 b^-1\n")
+    monkeypatch.setattr(cosets, "DEFAULT_NODE_CAP", 15)
+    chain = farber_chain(pres, spec, 4)
+    assert chain.indices() == (1, 16, 16)
+    assert chain.truncated == (
+        "stopped before level 3: low-index search exceeded 15 nodes (0 tables found)"
+    )
 
 
 def test_farber_defect_rejects_identity():

@@ -242,6 +242,7 @@ def test_chain_index_cap_truncates_or_gives_the_full_chain(cap):
     assert code == EXIT_OK
     chain = json.loads(out)["report"]["chain"]
     event("truncated" if chain["truncated"] else "full")
+    assert all(index <= cap for index in chain["indices"])
     if chain["truncated"]:
         assert f"exceeds cap {cap}" in chain["truncated"]
         assert chain["indices"] == F2_CHAIN["indices"][: len(chain["indices"])]
@@ -409,6 +410,7 @@ VALIDATE = ("validate", "--preset", "s3")
     TOWER + ("--input", "s3.txt"),
     TOWER + ("--coset-cap", "10"),
     TOWER + ("--cache-dir", "cache"),
+    TOWER + ("--effort", "0"),
     VALIDATE + ("--primes", "2"),
     ENUMERATE + ("--format", "csv"),
     GRAPHING + ("--format", "csv"),

@@ -48,7 +48,9 @@ COMMANDS = {
 # rebuilt from the parsed options: the compact JSON of the "report" object,
 # or the text/CSV lines after the two header lines joined by "\n".  Only the
 # config echo, and the lowindex CSV row endings ("\n" then, "\r\n" now),
-# changed with that rebuild.
+# changed with that rebuild.  The three tower reports that carry rank_upper
+# (s3 depths 2 and 3, z2z2 CSV) were re-pinned when the tower rank upper
+# bound became the Kurosh count; nothing else in their bodies changed.
 REPORT_DIGESTS = {
     "chain_f2_depth3": "446e943102f48260a5c4eb6cf0f4f733245eed3d44094d9691c7ef8cd7c30c82",
     "chain_fig8_depth16": "9ff52e00118ed54c23121c9c489f13c717731cdddc1208d26c3332c4a7746788",
@@ -61,9 +63,9 @@ REPORT_DIGESTS = {
     "graphing_fig8_depth3_level3": "1b7d78d3815c33120e0014eaa1f920b6dc8c5f77f4e52f05acd7f8d02e32d6a8",
     "lowindex_f2_max4": "35bf5e7e7e8b5a556cedf56d0fe7887bd25b7ffbd2fc021ee8d5542c24802afc",
     "lowindex_surface2_max3_csv": "a9a9f2b31012345f6a4a364947c9a89c4edcf2b5ccd3b744f6e39776060fcd67",
-    "tower_s3_mu34_depth2": "aac4543b5ed9631bcc31b93d3c2451d40bff760c9f53ef5b7b0b1717a46113f6",
-    "tower_s3_mu34_depth3": "908140e44e99b71945e6a24086611a48258de68aaed905436a482b6322eef0d0",
-    "tower_z2z2_mu12_depth1_csv": "305735d1dcddc048c1861d1a79e50259d67c0d07c004846e709cbcf1f7d3e6aa",
+    "tower_s3_mu34_depth2": "10b7592ec863764f655e24c13488c35591e6ff0d82d1b31906351395df7ab42e",
+    "tower_s3_mu34_depth3": "02dab3b36ab38086e810144147890c5756e7bb1967d62b0553bd6f9f8de0198a",
+    "tower_z2z2_mu12_depth1_csv": "700843631201e7d354890d68845bb0145b5a101224e7d7d3fce465cd25f9fd01",
     "tower_z2z2_mu12_depth1_text": "0d3892fc0f8ea5d68393c2ff66f83a1ab4c84b5625a9cfdbabe03947e1357cd4",
     "validate_s3": "3812f2d1cf876d8fbafb3dd22ed93cde5ca80a0e2f0f0b97a9e54871c2072aef",
 }

@@ -31,7 +31,7 @@ from rankgradient.towers import (
     tower_report,
     verify_level,
 )
-from rankgradient.words import parse_presentation
+from rankgradient.words import SubgroupSpec, free_reduce, invert, parse_presentation
 
 S3 = "gens a b\nrel a^3\nrel b^2\nrel a b a b\n"
 Z2 = "gens s\nrel s^2\n"
@@ -171,7 +171,7 @@ def test_predict_stats_limits():
 
 
 def test_verify_level_base(s3_tower):
-    lc = verify_level(s3_tower[0], effort=0)
+    lc = verify_level(s3_tower[0])
     assert lc.b1p_match
     assert lc.beta1_formula == "n-p+1"
     assert lc.computed_beta1 == lc.n - lc.p + 1
@@ -256,6 +256,74 @@ def pinned_tower(case):
 def test_tower_covers_are_pinned(case):
     levels = pinned_tower(case)
     assert tuple(cover_fingerprint(c) for c in levels) == COVER_FINGERPRINTS[case]
+
+
+def kurosh_words(cover):
+    """Explicit generators of the base-point stabilizer, one per Kurosh
+    generator: a spanning tree enters each A-orbit once through a t-edge
+    and spans the orbit with A-letters; then w_x t w_{sigma x}^-1 for each
+    t-edge x -> sigma x off the tree and w_x a_i w_x^-1 for each one-point
+    orbit {x} and generator a_i."""
+    rank = len(cover.a_perms)
+    stable = rank + 1
+    inverse_sigma = [0] * cover.n
+    for x, y in enumerate(cover.sigma):
+        inverse_sigma[y] = x
+    words = {}
+    tree = set()  # x of each tree t-edge x -> sigma x
+
+    def span_orbit(x, word):
+        words[x] = word
+        frontier = [x]
+        for y in frontier:
+            for i, perm in enumerate(cover.a_perms, start=1):
+                z = perm[y]
+                if z not in words:
+                    words[z] = words[y] + (i,)
+                    frontier.append(z)
+        return frontier
+
+    frontier = span_orbit(0, ())
+    for x in frontier:
+        for y, letter, edge in ((cover.sigma[x], stable, x),
+                                (inverse_sigma[x], -stable, inverse_sigma[x])):
+            if y not in words:
+                tree.add(edge)
+                frontier += span_orbit(y, words[x] + (letter,))
+    assert len(words) == cover.n
+    gens = [
+        free_reduce(words[x] + (stable,) + invert(words[cover.sigma[x]]))
+        for x in range(cover.n) if x not in tree
+    ]
+    for orbit in cover.orbits():
+        if len(orbit) == 1:
+            x = orbit[0]
+            gens += [free_reduce(words[x] + (i,) + invert(words[x])) for i in range(1, rank + 1)]
+    return gens
+
+
+# the pinned depth-3 towers and the depth-1 tower of the z2z2 goldens
+KUROSH_TOWERS = [case + (3,) for case in sorted(COVER_FINGERPRINTS)] + [("z2z2", "1/2", 0, 1)]
+
+
+@pytest.mark.parametrize("case", KUROSH_TOWERS, ids=lambda case: "-".join(map(str, case)))
+def test_rank_upper_is_the_kurosh_word_count(case):
+    """Independent check of the Kurosh count: the explicit words lie in the
+    base-point stabilizer and generate it (HLT closes at index n), and
+    there are exactly rank_upper = predicted d of them."""
+    group, mu, seed, depth = case
+    if depth == 3:
+        levels = pinned_tower(case[:3])
+    else:
+        levels = build_tower(preset(group), Fraction(mu), depth, scale=12, seed=seed)
+    ambient = ambient_presentation(levels[0].group.pres)
+    for cover, lc in zip(levels, tower_report(levels).levels):
+        table = cover_table(cover)
+        gens = kurosh_words(cover)
+        assert all(table.apply(w, 0) == 0 for w in gens)
+        spec = SubgroupSpec(generators=tuple(gens), name="H")
+        assert enumerate_cosets(ambient, spec).index == cover.n
+        assert len(gens) == lc.computed_rank[1] == lc.predicted.d
 
 
 def test_budget_error_texts_are_pinned():
