@@ -466,20 +466,24 @@ class _TwistSearch:
     the direction).  The radius of level j is therefore read off the base
     walks alone: it is at least r0 + j iff no two walks of length <= r0 + j
     agree in (vertex, product mod k_j), and at most r0 + j iff some pair of
-    length <= r0 + j + 1 does.  One constraint table per such window pins the
-    radii to exactly r0, r0 + 1, ..., r0 + depth - 1, >= r0 + depth.
+    length <= r0 + j + 1 does.  One constraint (spec) per such window pins the
+    radii to exactly r0, r0 + 1, ..., r0 + depth - 1, >= r0 + depth: the
+    first depth specs forbid collisions, the rest (ceilings) demand one.
 
     The walks form a BFS prefix tree, so a walk's product is its parent's
     product times the label of its last edge, and the walks of length <= lim
-    are a prefix of the walk list.  A table counts walks by the int key
+    are a prefix of the walk list.  A walk's key is the int
     v * kmax + (g mod k), a bijective image of (v, g mod k).
 
-    Only the forbid tables are order-sensitive: _conflict_point draws a
-    colliding key from a forbid table's insertion order, so those stay dicts
-    that drop a key whose count reaches 0.  A demand table is read only
-    through its total, so it is a flat count list.  A move saves the old
-    products of the walks it touches, and a rejected move is undone by
-    swapping them back, not by recomputing."""
+    A forbid spec counts walks by key in a dict that drops a key whose count
+    reaches 0: _conflict_point draws a colliding key from its insertion
+    order.  A ceiling is read only as met or unmet, so instead of a table
+    it keeps a witness, one colliding walk pair of its window (None when
+    unmet), and its total is 1 or 0.  A move keeps the pair unless one of
+    its walks passes through the changed point and the pair no longer
+    collides; only then is the window rescanned.  A move saves the old
+    products of the walks it touches and the ceiling pairs, and a rejected
+    move is undone by swapping them back, not by recomputing."""
 
     def __init__(self, base, walks, r0, depth, orders):
         self.r0 = r0
@@ -502,22 +506,23 @@ class _TwistSearch:
         self.at_vertex = {}
         for i, w in enumerate(walks):
             self.at_vertex.setdefault(w[0], []).append(i)
-        self.size = (max(self.at_vertex) + 1) * kmax  # length of a demand table
         through = {}
         for i, (_, path, _, _) in enumerate(walks):
             for x, _ in path:
                 through.setdefault(x, set()).add(i)
         # The walks through x are closed under extension.  Their products
-        # are recomputed in index order (parents first); each table is then
-        # updated over its window's share of them in the set's iteration
-        # order, which fixes the forbid tables' key order and with it every
-        # draw of _conflict_point.
+        # are recomputed in index order (parents first); each forbid table
+        # (specs 0 .. depth - 1) is then updated over its window's share of
+        # them in the set's iteration order, which fixes the forbid tables'
+        # key order and with it every draw of _conflict_point.
+        self.through = {x: frozenset(members) for x, members in through.items()}
         self.below = {x: sorted(members) for x, members in through.items()}
         self.members = {
-            x: [[i for i in members if i < end] for end in self.ends]
+            x: [[i for i in members if i < end] for end in self.ends[:depth]]
             for x, members in through.items()
         }
         self._old = [0] * len(walks)
+        self._pairs = []
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
@@ -578,22 +583,35 @@ class _TwistSearch:
         return prods
 
     def _tables(self, prods):
+        """Per forbid spec a count dict and its number of colliding pairs;
+        per ceiling spec a witness pair and 1, or None and 0."""
         tables, totals = [], []
         vkey = self.vkey
-        for (_, k, forbid), end in zip(self.specs, self.ends):
+        for si, ((_, k, forbid), end) in enumerate(zip(self.specs, self.ends)):
             if forbid:
                 counter = {}
                 for i in range(end):
                     key = vkey[i] + prods[i] % k
                     counter[key] = counter.get(key, 0) + 1
-                counts = counter.values()
+                tables.append(counter)
+                totals.append(sum(m * (m - 1) // 2 for m in counter.values()))
             else:
-                counts = counter = [0] * self.size
-                for i in range(end):
-                    counter[vkey[i] + prods[i] % k] += 1
-            tables.append(counter)
-            totals.append(sum(m * (m - 1) // 2 for m in counts))
+                pair = self._witness(si, prods)
+                tables.append(pair)
+                totals.append(0 if pair is None else 1)
         return tables, totals
+
+    def _witness(self, si, prods):
+        """The first pair of walks in spec si's window that collide, or None."""
+        k = self.specs[si][1]
+        vkey = self.vkey
+        seen = {}
+        for i in range(self.ends[si]):
+            key = vkey[i] + prods[i] % k
+            if key in seen:
+                return seen[key], i
+            seen[key] = i
+        return None
 
     def _objective(self, totals):
         obj = 0
@@ -603,7 +621,8 @@ class _TwistSearch:
 
     def _change(self, twists, x, value, prods, tables, totals):
         """Set twist x to value: recompute the products of the walks through
-        x, saving the old ones in _old, and update the tables."""
+        x, saving the old ones in _old and the ceiling pairs in _pairs, and
+        update the tables."""
         twists[x] = value
         mul, inv, parent, last, old = self.mul, self.inv, self.parent, self.last, self._old
         for i in self.below[x]:
@@ -611,44 +630,55 @@ class _TwistSearch:
             old[i] = prods[i]
             prods[i] = mul[prods[parent[i]]][twists[y] if d == 1 else inv[twists[y]]]
         self._retable(x, prods, tables, totals)
+        depth = self.depth
+        self._pairs = tables[depth:]
+        through = self.through[x]
+        for si in range(depth, len(self.specs)):
+            pair = tables[si]
+            if pair is not None:
+                i, j = pair
+                if i not in through and j not in through:
+                    continue
+                k = self.specs[si][1]
+                if prods[i] % k == prods[j] % k:
+                    continue
+            tables[si] = pair = self._witness(si, prods)
+            totals[si] = 0 if pair is None else 1
 
     def _undo(self, twists, x, value, prods, tables, totals):
         """Take back the last _change, made at x, which had the twist value:
-        swap the saved products back instead of recomputing them."""
+        swap the saved products and ceiling pairs back instead of
+        recomputing them."""
         twists[x] = value
         old = self._old
         for i in self.below[x]:
             prods[i], old[i] = old[i], prods[i]
         self._retable(x, prods, tables, totals)
+        depth = self.depth
+        tables[depth:] = self._pairs
+        totals[depth:] = [0 if pair is None else 1 for pair in self._pairs]
 
     def _retable(self, x, prods, tables, totals):
         """Move each walk through x from its key under _old to its key under
-        prods, one loop per table."""
+        prods, one loop per forbid table."""
         old, vkey = self._old, self.vkey
         for si, members in enumerate(self.members[x]):
-            _, k, forbid = self.specs[si]
+            k = self.specs[si][1]
             counter, total = tables[si], totals[si]
-            if forbid:
-                for i in members:
-                    r_old, r = old[i] % k, prods[i] % k
-                    if r_old != r:
-                        key = vkey[i] + r_old
-                        m = counter[key]
-                        total -= m - 1
-                        if m == 1:
-                            del counter[key]
-                        else:
-                            counter[key] = m - 1
-                        key = vkey[i] + r
-                        m = counter.get(key, 0)
-                        total += m
-                        counter[key] = m + 1
-            else:  # src == dst leaves the counts and the total as they were
-                for i in members:
-                    src, dst = vkey[i] + old[i] % k, vkey[i] + prods[i] % k
-                    counter[src] -= 1
-                    total += counter[dst] - counter[src]
-                    counter[dst] += 1
+            for i in members:
+                r_old, r = old[i] % k, prods[i] % k
+                if r_old != r:
+                    key = vkey[i] + r_old
+                    m = counter[key]
+                    total -= m - 1
+                    if m == 1:
+                        del counter[key]
+                    else:
+                        counter[key] = m - 1
+                    key = vkey[i] + r
+                    m = counter.get(key, 0)
+                    total += m
+                    counter[key] = m + 1
             totals[si] = total
 
     def _conflict_point(self, prods, tables, totals, rng):

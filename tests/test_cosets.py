@@ -49,6 +49,52 @@ def hall_counts(rank, n_max):
     return a
 
 
+def hall_recursion(homs, n_max):
+    """Subgroups of index n = 1 .. n_max in a group G, from t_n = |Hom(G, S_n)|
+    by Hall's relation n h_n = sum_{k=1..n} a_k h_{n-k}, h_n = t_n / n!."""
+    h = {0: 1}
+    a = {}
+    for n in range(1, n_max + 1):
+        h[n] = homs(n) // factorial(n)
+        assert h[n] * factorial(n) == homs(n)
+        a[n] = n * h[n] - sum(a[k] * h[n - k] for k in range(1, n))
+    return a
+
+
+def partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def hook_dimension(shape):
+    """f_lambda, the degree of the irreducible character of S_n for the
+    partition shape, by the hook length formula."""
+    columns = [sum(1 for row in shape if row > c) for c in range(shape[0])]
+    hooks = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            hooks *= (row - c) + (columns[c] - r) - 1
+    return factorial(sum(shape)) // hooks
+
+
+def mednykh_counts(genus, n_max):
+    """Subgroups of index n in the genus-g surface group: Mednykh's
+    |Hom(pi_1 S_g, S_n)| = n! sum_lambda (n! / f_lambda)^(2g - 2), then
+    Hall's recursion."""
+
+    def homs(n):
+        return factorial(n) * sum(
+            (factorial(n) // hook_dimension(shape)) ** (2 * genus - 2)
+            for shape in partitions(n)
+        )
+
+    return hall_recursion(homs, n_max)
+
+
 def test_enumerate_s3_regular():
     pres, _ = parsed(S3)
     table = enumerate_cosets(pres)
@@ -79,6 +125,25 @@ def test_enumerate_cap():
 
 def test_hall_counts_oracle_f2():
     assert hall_counts(2, 5) == {1: 1, 2: 3, 3: 13, 4: 71, 5: 461}
+
+
+def test_mednykh_counts_oracle():
+    # sum_lambda f_lambda^2 = n!, and genus 1 (Z^2) has sigma_1(n) subgroups
+    for n in range(1, 8):
+        assert sum(hook_dimension(shape) ** 2 for shape in partitions(n)) == factorial(n)
+    assert mednykh_counts(1, 6) == {1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12}
+    assert mednykh_counts(2, 6) == {1: 1, 2: 15, 3: 220, 4: 5275, 5: 151086, 6: 6605004}
+    # the same recursion from |Hom(F_2, S_n)| = (n!)^2 is Hall's count for F_2
+    assert hall_recursion(lambda n: factorial(n) ** 2, 5) == hall_counts(2, 5)
+
+
+def test_low_index_matches_mednykh_on_surface2():
+    pres, _ = preset("surface2")
+    counts = {}
+    for t in low_index(pres, 4):
+        counts[t.index] = counts.get(t.index, 0) + 1
+    assert counts == {n: mednykh_counts(2, 4)[n] for n in range(1, 5)}
+    assert counts == {1: 1, 2: 15, 3: 220, 4: 5275}
 
 
 @pytest.mark.parametrize("rank,n_max", [(2, 4), (3, 3)])

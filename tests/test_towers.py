@@ -447,77 +447,108 @@ def search_layout(group, mu, seed, chain_len, route_seed, depth=3):
     return base, walks, r0, depth, _copy_orders(walks, r0, depth)[0]
 
 
-def assert_same_tables(fast, tables, oracle_tables):
+def assert_same_tables(fast, prods, tables, totals, oracle_tables, oracle_totals):
     """Forbid tables item by item, in order (_conflict_point draws from that
-    order); demand tables, read only through their totals, as their nonzero
-    counts."""
+    order), with their totals.  A ceiling is read only as met or unmet, so
+    it must be met exactly when the oracle's count is positive, and its kept
+    pair must be two walks of its window that really collide.  Returns the
+    number of unmet ceilings."""
     kmax = fast.kmax
-    for (_, _, forbid), table, oracle_table in zip(fast.specs, tables, oracle_tables):
+    unmet = 0
+    for si, (_, k, forbid) in enumerate(fast.specs):
         if forbid:
-            assert [(divmod(key, kmax), m) for key, m in table.items()] == list(
-                oracle_table.items()
+            assert totals[si] == oracle_totals[si]
+            assert [(divmod(key, kmax), m) for key, m in tables[si].items()] == list(
+                oracle_tables[si].items()
             )
-        else:
-            assert {divmod(key, kmax): m for key, m in enumerate(table) if m} == oracle_table
+            continue
+        assert (totals[si] > 0) == (oracle_totals[si] > 0)
+        pair = tables[si]
+        if pair is None:
+            assert totals[si] == 0
+            unmet += 1
+            continue
+        i, j = pair
+        assert i != j and i < fast.ends[si] and j < fast.ends[si]
+        assert fast.walks[i][0] == fast.walks[j][0]
+        assert prods[i] % k == prods[j] % k
+    return unmet
+
+
+# the layout tower --group s3 --mu 3/4 --depth 3 anneals, whose ceilings
+# are met in every random state, and a z2z2 layout whose level-1 ceiling is
+# unmet about half the time under random moves
+ORACLE_LAYOUTS = [("s3", "3/4", 0, 12, 2), ("z2z2", "1/2", 0, 8, 0)]
 
 
 def test_incremental_annealer_matches_full_path_oracle():
-    # the layout tower --group s3 --mu 3/4 --depth 3 anneals
-    layout = search_layout("s3", "3/4", 0, 12, 2)
-    fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
-    kmax = fast.kmax
-    rng = random.Random(11)
-    twists = [rng.randrange(kmax) for _ in range(fast.n0)]
-    oracle_twists = list(twists)
-    prods = fast._products(twists)
-    tables, totals = fast._tables(prods)
-    oracle_prods = oracle._products(oracle_twists)
-    oracle_tables, oracle_totals = oracle._tables(oracle_prods)
-    points = sorted(oracle.through)
-    reverts = 0
-    for _ in range(2500):
-        x, value = rng.choice(points), rng.randrange(kmax)
-        moves = [value]
-        if rng.random() < 0.5:
-            moves.append(twists[x])
-            reverts += 1
-        for value in moves:
-            fast._change(twists, x, value, prods, tables, totals)
-            oracle._change(oracle_twists, x, value, oracle_prods, oracle_tables, oracle_totals)
-            assert prods == oracle_prods == oracle._products(twists)
-            assert prods == fast._products(twists)
-            assert totals == oracle_totals
-            assert_same_tables(fast, tables, oracle_tables)
-    assert reverts > 1000
+    unmet = 0
+    for case in ORACLE_LAYOUTS:
+        layout = search_layout(*case)
+        fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
+        kmax = fast.kmax
+        rng = random.Random(11)
+        twists = [rng.randrange(kmax) for _ in range(fast.n0)]
+        oracle_twists = list(twists)
+        prods = fast._products(twists)
+        tables, totals = fast._tables(prods)
+        oracle_prods = oracle._products(oracle_twists)
+        oracle_tables, oracle_totals = oracle._tables(oracle_prods)
+        points = sorted(oracle.through)
+        reverts = 0
+        for _ in range(2500):
+            x, value = rng.choice(points), rng.randrange(kmax)
+            moves = [value]
+            if rng.random() < 0.5:
+                moves.append(twists[x])
+                reverts += 1
+            for value in moves:
+                fast._change(twists, x, value, prods, tables, totals)
+                oracle._change(
+                    oracle_twists, x, value, oracle_prods, oracle_tables, oracle_totals
+                )
+                assert prods == oracle_prods == oracle._products(twists)
+                assert prods == fast._products(twists)
+                unmet += assert_same_tables(
+                    fast, prods, tables, totals, oracle_tables, oracle_totals
+                )
+        assert reverts > 1000
+    assert unmet > 1000
 
 
 def test_undo_matches_full_path_oracle():
-    # _undo swaps the saved products back; the oracle recomputes them
-    layout = search_layout("s3", "3/4", 0, 12, 2)
-    fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
-    rng = random.Random(13)
-    twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
-    oracle_twists = list(twists)
-    prods = fast._products(twists)
-    tables, totals = fast._tables(prods)
-    oracle_prods = oracle._products(oracle_twists)
-    oracle_tables, oracle_totals = oracle._tables(oracle_prods)
-    points = sorted(oracle.through)
-    undone = 0
-    for _ in range(2500):
-        x, value = rng.choice(points), rng.randrange(fast.kmax)
-        old = twists[x]
-        fast._change(twists, x, value, prods, tables, totals)
-        oracle._change(oracle_twists, x, value, oracle_prods, oracle_tables, oracle_totals)
-        if rng.random() < 0.5:
-            fast._undo(twists, x, old, prods, tables, totals)
-            oracle._undo(oracle_twists, x, old, oracle_prods, oracle_tables, oracle_totals)
-            undone += 1
-        assert twists == oracle_twists
-        assert prods == oracle_prods == fast._products(twists)
-        assert totals == oracle_totals
-        assert_same_tables(fast, tables, oracle_tables)
-    assert undone > 1000
+    # _undo swaps the saved products and ceiling pairs back; the oracle
+    # recomputes them
+    unmet = 0
+    for case in ORACLE_LAYOUTS:
+        layout = search_layout(*case)
+        fast, oracle = _TwistSearch(*layout), FullPathSearch(*layout)
+        rng = random.Random(13)
+        twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
+        oracle_twists = list(twists)
+        prods = fast._products(twists)
+        tables, totals = fast._tables(prods)
+        oracle_prods = oracle._products(oracle_twists)
+        oracle_tables, oracle_totals = oracle._tables(oracle_prods)
+        points = sorted(oracle.through)
+        undone = 0
+        for _ in range(2500):
+            x, value = rng.choice(points), rng.randrange(fast.kmax)
+            old = twists[x]
+            fast._change(twists, x, value, prods, tables, totals)
+            oracle._change(oracle_twists, x, value, oracle_prods, oracle_tables, oracle_totals)
+            if rng.random() < 0.5:
+                unmet += assert_same_tables(
+                    fast, prods, tables, totals, oracle_tables, oracle_totals
+                )
+                fast._undo(twists, x, old, prods, tables, totals)
+                oracle._undo(oracle_twists, x, old, oracle_prods, oracle_tables, oracle_totals)
+                undone += 1
+            assert twists == oracle_twists
+            assert prods == oracle_prods == fast._products(twists)
+            unmet += assert_same_tables(fast, prods, tables, totals, oracle_tables, oracle_totals)
+        assert undone > 1000
+    assert unmet > 1000
 
 
 def test_conflict_draws_match_full_path_oracle():
@@ -542,18 +573,23 @@ def test_conflict_draws_match_full_path_oracle():
 
 
 # layouts whose search succeeds within a few thousand moves
-@pytest.mark.parametrize("group,mu,seed,chain_len,route_seed", [
-    ("s3", "3/4", 0, 12, 3),
-    ("s3", "3/4", 1, 12, 1),
-    ("z2z2", "1/2", 0, None, 0),
+@pytest.mark.parametrize("group,mu,seed,chain_len,route_seed,moves", [
+    pytest.param("s3", "3/4", 0, 12, 3, 4000, id="s3-3/4-0-12-3"),
+    pytest.param("s3", "3/4", 1, 12, 1, 4000, id="s3-3/4-1-12-1"),
+    pytest.param("z2z2", "1/2", 0, None, 0, 4000, id="z2z2-1/2-0-None-0"),
+    # the layout tower --group s3 --mu 3/4 --depth 3 searches; it finds no
+    # solution within 4,000 moves
+    pytest.param("s3", "3/4", 0, 12, 2, 5000, id="s3-3/4-0-12-2"),
 ])
-def test_annealer_matches_full_path_oracle_in_solve(group, mu, seed, chain_len, route_seed):
+def test_annealer_matches_full_path_oracle_in_solve(
+    group, mu, seed, chain_len, route_seed, moves
+):
     layout = search_layout(group, mu, seed, chain_len, route_seed)
     name = f"{seed}:{chain_len}:{route_seed}"
     fast_rng, oracle_rng = random.Random(name), random.Random(name)
-    twists = _TwistSearch(*layout).solve(fast_rng, restarts=1, moves=4000)
+    twists = _TwistSearch(*layout).solve(fast_rng, restarts=1, moves=moves)
     assert twists is not None
-    assert twists == FullPathSearch(*layout).solve(oracle_rng, restarts=1, moves=4000)
+    assert twists == FullPathSearch(*layout).solve(oracle_rng, restarts=1, moves=moves)
     # the same draws, so the same search path
     assert fast_rng.getstate() == oracle_rng.getstate()
 
