@@ -51,7 +51,7 @@ def main():
 
     chain = lamplighter_chain(3, 2)
     show("Lamplighter quotient W3: (b_{1,2}-1)/index stays at 1",
-         chain, gradient_sequence(chain, effort=1))
+         chain, gradient_sequence(chain))
 
     pres, specs = parse_presentation(F2_SEED)
     chain = farber_chain(pres, specs[0], min(args.depth, 3))

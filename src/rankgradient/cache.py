@@ -119,11 +119,10 @@ class TableCache:
         pres: Presentation,
         spec: SubgroupSpec | None = None,
         cap: int = DEFAULT_COSET_CAP,
-        provenance: str = "enumerate",
     ) -> CosetTable:
         if not self.enabled:
             self.misses += 1
-            return enumerate_cosets(pres, spec, cap=cap, provenance=provenance)
+            return enumerate_cosets(pres, spec, cap=cap)
         key = cache_key(pres, spec)
         path = self._path(key)
         try:
@@ -133,7 +132,7 @@ class TableCache:
             return table
         except (OSError, ValueError, json.JSONDecodeError):
             pass
-        table = enumerate_cosets(pres, spec, cap=cap, provenance=provenance)
+        table = enumerate_cosets(pres, spec, cap=cap)
         self.misses += 1
         os.makedirs(self.directory, exist_ok=True)
         # A private temp file per writer: concurrent writers of one key each

@@ -25,7 +25,7 @@ from .cosets import (
 )
 from .errors import BudgetError, InternalInvariantError, RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES
-from .subgroups import rank_bounds, subgroup_homology
+from .subgroups import RankBounds, rank_bounds, subgroup_homology
 from .words import Presentation, SubgroupSpec, Word, csv_table, frac_str, free_reduce
 
 DEFAULT_CHAIN_INDEX_CAP = 10_000
@@ -58,7 +58,7 @@ class Chain:
 
 def _whole_group_level(pres):
     spec = SubgroupSpec(generators=tuple((i + 1,) for i in range(pres.rank)), name="G")
-    return enumerate_cosets(pres, spec, provenance="whole group")
+    return enumerate_cosets(pres, spec)
 
 
 def _certify(levels):
@@ -103,7 +103,7 @@ def farber_chain(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     levels = [_whole_group_level(pres)]
-    h_table = enumerate_cosets(pres, sub, cap=coset_cap, provenance="chain seed")
+    h_table = enumerate_cosets(pres, sub, cap=coset_cap)
     truncated = None
     if h_table.index > index_cap:
         truncated = f"stopped before level 1: level index {h_table.index} exceeds cap {index_cap}"
@@ -153,7 +153,7 @@ def hnn_chain(
     levels = [_whole_group_level(pres)]
     for n in range(1, depth + 1):
         spec = SubgroupSpec(generators=base_letters + ((t_letter,) * n,), name=f"G{n}")
-        table = enumerate_cosets(pres, spec, cap=coset_cap, provenance=f"hnn level {n}")
+        table = enumerate_cosets(pres, spec, cap=coset_cap)
         if table.index != n:
             raise ValueError(
                 f"level {n} has index {table.index}, expected {n}; "
@@ -192,9 +192,7 @@ def lamplighter_chain(m: int, depth: int, coset_cap: int = DEFAULT_COSET_CAP) ->
             free_reduce([-2] * i + [1] + [2] * i) for i in range(2 ** n)
         ) + ((2,) * (2 ** n),)
         spec = SubgroupSpec(generators=gens, name=f"G{n}")
-        table = enumerate_cosets(
-            pres, spec, cap=coset_cap, provenance=f"lamplighter level {n}"
-        )
+        table = enumerate_cosets(pres, spec, cap=coset_cap)
         if table.index != 2 ** n:
             raise InternalInvariantError(
                 f"level {n} has index {table.index}, expected {2 ** n}"
@@ -243,20 +241,23 @@ class GradientReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
 
-def _level_stats(table, level, primes, effort):
+def _level_stats(table, level, primes):
     """LevelStats of one level.  When rewriting for the Tietze upper bound
     trips the relator length cap, the level keeps its homology and reports
-    the Schreier count (the effort-0 bound), with a note naming the cap.
+    the Schreier count 1 + index * (rank - 1), with a note naming the cap.
     A note of the Tietze result (the step limit, refused eliminations) is
     carried over, saying so when the spec words give a lower rank_upper
     than Tietze, which the note then does not touch."""
     try:
         report = subgroup_homology(table, primes)
         try:
-            bounds = rank_bounds(table, report, effort)
+            bounds = rank_bounds(table, report)
             note = bounds.note
         except RelatorLengthExceeded as exc:
-            bounds = rank_bounds(table, report, 0)
+            bounds = RankBounds(
+                max([report.beta1, *report.b1p.values()]),
+                1 + table.index * (table.pres.rank - 1),
+            )
             note = f"rank_upper is the Schreier count: {exc}"
         lower, upper = bounds
         spec = table.spec
@@ -284,9 +285,7 @@ def _level_stats(table, level, primes, effort):
         return LevelStats(level=level, index=table.index, error=str(exc))
 
 
-def gradient_sequence(
-    chain: Chain, primes=DEFAULT_PRIMES, effort: int = 2
-) -> GradientReport:
+def gradient_sequence(chain: Chain, primes=DEFAULT_PRIMES) -> GradientReport:
     """Per-level rank bounds, homology and exact-rational gradient ratios.
 
     Levels are evaluated independently and a failed level is reported in
@@ -296,10 +295,7 @@ def gradient_sequence(
     makes (schreier_upper - 1)/index non-increasing whenever consecutive
     levels are nested.
     """
-    stats = [
-        _level_stats(table, i, primes, effort)
-        for i, table in enumerate(chain.levels)
-    ]
+    stats = [_level_stats(table, i, primes) for i, table in enumerate(chain.levels)]
 
     # Chain the Schreier bound through the levels in order.
     prev_best = None

@@ -126,7 +126,7 @@ def cmd_enumerate(args):
     pres, specs, source = load_source(args)
     spec = pick_spec(args, specs)
     cache = TableCache(args.cache_dir)
-    table = cache.enumerate(pres, spec, cap=args.coset_cap, provenance="cli")
+    table = cache.enumerate(pres, spec, cap=args.coset_cap)
     obj = {
         "index": table.index,
         "subgroup": spec.name if spec else "1",
@@ -200,7 +200,7 @@ def build_chain(args, pres, specs, source):
 def cmd_chain(args, gradient_only=False):
     pres, specs, source = load_source(args)
     chain = build_chain(args, pres, specs, source)
-    report = gradient_sequence(chain, primes=args.primes, effort=args.effort)
+    report = gradient_sequence(chain, primes=args.primes)
     body = report_to_obj(report)
     if not gradient_only:
         body["chain"] = {
@@ -294,7 +294,7 @@ def cmd_validate(args):
     cache = TableCache(args.cache_dir)
     results = []
     for name in sorted(specs):
-        table = cache.enumerate(pres, specs[name], cap=args.coset_cap, provenance="validate")
+        table = cache.enumerate(pres, specs[name], cap=args.coset_cap)
         problems = validate(table)
         if problems:
             raise InternalInvariantError(
@@ -398,7 +398,6 @@ def build_parser():
     chain.add_argument("--m", type=int, default=None, help="wreath exponent (lamplighter)")
     chain.add_argument("--depth", type=int, required=True)
     chain.add_argument("--index-cap", type=_positive_int, default=DEFAULT_CHAIN_INDEX_CAP)
-    effort = _parent("--effort", type=int, default=2, choices=(0, 1, 2))
 
     parser = argparse.ArgumentParser(
         prog="rankgradient",
@@ -415,9 +414,9 @@ def build_parser():
                         help="all subgroups of small index")
     p.add_argument("--max", type=int, required=True)
 
-    subs.add_parser("chain", parents=[source, with_csv, primes, coset_cap, chain, effort],
+    subs.add_parser("chain", parents=[source, with_csv, primes, coset_cap, chain],
                     help="build a chain and report its gradient sequence")
-    subs.add_parser("gradient", parents=[source, with_csv, primes, coset_cap, chain, effort],
+    subs.add_parser("gradient", parents=[source, with_csv, primes, coset_cap, chain],
                     help="gradient sequence only (no chain structure block)")
 
     p = subs.add_parser("graphing", parents=[source, plain, coset_cap, chain],

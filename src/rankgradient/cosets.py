@@ -46,7 +46,7 @@ class CosetTable:
     pres: Presentation
     perms: tuple  # one permutation (tuple of ints) per generator
     spec: SubgroupSpec | None = field(default=None, compare=False)
-    provenance: str = field(default="", compare=False)
+    provenance: str = field(default="", compare=False)  # "cache" when read from the cache
 
     @cached_property
     def _inv_perms(self):
@@ -125,7 +125,7 @@ def canonicalize(table: CosetTable) -> CosetTable:
     perms = tuple(
         tuple(new_of[p[order[c]]] for c in range(n)) for p in table.perms
     )
-    return CosetTable(pres=table.pres, perms=perms, spec=table.spec, provenance=table.provenance)
+    return CosetTable(pres=table.pres, perms=perms, spec=table.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,6 @@ def enumerate_cosets(
     pres: Presentation,
     spec: SubgroupSpec | None = None,
     cap: int = DEFAULT_COSET_CAP,
-    provenance: str = "enumerate",
 ) -> CosetTable:
     """Todd-Coxeter coset enumeration over a finitely presented group.
 
@@ -258,7 +257,7 @@ def enumerate_cosets(
         relators += point_words
         point_words = []
     perms, _ = _hlt(pres.rank, relators, point_words, cap)
-    table = CosetTable(pres=pres, perms=perms, spec=spec, provenance=provenance)
+    table = CosetTable(pres=pres, perms=perms, spec=spec)
     table = canonicalize(table)
     problems = validate(table)
     if problems:
@@ -348,7 +347,7 @@ def subgroups_of_index(pres: Presentation, k: int):
 def _index_tables(pres, k, budget):
     tables = []
     _search_index(pres, k, tables, budget)
-    return [CosetTable(pres, t, provenance=f"low_index({k})") for t in sorted(tables)]
+    return [CosetTable(pres, t) for t in sorted(tables)]
 
 
 def _search_index(pres, k, out, budget):
@@ -460,7 +459,7 @@ def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
         tuple(number[(t1.perms[g][a], t2.perms[g][b])] for a, b in order)
         for g in range(t1.pres.rank)
     )
-    return CosetTable(pres=t1.pres, perms=perms, provenance="intersect")
+    return CosetTable(pres=t1.pres, perms=perms)
 
 
 def _image_closure(table: CosetTable, limit: int):
@@ -498,7 +497,7 @@ def normal_core(table: CosetTable) -> CosetTable:
         tuple(number[tuple(perm[x] for x in e)] for e in elements)
         for perm in table.perms
     )
-    return canonicalize(CosetTable(pres=table.pres, perms=perms, provenance="normal_core"))
+    return canonicalize(CosetTable(pres=table.pres, perms=perms))
 
 
 def contains(table: CosetTable, sub: CosetTable) -> bool:

@@ -260,9 +260,7 @@ def is_l_graphing(m: Graphing, coset_cap=DEFAULT_COSET_CAP) -> LGraphingCertific
         return LGraphingCertificate(False, reason)
     spec = SubgroupSpec(generators=tuple(loops), name="loops")
     try:
-        loop_table = enumerate_cosets(
-            m.table.pres, spec, cap=coset_cap, provenance="loop image"
-        )
+        loop_table = enumerate_cosets(m.table.pres, spec, cap=coset_cap)
     except IndexBoundExceeded as exc:
         return LGraphingCertificate(None, str(exc))
     if loop_table.index == m.index:

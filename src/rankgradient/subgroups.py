@@ -16,12 +16,9 @@ free ambient groups).
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from .cosets import CosetTable, cotree_pairs, schreier_generators
 from .errors import RelatorLengthExceeded
@@ -36,8 +33,7 @@ from .words import (
 )
 
 DEFAULT_RELATOR_CAP = 10_000  # letters in a rewritten or substituted relator
-TIETZE_PASSES = 200  # eliminations and substitutions per simplification
-SHORTEN_LIMIT = 200  # letters in a relator whose pieces are substituted
+TIETZE_PASSES = 200  # eliminations per simplification
 
 
 def _schreier_words(table: CosetTable, loops=()):
@@ -146,27 +142,14 @@ def _canonical_relator_key(w):
     return min(_least_rotation(w), _least_rotation(invert(w)))
 
 
-# Relators are searched as strings with one code point per letter:
-# chr(letter + offset) for offset = generator count, so a presentation may
-# have at most sys.maxunicode // 2 generators (checked in tietze_simplify).
-# chr(offset), the code point of the non-letter 0, separates relators.
-MAX_ENCODED_RANK = sys.maxunicode // 2
-
-
-def _encode(word, offset):
-    return "".join(map(chr, map(offset.__add__, word)))
-
-
 class _Relator:
     """A cyclically reduced relator with the values the Tietze loop reads,
     each computed once and only when read: a signature that all its
     rotations and inverses share (its length and generator set), generator
-    counts, the generators occurring once, the canonical key and the search
-    string."""
+    counts, the generators occurring once and the canonical key."""
 
-    def __init__(self, word, offset):
+    def __init__(self, word):
         self.word = word
-        self.offset = offset
         self.gens = frozenset(map(abs, word))
         self.sig = (len(word), self.gens)
 
@@ -181,10 +164,6 @@ class _Relator:
     @cached_property
     def key(self):
         return _canonical_relator_key(self.word)
-
-    @cached_property
-    def code(self):
-        return _encode(self.word, self.offset)
 
 
 def _join_reduced(chunks):
@@ -271,131 +250,43 @@ def _eliminate_once(relators):
                 refused.add(g)
                 continue
             return g, [
-                _Relator(cyclic_strip(changed[other]), rel.offset)
-                if other in changed else other
+                _Relator(cyclic_strip(changed[other])) if other in changed else other
                 for other in relators
                 if other is not rel
             ], refused
     return None, None, refused
 
 
-def _shorten_by(ri, words, joined, starts, offset):
-    """First substitution that shortens another relator by a piece of
-    words[ri], as (rj, shortened relator), or None.
-
-    A piece is a prefix longer than half of a rotation of words[ri] or of
-    its inverse; it is replaced by the inverse of the rest of that rotation,
-    which is shorter, so the first match is taken.  Search order: piece
-    length descending, rotations of the relator then of its inverse, then
-    rj, then position in words[rj].  ``joined`` is the search strings of
-    all relators joined by the separator, relator j starting at
-    ``starts[j]``; one search before and one after relator ri finds the
-    lowest rj, then the lowest position.  Every prefix of an occurring
-    piece occurs, so only rotations whose shortest piece occurs are
-    searched further, by bisection on the length.
-    """
-    r = words[ri]
-    n = len(r)
-    after = starts[ri] + n
-
-    def find(piece):
-        k = joined.find(piece, 0, starts[ri])
-        return joined.find(piece, after) if k == -1 else k
-
-    longest = max((len(s) for rj, s in enumerate(words) if rj != ri), default=0)
-    shortest, most = n // 2 + 1, min(n - 1, longest)
-    if shortest > most:
-        return None
-    best = None  # (length, word, code, i) of the first longest piece
-    for base in (r, invert(r)):
-        word = base + base
-        code = _encode(word, offset)
-        for i in range(n):
-            if find(code[i : i + shortest]) == -1:
-                continue
-            lo, hi = shortest, most  # the piece of length lo occurs
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if find(code[i : i + mid]) == -1:
-                    hi = mid - 1
-                else:
-                    lo = mid
-            if best is None or lo > best[0]:
-                best = (lo, word, code, i)
-    if best is None:
-        return None
-    length, word, code, i = best
-    k = find(code[i : i + length])
-    rj = bisect_right(starts, k) - 1
-    k -= starts[rj]
-    s = words[rj]
-    complement = invert(word[i + length : i + n])
-    return rj, cyclic_strip(_join_reduced((s[:k], complement, s[k + length :])))
-
-
-def _shorten_once(relators, offset):
-    """The relators with one shortened by a long piece (_shorten_by) of
-    another of at most SHORTEN_LIMIT letters, or None when there is none."""
-    words = [rel.word for rel in relators]
-    codes = [rel.code for rel in relators]
-    starts = list(accumulate((len(code) + 1 for code in codes[:-1]), initial=0))
-    joined = chr(offset).join(codes)
-    for ri, r in enumerate(words):
-        if 2 <= len(r) <= SHORTEN_LIMIT:
-            found = _shorten_by(ri, words, joined, starts, offset)
-            if found is not None:
-                rj, w = found
-                return relators[:rj] + [_Relator(w, offset)] + relators[rj + 1 :]
-    return None
-
-
-def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
-    """Best-effort presentation simplification.
-
-    Effort levels: 0 deletes trivial/duplicate relators; 1 adds elimination
-    of generators occurring exactly once in some relator; 2 adds greedy
-    length-reducing substitutions between relators; at most
-    ``TIETZE_PASSES`` such steps are made.  The generator count never
+def tietze_simplify(pres: Presentation) -> Presentation:
+    """Presentation simplification: deletes trivial and duplicate relators
+    and eliminates generators occurring exactly once in some relator, at
+    most ``TIETZE_PASSES`` eliminations.  The generator count never
     increases and the group is unchanged up to isomorphism.
 
     The loop is incremental.  Letters keep their input numbers until one
-    renumbering at the end, which is monotone, so every sort, rotation and
-    search comes out as if renumbered after each step.  Each relator's
-    counts, key (Booth's least rotation, only when another relator has the
-    same length and generator set) and search string are computed at most
-    once, when first read, so effort 0 builds neither counts nor strings.
+    renumbering at the end, which is monotone, so every sort and rotation
+    comes out as if renumbered after each step.  Each relator's counts and
+    key (Booth's least rotation, only when another relator has the same
+    length and generator set) are computed at most once, when first read.
     An elimination substitutes only into the relators containing the
     generator and is refused when a relator would pass
-    ``DEFAULT_RELATOR_CAP``.  Substitutions take pieces only from relators
-    of at most ``SHORTEN_LIMIT`` letters, one C string search per piece.
+    ``DEFAULT_RELATOR_CAP``.
 
     The result's ``note`` names what the loop left undone: a stop at the
     step limit, when one more step was there to take, and the eliminations
     the last scan refused at the relator cap.  Without a stop at the limit
     these are one per generator still occurring once in a relator.
     """
-    offset = pres.rank
-    if effort >= 2 and offset > MAX_ENCODED_RANK:
-        raise ValueError(
-            f"Tietze effort 2 handles at most {MAX_ENCODED_RANK} generators, "
-            f"not {offset}; use effort 1"
-        )
     # Presentation relators are cyclically reduced already.
-    relators = _clean([_Relator(w, offset) for w in pres.relators])
+    relators = _clean([_Relator(w) for w in pres.relators])
     eliminated = set()
     # The step after the last allowed one is looked for but not taken, so
     # that the limit is named only when it left a step undone.
     for step in range(TIETZE_PASSES + 1):
-        g = found = None
-        refused = ()
-        if effort >= 1:
-            g, found, refused = _eliminate_once(relators)
-        if found is None and effort >= 2:
-            found = _shorten_once(relators, offset)
+        g, found, refused = _eliminate_once(relators)
         if found is None or step == TIETZE_PASSES:
             break
-        if g is not None:
-            eliminated.add(g)
+        eliminated.add(g)
         relators = _clean(found)
     undone = []
     if found is not None:
@@ -405,7 +296,7 @@ def tietze_simplify(pres: Presentation, effort: int = 2) -> Presentation:
             f"refused {len(refused)} elimination{'s' * (len(refused) > 1)} "
             f"at relator cap {DEFAULT_RELATOR_CAP}"
         )
-    survivors = [g for g in range(1, offset + 1) if g not in eliminated]
+    survivors = [g for g in range(1, pres.rank + 1) if g not in eliminated]
     words = [rel.word for rel in relators]
     if eliminated:
         new = {}
@@ -434,22 +325,21 @@ class RankBounds(tuple):
         return bounds
 
 
-def rank_bounds(table: CosetTable, report, effort: int = 2) -> RankBounds:
+def rank_bounds(table: CosetTable, report) -> RankBounds:
     """Rank interval [lower, upper] for the subgroup of the table, given
     its homology report.
 
     lower: best homology bound (beta1 and b_{1,p}); upper: generator count
-    after Tietze simplification at ``effort`` of the rewritten presentation.
-    When Tietze removes no generator -- a free ambient group, or effort 0,
-    which only drops relators -- that count is the Schreier count
-    1 + index * (rank - 1), taken without rewriting.
+    after Tietze simplification of the rewritten presentation.  Over a
+    relator-free ambient group Tietze removes no generator, so that count
+    is the Schreier count 1 + index * (rank - 1), taken without rewriting.
     """
     lower = max([report.beta1] + list(report.b1p.values()))
     note = None
-    if effort == 0 or not table.pres.relators:
+    if not table.pres.relators:
         upper = 1 + table.index * (table.pres.rank - 1)
     else:
-        simplified = tietze_simplify(rewrite_presentation(table), effort=effort)
+        simplified = tietze_simplify(rewrite_presentation(table))
         upper, note = simplified.rank, simplified.note
     if lower > upper:
         raise AssertionError(f"rank bounds crossed: {lower} > {upper}")

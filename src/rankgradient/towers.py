@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .cosets import CosetTable, enumerate_cosets, schreier_transversal, validate
+from .cosets import DEFAULT_COSET_CAP, CosetTable, enumerate_cosets, schreier_transversal, validate
 from .errors import BudgetError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import subgroup_homology
@@ -83,9 +83,7 @@ def finite_group_data(pres: Presentation):
     """Enumerate a finite presented group of order at most
     DEFAULT_GROUP_ORDER_CAP and compute |A|, d(A), b1p(A)."""
     trivial = SubgroupSpec(generators=(), name="1")
-    table = enumerate_cosets(
-        pres, trivial, cap=DEFAULT_GROUP_ORDER_CAP, provenance="regular rep"
-    )
+    table = enumerate_cosets(pres, trivial, cap=DEFAULT_GROUP_ORDER_CAP)
     report = homology_report(pres)
     if report.beta1 != 0:
         raise ValueError("the base group is infinite (beta1 > 0)")
@@ -409,6 +407,11 @@ def _dihedral_inv(g, k):
     return 2 * ((-(g >> 1)) % half)
 
 
+def _default_order(j):
+    """Copy-group order of level j >= 1 before any bump: 2, 8, 16, ..."""
+    return 2 if j == 1 else 2 ** (j + 1)
+
+
 def _copy_orders(walks, r0, depth):
     """Copy-group orders per level for the walks of a layout up to length
     r0 + depth: 2, 8, 16, ... by default, bumped per level until a vertex's
@@ -425,7 +428,7 @@ def _copy_orders(walks, r0, depth):
     k = 1
     bumped = False
     for j in range(1, depth + 1):
-        default = 2 if j == 1 else 2 ** (j + 1)
+        default = _default_order(j)
         need = max(sum(counts[: r0 + j + 1]) for counts in per_vertex.values())
         k = max(2 * k, default, 1 << (need - 1).bit_length())
         bumped = bumped or k > default
@@ -455,6 +458,18 @@ def _nb_walks(cover, maxlen):
                 count += 1
                 yield walk
         frontier = nxt
+
+
+def _walks_within(cover, maxlen, limit):
+    """The walks of _nb_walks(cover, maxlen) as a list, or None as soon as
+    some endpoint vertex has more than limit of them."""
+    walks, count = [], {}
+    for walk in _nb_walks(cover, maxlen):
+        count[walk[0]] = count.get(walk[0], 0) + 1
+        if count[walk[0]] > limit:
+            return None
+        walks.append(walk)
+    return walks
 
 
 class _TwistSearch:
@@ -786,9 +801,15 @@ def _layouts(group, mu, scale, seed, depth, errors):
     default copy groups is yielded as soon as it is built: those give the
     smallest point counts per level.  Bumped layouts are held back until
     the scan is done, so nothing past the first layout that succeeds is
-    built."""
+    built.
+
+    Level depth has n0 * k_depth points, and k_depth is at least its
+    default order and any vertex's walk count, so a layout whose level
+    depth would pass DEFAULT_COSET_CAP is skipped before its walks are
+    built or at the first vertex with too many; the skips are appended to
+    errors after the scan."""
     seen = set()
-    bumped_layouts = []
+    bumped_layouts, capped = [], []
     for chain_len in (12, 14, None, 8):
         for route_seed in range(4):
             try:
@@ -806,14 +827,25 @@ def _layouts(group, mu, scale, seed, depth, errors):
             if depth == 0:
                 yield chain_len, route_seed, base, None, None, None
                 continue
-            r0 = injectivity_radius(base)
-            walks = list(_nb_walks(base, r0 + depth))
-            orders, bumped = _copy_orders(walks, r0, depth)
+            limit = DEFAULT_COSET_CAP // base.n  # the largest k_depth within the cap
+            walks = orders = None
+            if _default_order(depth) <= limit:
+                r0 = injectivity_radius(base)
+                walks = _walks_within(base, r0 + depth, limit)
+            if walks is not None:
+                orders, bumped = _copy_orders(walks, r0, depth)
+            if orders is None or orders[-1] > limit:
+                capped.append(
+                    f"layout ({chain_len}, {route_seed}): level {depth} would pass "
+                    f"coset cap {DEFAULT_COSET_CAP}"
+                )
+                continue
             layout = (chain_len, route_seed, base, walks, r0, orders)
             if bumped:
                 bumped_layouts.append(layout)
             else:
                 yield layout
+    errors += capped
     yield from bumped_layouts
 
 

@@ -88,7 +88,7 @@ def corpus():
         "farber f2 depth 3": farber_chain(*parsed(F2_SEED), 3),
     }
     reports = {
-        name: gradient_sequence(chain, effort=2) for name, chain in chains.items()
+        name: gradient_sequence(chain) for name, chain in chains.items()
     }
     return chains, reports
 
@@ -117,7 +117,7 @@ def test_criterion_2_nielsen_schreier():
 def test_criterion_3_hnn_chain():
     with criterion(3, "figure-eight HNN levels 1..12 have rank-upper <= 3", 120):
         chain = hnn_chain(parsed(FIG8)[0], "t", 12)
-        report = gradient_sequence(chain, effort=2)
+        report = gradient_sequence(chain)
         for n in range(1, 13):
             st = report.levels[n]
             assert st.error is None
@@ -129,7 +129,7 @@ def test_criterion_3_hnn_chain():
 def test_criterion_4_lamplighter():
     with criterion(4, "W3 kernels pin (b_{1,2}-1)/index at 1; a has defect 1", 300):
         chain = lamplighter_chain(3, 2)
-        report = gradient_sequence(chain, effort=1)
+        report = gradient_sequence(chain)
         for n in (1, 2):
             st = report.levels[n]
             assert st.index == 2 ** n
@@ -278,7 +278,7 @@ def test_criterion_11_surface_group():
 def test_criterion_12_deep_hnn_chain():
     with criterion(12, "figure-eight HNN levels 13..24 have rank-upper <= 3", 30):
         chain = hnn_chain(parsed(FIG8)[0], "t", 24)
-        report = gradient_sequence(chain, effort=2)
+        report = gradient_sequence(chain)
         for n in range(13, 25):
             st = report.levels[n]
             assert st.error is None

@@ -80,7 +80,7 @@ def test_lamplighter_presentation_order():
 def test_lamplighter_chain_w3():
     chain = lamplighter_chain(3, 2)
     assert chain.indices() == (1, 2, 4)
-    report = gradient_sequence(chain, effort=1)
+    report = gradient_sequence(chain)
     for n in (1, 2):
         st = report.levels[n]
         assert st.index == 2 ** n
@@ -198,7 +198,7 @@ def test_schreier_ratio_monotone_on_corpus():
         farber_chain(pres, spec, 3),
     ]
     for chain in chains:
-        report = gradient_sequence(chain, effort=1)
+        report = gradient_sequence(chain)
         ratios = [
             Fraction(st.schreier_upper - 1, st.index)
             for st in report.levels
@@ -224,14 +224,14 @@ def test_gradient_report_serialization_round_trip():
 
 
 def test_relator_cap_keeps_the_level_and_names_the_cap():
-    # rewriting a^10001 trips the 10,000-letter relator cap at effort 2
+    # rewriting a^10001 trips the 10,000-letter relator cap: each level keeps
+    # its homology (Z x Z/10001) and reports the Schreier count 1 + 1 * (2 - 1)
     chain = hnn_chain(parsed("gens a t\nrel a^10001\n")[0], "t", 1)
-    capped = gradient_sequence(chain, effort=2)
-    plain = gradient_sequence(chain, effort=0)
-    for st, st0 in zip(capped.levels, plain.levels):
-        assert st.error is None and st0.note is None
+    capped = gradient_sequence(chain)
+    for st in capped.levels:
+        assert st.error is None
         assert (st.rank_lower, st.rank_upper, st.schreier_upper, st.beta1, st.b1p) == (
-            st0.rank_lower, st0.rank_upper, st0.schreier_upper, st0.beta1, st0.b1p
+            1, 2, 2, 1, {2: 1, 3: 1, 5: 1}
         )
         assert st.note == (
             "rank_upper is the Schreier count: relator length 10001 exceeds cap 10000 (coset 0)"
@@ -257,7 +257,7 @@ def test_tietze_note_says_when_the_spec_words_give_rank_upper(monkeypatch):
         (5, f"{note} (its bound is 5; rank_upper 3 comes from the spec words and is unaffected)"),
     ]:
         monkeypatch.setattr(
-            chains, "rank_bounds", lambda table, report, effort: RankBounds(3, tietze_upper, note)
+            chains, "rank_bounds", lambda table, report: RankBounds(3, tietze_upper, note)
         )
-        st = chains._level_stats(table, 4, (2,), 2)
+        st = chains._level_stats(table, 4, (2,))
         assert (st.rank_upper, st.note) == (3, expected)

@@ -129,6 +129,17 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_deep_tower_exits_3_naming_the_coset_cap(capsys):
+    # every layout's level 6 would pass the coset cap, which is found
+    # before any twist search is set up
+    with mock.patch("rankgradient.towers._TwistSearch", side_effect=AssertionError):
+        code, out, err = run(capsys, "tower", "--group", "s3", "--mu", "3/4", "--depth", "6")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "layout (8, 3): level 6 would pass coset cap 100000" in err
+    assert "Traceback" not in err
+
+
 def test_graphing_honours_coset_cap(capsys):
     code, out, err = run(capsys, "graphing", "--preset", "fig8", "--depth", "3",
                          "--level", "3", "--coset-cap", "2")
@@ -402,7 +413,9 @@ VALIDATE = ("validate", "--preset", "s3")
     LOWINDEX + ("--coset-cap", "10"),
     LOWINDEX + ("--cache-dir", "cache"),
     CHAIN + ("--cache-dir", "cache"),
+    CHAIN + ("--effort", "2"),
     GRADIENT + ("--cache-dir", "cache"),
+    GRADIENT + ("--effort", "0"),
     GRAPHING + ("--primes", "2"),
     GRAPHING + ("--effort", "0"),
     GRAPHING + ("--cache-dir", "cache"),
@@ -426,23 +439,20 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
 
 
 def test_effort_zero_does_not_rewrite_long_relators(capsys, tmp_path):
-    # effort 0 takes the Schreier count, so no relator is rewritten; effort 2
-    # still rewrites, trips the relator cap, and falls back to the same
-    # bound with a note naming the cap
+    # rewriting a^10001 trips the relator cap, so each level reports the
+    # Schreier count with a note naming the cap
     path = tmp_path / "long.txt"
     path.write_text("gens a t\nrel a^10001\n")
     argv = ("gradient", "--input", str(path), "--kind", "hnn", "--depth", "1")
-    code, out, _ = run(capsys, *argv, "--effort", "0", "--format", "text")
+    code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == EXIT_OK
-    assert "ERROR" not in out and "NOTE" not in out
-    assert out.count("rank [1, 2] beta1 1 |") == 2
-    effort0_lines = out.splitlines()[2:]
-    code, out, _ = run(capsys, *argv, "--effort", "2", "--format", "text")
-    assert code == EXIT_OK
-    assert "ERROR" not in out
-    note = " | NOTE rank_upper is the Schreier count: relator length 10001 exceeds cap 10000 (coset 0)"
-    assert out.splitlines()[2:] == [line + note for line in effort0_lines]
-    code, out, _ = run(capsys, *argv, "--effort", "2")
+    assert out.splitlines()[2:] == [
+        f"level {n}: index 1 rank [1, 2] beta1 1 | rank_upper=1/1, rank_lower=0/1, "
+        "beta1=1/1, b1_2=1/1, b1_3=1/1, b1_5=1/1 | NOTE rank_upper is the Schreier "
+        "count: relator length 10001 exceeds cap 10000 (coset 0)"
+        for n in (0, 1)
+    ]
+    code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     for level in json.loads(out)["report"]["levels"]:
         assert "error" not in level
@@ -524,6 +534,7 @@ def test_tower_echoes_covers(capsys, monkeypatch):
 def test_chain_echoes_the_index_cap_in_effect(capsys, monkeypatch):
     assert echo_of(capsys, monkeypatch, "chain")["index_cap"] == 10000
     assert echo_of(capsys, monkeypatch, "chain", "--index-cap", "7")["index_cap"] == 7
+    assert "effort" not in echo_of(capsys, monkeypatch, "chain")
 
 
 def test_lowindex_echoes_no_settings_it_does_not_take(capsys, monkeypatch):

@@ -2,7 +2,6 @@ import re
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -13,7 +12,6 @@ from rankgradient.cosets import enumerate_cosets, low_index, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
     _canonical_relator_key,
-    _shorten_by,
     fold_subgroup_graph,
     rank_bounds,
     rewrite_presentation,
@@ -120,15 +118,15 @@ def homology_corpus():
 
 def test_subgroup_homology_matches_rewrite():
     # The Fox matrix of the cover against the Reidemeister-Schreier
-    # presentation: beta1, torsion and b_{1,p} must all agree.  At effort 0
-    # Tietze removes no generator, so rank_bounds may skip the rewriting and
-    # take the Schreier count.
+    # presentation: beta1, torsion and b_{1,p} must all agree.  The rewritten
+    # generators number the Schreier count, the bound a level reports when
+    # rewriting trips the relator cap.
     count = 0
     for table in homology_corpus():
         rewritten = rewrite_presentation(table)
         report = subgroup_homology(table)
         assert report == homology_report(rewritten), (table.pres, table.index)
-        assert rank_bounds(table, report, 0)[1] == tietze_simplify(rewritten, effort=0).rank
+        assert rewritten.rank == 1 + table.index * (table.pres.rank - 1)
         count += 1
     assert count == 1 + 5511 + 8 + 3 + 2
 
@@ -195,14 +193,9 @@ def test_relator_free_homology_numbers_no_cotree(monkeypatch):
 def test_tietze_removes_redundant_generators():
     # <x, y | x y^-1> is Z
     pres, _ = parsed("gens x y\nrel x y^-1\n")
-    simplified = tietze_simplify(pres, effort=2)
+    simplified = tietze_simplify(pres)
     assert simplified.rank == 1
     assert simplified.relators == ()
-
-
-def test_tietze_effort_zero_is_identity():
-    pres, _ = parsed("gens x y\nrel x y^-1\n")
-    assert tietze_simplify(pres, effort=0).rank == 2
 
 
 def test_rank_bounds_sandwich():
@@ -216,9 +209,16 @@ def test_rank_bounds_sandwich():
 
 
 # Reference Tietze loop: tietze_simplify as it stood before the incremental
-# loop, which renumbered and re-keyed every relator after every step and
-# searched each piece in each relator separately.  It reads the limits from
-# the subgroups module, so a test may lower them for both sides at once.
+# loop, which renumbered and re-keyed every relator after every step.  At
+# effort 1 it eliminates generators, as tietze_simplify does; effort 2 adds
+# greedy substitution of long pieces of relators of at most SHORTEN_LIMIT
+# letters into others, searched in each relator separately (Havas, Kenne,
+# Richardson and Robertson, A Tietze transformation program, 1984), and is
+# the rank oracle: elimination alone must reach the same rank.  It reads
+# the other limits from the subgroups module, so a test may lower them for
+# both sides at once.
+
+SHORTEN_LIMIT = 200
 
 
 def _ref_encode(word, offset):
@@ -271,7 +271,7 @@ def _ref_clean(relators):
     for r in sorted((cyclic_reduce(r) for r in relators), key=lambda w: (len(w), w)):
         if not r:
             continue
-        key = REF["key"](r)
+        key = _canonical_relator_key(r)
         if key in seen:
             continue
         seen.add(key)
@@ -314,9 +314,9 @@ def _ref_eliminate_once(relators, names):
 def _ref_shorten_once(relators, offset):
     codes = [_ref_encode(s, offset) for s in relators]
     for ri, r in enumerate(relators):
-        if len(r) < 2 or len(r) > subgroups.SHORTEN_LIMIT:
+        if len(r) < 2 or len(r) > SHORTEN_LIMIT:
             continue
-        found = REF["shorten_by"](ri, relators, codes, offset)
+        found = _ref_shorten_by(ri, relators, codes, offset)
         if found is not None:
             rj, s2 = found
             relators[rj] = s2
@@ -324,17 +324,12 @@ def _ref_shorten_once(relators, offset):
     return False
 
 
-# The key and piece search of the reference loop; a test may swap in the
-# slicing oracles below.
-REF = {"key": _canonical_relator_key, "shorten_by": _ref_shorten_by}
-
-
 def reference_tietze(pres, effort):
     names = list(pres.generators)
     offset = len(names)
     relators = _ref_clean(pres.relators)
     for _ in range(subgroups.TIETZE_PASSES):
-        if (effort >= 1 and _ref_eliminate_once(relators, names)) or (
+        if _ref_eliminate_once(relators, names) or (
             effort >= 2 and _ref_shorten_once(relators, offset)
         ):
             relators = _ref_clean(relators)
@@ -382,12 +377,12 @@ def reference_at_limit(pres, effort, passes):
         return reference_tietze(pres, effort)
 
 
-def assert_matches_reference(pres, efforts=(0, 1, 2)):
-    for effort in efforts:
-        simplified = tietze_simplify(pres, effort=effort)
-        assert simplified == reference_tietze(pres, effort), (pres, effort)
-        if effort >= 1 and simplified.note is None:
-            assert not once_occurring(simplified)
+def assert_matches_reference(pres):
+    simplified = tietze_simplify(pres)
+    assert simplified == reference_tietze(pres, 1), pres
+    assert simplified.rank == reference_tietze(pres, 2).rank, pres
+    if simplified.note is None:
+        assert not once_occurring(simplified)
 
 
 @pytest.mark.parametrize("levels", [range(1, 9), range(9, 13), range(13, 17)])
@@ -423,13 +418,13 @@ def test_tietze_over_cap_relator_blocks_only_what_it_does_not_contain():
     # b a solves a = b^-1, which empties the big relator: allowed
     pres = Presentation(generators=("a", "b", "c"), relators=(big, (2, 1), (3, 3)))
     assert_matches_reference(pres)
-    simplified = tietze_simplify(pres, effort=1)
+    simplified = tietze_simplify(pres)
     assert simplified.generators == ("b", "c")
     assert simplified.note is None
     # c d^-1 could eliminate c or d, but the big relator holds neither
     pres = Presentation(generators=("a", "b", "c", "d"), relators=(big, (3, -4)))
     assert_matches_reference(pres)
-    simplified = tietze_simplify(pres, effort=2)
+    simplified = tietze_simplify(pres)
     assert simplified.rank == 4
     assert simplified.note == "Tietze refused 2 eliminations at relator cap 10000"
     assert len(once_occurring(simplified)) == 2
@@ -439,24 +434,23 @@ def test_tietze_names_its_step_limit(monkeypatch):
     pres = rewrite_presentation(hnn_chain(preset("fig8"), "t", 6).levels[6])
     monkeypatch.setattr(subgroups, "TIETZE_PASSES", 3)
     assert_matches_reference(pres)
-    simplified = tietze_simplify(pres, effort=1)
+    simplified = tietze_simplify(pres)
     assert simplified.rank == pres.rank - 3
     assert simplified.note == "Tietze stopped at its 3-step limit"
 
 
-@pytest.mark.parametrize("effort", [1, 2])
-def test_tietze_names_the_step_limit_only_when_a_step_is_left(effort):
+def test_tietze_names_the_step_limit_only_when_a_step_is_left():
     pres = rewrite_presentation(hnn_chain(preset("fig8"), "t", 6).levels[6])
-    final = reference_tietze(pres, effort)
+    final = reference_tietze(pres, 1)
     # the fewest steps that reach the final presentation
-    steps = next(k for k in range(1, 200) if reference_at_limit(pres, effort, k) == final)
+    steps = next(k for k in range(1, 200) if reference_at_limit(pres, 1, k) == final)
     with mock.patch.object(subgroups, "TIETZE_PASSES", steps):
-        simplified = tietze_simplify(pres, effort=effort)
+        simplified = tietze_simplify(pres)
         assert simplified == final
         assert simplified.note is None
     with mock.patch.object(subgroups, "TIETZE_PASSES", steps - 1):
-        simplified = tietze_simplify(pres, effort=effort)
-        assert simplified == reference_tietze(pres, effort) != final
+        simplified = tietze_simplify(pres)
+        assert simplified == reference_tietze(pres, 1) != final
         assert simplified.note == f"Tietze stopped at its {steps - 1}-step limit"
 
 
@@ -467,13 +461,13 @@ def test_tietze_names_refusals_with_the_step_limit(monkeypatch):
     pres = Presentation(generators=("a", "b", "c"), relators=(big, (2, 1), (1, 3)))
     monkeypatch.setattr(subgroups, "TIETZE_PASSES", 0)
     assert_matches_reference(pres)
-    simplified = tietze_simplify(pres, effort=1)
+    simplified = tietze_simplify(pres)
     assert simplified.rank == 3
     assert simplified.note == (
         "Tietze stopped at its 0-step limit and refused 2 eliminations at relator cap 10000"
     )
     monkeypatch.setattr(subgroups, "TIETZE_PASSES", 1)
-    assert tietze_simplify(pres, effort=1).generators == ("b", "c")
+    assert tietze_simplify(pres).generators == ("b", "c")
 
 
 def test_tietze_notes_pinned_at_fig8_depth_24():
@@ -481,7 +475,7 @@ def test_tietze_notes_pinned_at_fig8_depth_24():
     report = gradient_sequence(chain)
     notes = [st.note and st.note.split(" (")[0] for st in report.levels]
     counts = [refused_count(note) for note in notes]
-    assert counts == [0] * 17 + [1, 1, 2, 2, 2, 2, 1, 3]
+    assert counts == [0] * 17 + [1, 1, 2, 2, 2, 2, 3, 3]
     # independently: the generators that still occur once in a relator
     for n in range(17, 25):
         simplified = tietze_simplify(rewrite_presentation(chain.levels[n]))
@@ -494,28 +488,11 @@ def test_tietze_notes_pinned_at_fig8_depth_24():
         )
 
 
-# Oracles for the Tietze internals: the plain slicing versions.
+# Oracle for the Tietze relator key: the plain slicing version.
 
 
 def rotation_key(w):
     return min(u[i:] + u[:i] for u in (w, invert(w)) for i in range(max(len(u), 1)))
-
-
-def slice_shortening(ri, relators):
-    r = relators[ri]
-    variants = [base[i:] + base[:i] for base in (r, invert(r)) for i in range(len(base))]
-    for length in range(len(r) - 1, len(r) // 2, -1):
-        for variant in variants:
-            piece, complement = variant[:length], invert(variant[length:])
-            for rj, s in enumerate(relators):
-                if rj == ri:
-                    continue
-                for k in range(len(s) - length + 1):
-                    if s[k : k + length] == piece:
-                        s2 = cyclic_reduce(s[:k] + complement + s[k + length :])
-                        if len(s2) < len(s):
-                            return rj, s2
-    return None
 
 
 def words(rank, max_size=12):
@@ -557,35 +534,11 @@ def relator_lists(draw):
     return rank, relators
 
 
-@given(relator_lists())
-@settings(max_examples=300, deadline=None)
-def test_piece_search_matches_slicing(data):
-    rank, relators = data
-    codes = [_ref_encode(s, rank) for s in relators]
-    starts = list(accumulate((len(code) + 1 for code in codes[:-1]), initial=0))
-    joined = chr(rank).join(codes)
-    for ri in range(len(relators)):
-        expected = slice_shortening(ri, relators)
-        assert _ref_shorten_by(ri, relators, codes, rank) == expected
-        assert _shorten_by(ri, relators, joined, starts, rank) == expected
-
-
-def test_tietze_matches_slicing_oracles_on_fig8(monkeypatch):
-    chain = hnn_chain(preset("fig8"), "t", 12)
-    rewritten = [rewrite_presentation(chain.levels[n]) for n in range(1, 13)]
-    fast = [tietze_simplify(pres) for pres in rewritten]
-    monkeypatch.setitem(REF, "key", rotation_key)
-    monkeypatch.setitem(
-        REF, "shorten_by", lambda ri, relators, codes, offset: slice_shortening(ri, relators)
-    )
-    assert [reference_tietze(pres, 2) for pres in rewritten] == fast
-
-
 @st.composite
 def tietze_inputs(draw):
     """Relator lists with planted rotations, inverses and pieces of other
-    relators, and small caps and limits so that refusals, the step limit
-    and the shortening limit all come up."""
+    relators, and small caps and limits so that refusals and the step limit
+    come up."""
     rank, relators = draw(relator_lists())
     for _ in range(draw(st.integers(0, 3))):
         r = draw(st.sampled_from(relators))
@@ -597,7 +550,6 @@ def tietze_inputs(draw):
     limits = {
         "DEFAULT_RELATOR_CAP": draw(st.sampled_from((4, 8, 16, 10_000))),
         "TIETZE_PASSES": draw(st.sampled_from((1, 2, 200))),
-        "SHORTEN_LIMIT": draw(st.sampled_from((3, 6, 200))),
     }
     return pres, limits
 
@@ -607,42 +559,26 @@ def tietze_inputs(draw):
 def test_tietze_matches_reference_on_planted_relators(data):
     pres, limits = data
     with mock.patch.multiple(subgroups, **limits):
-        for effort in (0, 1, 2):
-            simplified = tietze_simplify(pres, effort=effort)
-            assert simplified == reference_tietze(pres, effort), (pres, effort, limits)
-            # the limit is named exactly when one more step changes the result
-            limit, count = note_parts(simplified.note)
-            passes = limits["TIETZE_PASSES"]
-            assert limit == (reference_at_limit(pres, effort, passes + 1) != simplified)
-            if effort == 0:
-                assert simplified.note is None
-            elif limit:
-                assert count <= len(once_occurring(simplified))
-            else:
-                assert count == len(once_occurring(simplified))
+        simplified = tietze_simplify(pres)
+        assert simplified == reference_tietze(pres, 1), (pres, limits)
+        # the limit is named exactly when one more step changes the result
+        limit, count = note_parts(simplified.note)
+        passes = limits["TIETZE_PASSES"]
+        assert limit == (reference_at_limit(pres, 1, passes + 1) != simplified)
+        if limit:
+            assert count <= len(once_occurring(simplified))
+        else:
+            assert count == len(once_occurring(simplified))
 
 
-def test_tietze_rejects_ranks_beyond_the_encoding(monkeypatch):
-    monkeypatch.setattr(subgroups, "MAX_ENCODED_RANK", 1)
-    pres, _ = parsed("gens x y\nrel x y^-1\n")
-    assert tietze_simplify(pres, effort=1).rank == 1
-    with pytest.raises(ValueError, match="at most 1 generators"):
-        tietze_simplify(pres, effort=2)
-
-
-def cleaning_after_every_pass(pres, effort):
+def cleaning_after_every_pass(pres):
     """Reference Tietze loop that cleans the relators after every pass, even
     one that changed nothing."""
     names = list(pres.generators)
     relators = _ref_clean(pres.relators)
     for _ in range(200):
-        progress = False
-        if effort >= 1 and _ref_eliminate_once(relators, names):
-            progress = True
+        progress = _ref_eliminate_once(relators, names)
         relators = _ref_clean(relators)
-        if effort >= 2 and not progress and _ref_shorten_once(relators, pres.rank):
-            progress = True
-            relators = _ref_clean(relators)
         if not progress:
             break
     return Presentation(generators=tuple(names), relators=tuple(relators))
@@ -653,11 +589,10 @@ def test_tietze_cleans_only_after_a_change(monkeypatch):
     corpus = [rewrite_presentation(chain.levels[n]) for n in range(1, 13)]
     corpus += tower_rewrites()
     for pres in corpus:
-        for effort in (0, 1, 2):
-            expected = cleaning_after_every_pass(pres, effort)
-            assert tietze_simplify(pres, effort=effort) == expected
+        assert tietze_simplify(pres) == cleaning_after_every_pass(pres)
     cleans = []
     clean = subgroups._clean
     monkeypatch.setattr(subgroups, "_clean", lambda rels: cleans.append(1) or clean(rels))
-    tietze_simplify(corpus[-1], effort=0)
-    assert len(cleans) == 1
+    simplified = tietze_simplify(corpus[-1])
+    # once on the input, then once per elimination
+    assert len(cleans) == 1 + corpus[-1].rank - simplified.rank

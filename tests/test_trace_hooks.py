@@ -56,8 +56,8 @@ def test_span_hooks_wrap_and_count(tmp_path):
         metrics = result[name]
         assert metrics["subgroups.matrix_nnz"] > 0
         assert metrics["homology.nnz_in"] >= metrics["subgroups.matrix_nnz"]
-    # A tower reports rank bounds at effort 0: the Schreier count, taken
-    # without rewriting or Tietze; the chain simplifies each of its levels.
+    # A tower's rank upper bound is the Kurosh count of its cover's orbits,
+    # taken without rewriting or Tietze; the chain simplifies each level.
     assert result["tower"]["subgroups.tietze_calls"] == 0
     assert result["tower"]["subgroups.rewrite_s"] == 0
     assert result["chain"]["subgroups.tietze_calls"] == 4
