@@ -524,7 +524,7 @@ def relator_lists(draw):
     rank = draw(st.integers(1, 3))
     relators = draw(st.lists(words(rank, 8).map(cyclic_reduce), min_size=1, max_size=4))
     # Plant long pieces of some relator (or of its inverse) in new relators
-    # so that substitutions are found.
+    # so that relators share long subwords.
     for _ in range(draw(st.integers(0, 3))):
         r = draw(st.sampled_from(relators))
         base = draw(st.sampled_from((r, invert(r))))
