@@ -255,8 +255,7 @@ def _level_stats(table, level, primes):
             note = bounds.note
         except RelatorLengthExceeded as exc:
             bounds = RankBounds(
-                max([report.beta1, *report.b1p.values()]),
-                1 + table.index * (table.pres.rank - 1),
+                report.rank_lower, 1 + table.index * (table.pres.rank - 1)
             )
             note = f"rank_upper is the Schreier count: {exc}"
         lower, upper = bounds

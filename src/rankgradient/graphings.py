@@ -23,7 +23,7 @@ from .cosets import (
 )
 from .errors import IndexBoundExceeded, LabelLengthExceeded
 from .homology import DEFAULT_PRIMES, mod_p_rank
-from .subgroups import subgroup_abelianized_matrix
+from .subgroups import subgroup_abelianized_matrix, subgroup_homology
 from .words import SubgroupSpec, free_reduce, invert
 
 DEFAULT_LABEL_CAP = 64
@@ -218,7 +218,6 @@ class LGraphingCertificate:
 
     verdict: object
     reason: str
-    table: object = None
 
 
 def loop_screen(table, loops):
@@ -264,11 +263,9 @@ def is_l_graphing(m: Graphing, coset_cap=DEFAULT_COSET_CAP) -> LGraphingCertific
     except IndexBoundExceeded as exc:
         return LGraphingCertificate(None, str(exc))
     if loop_table.index == m.index:
-        return LGraphingCertificate(True, "connected with full loop image", loop_table)
+        return LGraphingCertificate(True, "connected with full loop image")
     return LGraphingCertificate(
-        False,
-        f"loop image has index {loop_table.index}, expected {m.index}",
-        loop_table,
+        False, f"loop image has index {loop_table.index}, expected {m.index}"
     )
 
 
@@ -289,36 +286,32 @@ def rank_bound(m: Graphing, coset_cap=DEFAULT_COSET_CAP) -> int:
 def minimize_graphing(chain, level: int, gens=None, coset_cap=DEFAULT_COSET_CAP):
     """Greedy edge-measure minimization over L-graphings at a level.
 
-    Starts from the generating-set graphing and repeatedly tries deleting
-    single incidences (largest fiber first, then lexicographic label order),
-    keeping a deletion only when the result is still an L-graphing.  Always
-    returns at least the seed graphing; the deletion order is deterministic.
-    Without ``gens`` the seed uses the level's spec words, or the Schreier
-    generators of its table when the level carries no spec.  A deletion whose
-    loop-image check trips ``coset_cap`` is not made.
+    Builds the generating-set graphing, then makes one pass over its
+    distinct generator labels in sorted order, dropping a label whenever
+    the rest still give an L-graphing.  The pass stops once the label
+    count, which is the rank bound, meets the homology floor
+    ``rank_lower``: no L-graphing goes below d(H).  Dropping a transversal
+    word would disconnect its coset, and a label refused once stays refused
+    (fewer labels generate less), so no label is tried twice.  A drop whose
+    loop-image check trips ``coset_cap`` is not made.  Without ``gens`` the
+    seed uses the level's plain spec words, or else the Schreier generators
+    of its table.
     """
     table = chain.levels[level]
     if gens is None:
         spec = table.spec
-        if spec is not None and spec.normal:
-            raise ValueError("need explicit generators for a normal-closure level")
-        gens = schreier_generators(table) if spec is None else spec.generators
+        plain = spec is not None and not spec.normal
+        gens = spec.generators if plain else schreier_generators(table)
     current = graphing_from_generators(chain, level, gens)
-    changed = True
-    while changed:
-        changed = False
-        order = sorted(
-            current.incidences(),
-            key=lambda item: (-len(current.fibers[item[1]]), item[1], item[0]),
-        )
-        for c, label in order:
-            fibers = {k: set(v) for k, v in current.fibers.items()}
-            fibers[label].discard(c)
-            candidate = Graphing(table=table, level=level, fibers=fibers)
-            if is_l_graphing(candidate, coset_cap).verdict is True:
-                current = candidate
-                changed = True
-                break
+    kept = sorted({free_reduce(g) for g in gens})
+    floor = subgroup_homology(table).rank_lower
+    for label in list(kept):
+        if len(kept) <= floor:
+            break
+        rest = [g for g in kept if g != label]
+        candidate = graphing_from_generators(chain, level, rest)
+        if is_l_graphing(candidate, coset_cap).verdict is True:
+            current, kept = candidate, rest
     return current, rank_bound(current, coset_cap)
 
 

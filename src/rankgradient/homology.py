@@ -29,6 +29,11 @@ class HomologyReport:
     torsion: tuple
     b1p: dict
 
+    @property
+    def rank_lower(self):
+        """The homology floor max(beta1, b_{1,p}) under the group's rank."""
+        return max([self.beta1, *self.b1p.values()])
+
 
 def abelianized_matrix(relators):
     """Relation matrix of relator words: row i holds (j, exponent sum of

@@ -1,8 +1,7 @@
 """Subgroup analysis: homology from the Fox matrix of the finite cover,
-Reidemeister-Schreier rewriting and Tietze simplification for rank upper
-bounds, and Stallings folding as the exact-rank oracle inside free groups.
-The Schreier generators themselves live in ``cosets`` and are re-exported
-here.
+and Reidemeister-Schreier rewriting and Tietze simplification for rank
+upper bounds.  The Schreier generators themselves live in ``cosets`` and
+are re-exported here.
 
 The cover's edges off its BFS spanning tree are numbered once, in
 ``_schreier_words``: the rewritten relators are its words, and the Fox
@@ -17,7 +16,6 @@ free ambient groups).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cosets import CosetTable, cotree_pairs, schreier_generators
@@ -25,10 +23,8 @@ from .errors import RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES, abelianized_matrix, report_from_matrix
 from .words import (
     Presentation,
-    SubgroupSpec,
     cyclic_reduce,
     cyclic_strip,
-    free_reduce,
     invert,
 )
 
@@ -334,7 +330,7 @@ def rank_bounds(table: CosetTable, report) -> RankBounds:
     relator-free ambient group Tietze removes no generator, so that count
     is the Schreier count 1 + index * (rank - 1), taken without rewriting.
     """
-    lower = max([report.beta1] + list(report.b1p.values()))
+    lower = report.rank_lower
     note = None
     if not table.pres.relators:
         upper = 1 + table.index * (table.pres.rank - 1)
@@ -344,110 +340,3 @@ def rank_bounds(table: CosetTable, report) -> RankBounds:
     if lower > upper:
         raise AssertionError(f"rank bounds crossed: {lower} > {upper}")
     return RankBounds(lower, upper, note)
-
-
-# ---------------------------------------------------------------------------
-# Stallings folding
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FoldedGraph:
-    """Fully folded labeled graph of a finitely generated free subgroup."""
-
-    rank: int  # ambient free rank
-    adjacency: dict  # vertex -> {letter: vertex}, letters are signed
-    base: int
-
-    @property
-    def num_vertices(self):
-        return len(self.adjacency)
-
-    @property
-    def num_edges(self):
-        return sum(1 for nbrs in self.adjacency.values() for letter in nbrs if letter > 0)
-
-    @property
-    def cycle_rank(self):
-        return self.num_edges - self.num_vertices + 1
-
-    def is_complete_cover(self):
-        return all(len(nbrs) == 2 * self.rank for nbrs in self.adjacency.values())
-
-
-def fold_subgroup_graph(rank: int, spec: SubgroupSpec) -> FoldedGraph:
-    """Fold the wedge of generator paths of a free-group subgroup."""
-    if spec.normal:
-        raise ValueError("folding applies to plain subgroups, not normal closures")
-    parent = {0: 0}
-    adj = {0: {}}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    pending = []
-
-    def union(a, b):
-        a, b = find(a), find(b)
-        if a == b:
-            return
-        if len(adj[a]) < len(adj[b]):
-            a, b = b, a
-        parent[b] = a
-        edges = adj.pop(b)
-        for letter, tgt in edges.items():
-            _connect(a, letter, tgt)
-
-    def _connect(u, letter, v):
-        u = find(u)
-        existing = adj[u].get(letter)
-        if existing is None:
-            adj[u][letter] = v
-        elif find(existing) != find(v):
-            pending.append((existing, v))
-
-    def add_edge(u, letter, v):
-        _connect(u, letter, v)
-        _connect(v, -letter, u)
-        while pending:
-            union(*pending.pop())
-
-    fresh = 1
-    for word in spec.generators:
-        here = 0
-        for letter in free_reduce(word):
-            parent[fresh] = fresh
-            adj[fresh] = {}
-            add_edge(here, letter, fresh)
-            here = find(fresh)
-            fresh += 1
-        # close the loop at the base
-        here = find(here)
-        base = find(0)
-        if here != base:
-            union(here, base)
-            while pending:
-                union(*pending.pop())
-
-    # Compress all edge targets to representatives.
-    graph = {}
-    for v in list(adj):
-        rv = find(v)
-        if rv != v:
-            continue
-        graph[v] = {letter: find(t) for letter, t in adj[v].items()}
-    return FoldedGraph(rank=rank, adjacency=graph, base=find(0))
-
-
-def stallings_fold(rank: int, spec: SubgroupSpec):
-    """(subgroup rank, index) of a f.g. subgroup of a free group.
-
-    index is the vertex count of the folded graph when it is a complete
-    cover, or None when the index is infinite.
-    """
-    graph = fold_subgroup_graph(rank, spec)
-    index = graph.num_vertices if graph.is_complete_cover() else None
-    return graph.cycle_rank, index

@@ -981,7 +981,7 @@ def verify_level(cover: CoverGraph, primes=DEFAULT_PRIMES) -> LevelComparison:
     if table.index != n:
         raise AssertionError("cover table index disagrees with point count")
     report = subgroup_homology(table, primes)
-    lower = max([report.beta1, *report.b1p.values()])
+    lower = report.rank_lower
     upper = n - p + 1 + int(mu * p) * group.pres.rank
     if lower > upper:
         raise AssertionError(f"rank bounds crossed: {lower} > {upper}")

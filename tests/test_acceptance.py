@@ -31,11 +31,12 @@ from rankgradient.graphings import (
     rank_bound,
 )
 from rankgradient.homology import mod_p_rank, report_from_matrix, smith_normal_form
-from rankgradient.subgroups import rank_bounds, stallings_fold, subgroup_homology
+from rankgradient.subgroups import rank_bounds, subgroup_homology
 from rankgradient.towers import build_tower, tower_report
 from rankgradient.words import free_reduce, parse_presentation
 
 from test_homology import minor_gcd_diagonal, mod_p_rank_oracle, random_matrix, sparse
+from test_subgroups import stallings_fold
 
 
 @contextmanager

@@ -92,6 +92,15 @@ def test_graphing(capsys):
     assert obj["rank_bound"] >= 1
 
 
+def test_graphing_on_a_normal_closure_level(capsys):
+    # f2's level 1 is the normal closure K of index 16; the seed is the
+    # Schreier generators of its table, 1 + 16 of them in a free group
+    code, out, err = run(capsys, "graphing", "--preset", "f2", "--depth", "2",
+                         "--level", "1", "--format", "text")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == "level 1: index 16, edge measure 2/1, rank bound 17"
+
+
 def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--preset", "s3")
     assert code == EXIT_OK

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from rankgradient.chains import farber_chain, hnn_chain, lamplighter_chain
-from rankgradient.cosets import enumerate_cosets, schreier_generators
+from rankgradient.cosets import DEFAULT_COSET_CAP, enumerate_cosets, schreier_generators
 from rankgradient.errors import IndexBoundExceeded
 from rankgradient.graphings import (
     Graphing,
@@ -39,6 +39,38 @@ def f2_delta2_chain():
     return farber_chain(pres, spec, 2)
 
 
+def reference_minimize(chain, level, gens=None, coset_cap=DEFAULT_COSET_CAP):
+    """The incidence greedy ``minimize_graphing`` replaces: try deleting each
+    single incidence of the seed (largest fiber first, then label, then
+    coset), keep a deletion whenever the result is still an L-graphing and
+    restart the scan after it, with no homology floor.  It reads
+    ``graphings.is_l_graphing`` at call time, so a test can record it."""
+    import rankgradient.graphings as graphings
+
+    table = chain.levels[level]
+    if gens is None:
+        spec = table.spec
+        plain = spec is not None and not spec.normal
+        gens = spec.generators if plain else schreier_generators(table)
+    current = graphing_from_generators(chain, level, gens)
+    changed = True
+    while changed:
+        changed = False
+        order = sorted(
+            current.incidences(),
+            key=lambda item: (-len(current.fibers[item[1]]), item[1], item[0]),
+        )
+        for c, label in order:
+            fibers = {k: set(v) for k, v in current.fibers.items()}
+            fibers[label].discard(c)
+            candidate = Graphing(table=table, level=level, fibers=fibers)
+            if graphings.is_l_graphing(candidate, coset_cap).verdict is True:
+                current = candidate
+                changed = True
+                break
+    return current, graphings.rank_bound(current, coset_cap)
+
+
 def test_generating_set_graphing_round_trip():
     chain = f2_delta2_chain()
     level = 2
@@ -54,8 +86,10 @@ def test_generating_set_graphing_round_trip():
 def test_coset_cap_reaches_every_loop_image_check(monkeypatch):
     import rankgradient.graphings as graphings
 
-    chain = f2_delta2_chain()
-    m = graphing_from_generators(chain, 2, schreier_generators(chain.levels[2]))
+    # the lamplighter2 level of index 4: its seed has 5 labels, one above
+    # the homology floor 4, so minimization checks candidates
+    chain = lamplighter_chain(2, 2)
+    m = graphing_from_generators(chain, 2, chain.levels[2].spec.generators)
     # index 4 needs at least 4 live cosets: the check is indeterminate
     assert is_l_graphing(m, coset_cap=3).verdict is None
     with pytest.raises(IndexBoundExceeded) as exc:
@@ -199,19 +233,28 @@ def fig8_chain():
     return hnn_chain(preset("fig8")[0], "t", 3)
 
 
-def f2_chain():
+def f2_chain(depth=2):
     pres, (spec,) = preset("f2")
-    return farber_chain(pres, spec, 2)
+    return farber_chain(pres, spec, depth)
 
 
 def f2_subgroup_chain():
-    # indices 1, 2, 4, 972; level 3 makes 1,945 checks of index 972, too slow here
+    # indices 1, 2, 4, 972; under reference_minimize level 3 makes 1,945
+    # checks of index 972, too slow here
     pres, spec = parsed("gens a b\nsub H a, b^2, b a b^-1\n")
     return farber_chain(pres, spec, 3)
 
 
+def gens_words(chain, text):
+    """The words of a ``graphing --gens`` value over the chain's generators."""
+    return parse_presentation(
+        "gens " + " ".join(chain.ambient.generators) + "\nsub G " + text + "\n"
+    )[1][0].generators
+
+
 def tried_candidates(monkeypatch, chain, level):
-    """Every graphing that ``minimize_graphing`` checks, in order."""
+    """Every graphing that ``reference_minimize`` checks, in order, the
+    final ``rank_bound`` check included."""
     import rankgradient.graphings as graphings
 
     tried = []
@@ -223,7 +266,7 @@ def tried_candidates(monkeypatch, chain, level):
 
     with monkeypatch.context() as patch:
         patch.setattr(graphings, "is_l_graphing", recording)
-        minimize_graphing(chain, level)
+        reference_minimize(chain, level)
     return tried
 
 
@@ -277,10 +320,7 @@ def test_loop_screen_refutes_only_non_generating_loops(
 def test_non_generating_gens_screen_ranks_match_full_edge_matrix(gens, rank):
     # the loop sets of the graphing --gens cases the CLI refuses
     chain = fig8_chain()
-    words = parse_presentation(
-        "gens " + " ".join(chain.ambient.generators) + "\nsub G " + gens + "\n"
-    )[1][0].generators
-    m = graphing_from_generators(chain, 3, words)
+    m = graphing_from_generators(chain, 3, gens_words(chain, gens))
     loops, disconnected = to_labeled_graph(m)
     assert not disconnected
     assert assert_screen_ranks_match_full_edge_matrix(m.table, loops)[0] == rank
@@ -328,3 +368,47 @@ def test_graphing_goldens_trip_no_coset_cap(monkeypatch, capsys, argv):
     assert main(argv.split()) == EXIT_OK
     assert trips == []
     assert defined and max(defined) < 1_000
+
+
+# ---------------------------------------------------------------------------
+# One pass over the generator labels against the incidence greedy
+# ---------------------------------------------------------------------------
+
+
+CHAINS = {
+    "fig8 depth 3": fig8_chain,
+    "fig8 depth 2": lambda: hnn_chain(preset("fig8")[0], "t", 2),
+    "f2 depth 2": f2_chain,
+    "<a, b^2, b a b^-1> depth 2": f2_delta2_chain,
+    "lamplighter2 depth 2": lambda: lamplighter_chain(2, 2),
+    "lamplighter3 depth 2": lambda: lamplighter_chain(3, 2),
+    "lamplighter3 depth 3": lambda: lamplighter_chain(3, 3),
+}
+
+
+@pytest.mark.parametrize("name, level, gens", [
+    *(("fig8 depth 3", level, None) for level in range(4)),
+    ("f2 depth 2", 2, None),
+    *(("<a, b^2, b a b^-1> depth 2", level, None) for level in range(3)),
+    *(("lamplighter2 depth 2", level, None) for level in range(3)),
+    *(("lamplighter3 depth 3", level, None) for level in range(4)),
+    ("fig8 depth 3", 3, "a,b,t^3,a b"),
+    ("fig8 depth 2", 2, "a,b,t^2,a^2,b^-1"),
+    ("lamplighter3 depth 2", 2, "a,t^-1 a t,t^-2 a t^2,t^-3 a t^3,t^4,t^8"),
+])
+def test_minimize_graphing_matches_incidence_greedy(name, level, gens):
+    chain = CHAINS[name]()
+    if gens is not None:
+        gens = gens_words(chain, gens)
+    assert minimize_graphing(chain, level, gens) == reference_minimize(chain, level, gens)
+
+
+@pytest.mark.parametrize("make_chain, index", [
+    (f2_subgroup_chain, 972),
+    (lambda: f2_chain(3), 3888),
+], ids=["index 972", "index 3888"])
+def test_free_level_rank_bound_is_nielsen_schreier(make_chain, index):
+    # a subgroup of index n in F2 is free of rank 1 + n
+    chain = make_chain()
+    m, bound = minimize_graphing(chain, 3)
+    assert (m.index, bound) == (index, 1 + index)

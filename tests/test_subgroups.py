@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -12,11 +13,9 @@ from rankgradient.cosets import enumerate_cosets, low_index, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
     _canonical_relator_key,
-    fold_subgroup_graph,
     rank_bounds,
     rewrite_presentation,
     schreier_generators,
-    stallings_fold,
     subgroup_homology,
     tietze_simplify,
 )
@@ -159,6 +158,113 @@ def full_edge_matrix(table, loops=()):
             for c in range(table.index) for relator in table.pres.relators]
     rows += [full_edge_row(table, 0, loop) for loop in loops]
     return rows, table.index * table.pres.rank
+
+
+# ---------------------------------------------------------------------------
+# Stallings folding: the exact-rank and index oracle inside free groups
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FoldedGraph:
+    """Fully folded labeled graph of a finitely generated free subgroup."""
+
+    rank: int  # ambient free rank
+    adjacency: dict  # vertex -> {letter: vertex}, letters are signed
+    base: int
+
+    @property
+    def num_vertices(self):
+        return len(self.adjacency)
+
+    @property
+    def num_edges(self):
+        return sum(1 for nbrs in self.adjacency.values() for letter in nbrs if letter > 0)
+
+    @property
+    def cycle_rank(self):
+        return self.num_edges - self.num_vertices + 1
+
+    def is_complete_cover(self):
+        return all(len(nbrs) == 2 * self.rank for nbrs in self.adjacency.values())
+
+
+def fold_subgroup_graph(rank: int, spec: SubgroupSpec) -> FoldedGraph:
+    """Fold the wedge of generator paths of a free-group subgroup."""
+    if spec.normal:
+        raise ValueError("folding applies to plain subgroups, not normal closures")
+    parent = {0: 0}
+    adj = {0: {}}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    pending = []
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return
+        if len(adj[a]) < len(adj[b]):
+            a, b = b, a
+        parent[b] = a
+        edges = adj.pop(b)
+        for letter, tgt in edges.items():
+            _connect(a, letter, tgt)
+
+    def _connect(u, letter, v):
+        u = find(u)
+        existing = adj[u].get(letter)
+        if existing is None:
+            adj[u][letter] = v
+        elif find(existing) != find(v):
+            pending.append((existing, v))
+
+    def add_edge(u, letter, v):
+        _connect(u, letter, v)
+        _connect(v, -letter, u)
+        while pending:
+            union(*pending.pop())
+
+    fresh = 1
+    for word in spec.generators:
+        here = 0
+        for letter in free_reduce(word):
+            parent[fresh] = fresh
+            adj[fresh] = {}
+            add_edge(here, letter, fresh)
+            here = find(fresh)
+            fresh += 1
+        # close the loop at the base
+        here = find(here)
+        base = find(0)
+        if here != base:
+            union(here, base)
+            while pending:
+                union(*pending.pop())
+
+    # Compress all edge targets to representatives.
+    graph = {}
+    for v in list(adj):
+        rv = find(v)
+        if rv != v:
+            continue
+        graph[v] = {letter: find(t) for letter, t in adj[v].items()}
+    return FoldedGraph(rank=rank, adjacency=graph, base=find(0))
+
+
+def stallings_fold(rank: int, spec: SubgroupSpec):
+    """(subgroup rank, index) of a f.g. subgroup of a free group.
+
+    index is the vertex count of the folded graph when it is a complete
+    cover, or None when the index is infinite.
+    """
+    graph = fold_subgroup_graph(rank, spec)
+    index = graph.num_vertices if graph.is_complete_cover() else None
+    return graph.cycle_rank, index
 
 
 def test_subgroup_homology_matches_full_edge_matrix():

@@ -61,11 +61,11 @@ def test_span_hooks_wrap_and_count(tmp_path):
     assert result["tower"]["subgroups.tietze_calls"] == 0
     assert result["tower"]["subgroups.rewrite_s"] == 0
     assert result["chain"]["subgroups.tietze_calls"] == 4
-    # graphing --preset fig8 --depth 3 --level 3: five candidate deletions
-    # and the final check.  Two candidates are disconnected, the homology
-    # screen refutes the other three, and only the seed graphing's loop
-    # image is enumerated, once per chain level plus once for the check.
+    # graphing --preset fig8 --depth 3 --level 3: the seed's 3 labels meet
+    # the homology floor 3, so minimization tries no candidate and the final
+    # check is the only one.  Its loop image is enumerated once, after one
+    # enumeration per chain level.
     graphing = result["graphing"]
-    assert graphing["graphings.lcheck_calls"] == 6
+    assert graphing["graphings.lcheck_calls"] == 1
     assert graphing["graphings.lcheck_accepted"] == 1
     assert graphing["cosets.enumerate_calls"] == 5
