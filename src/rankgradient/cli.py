@@ -144,13 +144,12 @@ def cmd_enumerate(args):
 
 def cmd_lowindex(args):
     pres, _, source = load_source(args)
-    tables = low_index(pres, args.max)
     counts = {}
-    for t in tables:
-        counts[t.index] = counts.get(t.index, 0) + 1
+    for table, size in low_index(pres, args.max):  # one class of conjugates each
+        counts[table.index] = counts.get(table.index, 0) + size
     obj = {
         "counts": {str(k): counts.get(k, 0) for k in range(1, args.max + 1)},
-        "total": len(tables),
+        "total": sum(counts.values()),
     }
     csv_body = csv_table(
         ["index", "count"], [[k, counts.get(k, 0)] for k in range(1, args.max + 1)]

@@ -1,15 +1,18 @@
 """Coset tables and the finite-index subgroup engine.
 
-Todd-Coxeter enumeration (HLT style), exhaustive low-index subgroup search,
-subgroup intersection via product actions, and normal cores via the regular
-representation of the permutation image.  Enumeration fills one flat int
-table under a live-coset cap; low-index search checks only the relator
-traces through each new edge (see ``enumerate_cosets``, ``_search_index``).
+Todd-Coxeter enumeration (HLT style), low-index subgroup search by
+conjugacy class, subgroup intersection via product actions, and normal
+cores via the regular representation of the permutation image.  Enumeration
+fills one flat int table under a live-coset cap.  Low-index search finds one
+table per conjugacy class with its class size, checks only the relator
+traces through each new edge, and ``subgroups_of_index`` expands the classes
+to every subgroup (see ``enumerate_cosets``, ``_search_index``).
 
 Conventions: coset 0 is the subgroup itself, words act on the right, and a
-table's permutations are listed per generator.  All construction paths
-canonicalize the coset numbering by BFS from coset 0 in letter order
-(g1, g1^-1, g2, ...), so equal subgroups yield identical tables.
+table's permutations are listed per generator.  Enumeration, intersection
+and normal cores number cosets by BFS from coset 0 in letter order
+(g1, g1^-1, g2, ...), the low-index search by first touch in slot order
+(coset, then generator); either way equal subgroups yield identical tables.
 
 A table alone fixes its subgroup.  Only ``enumerate_cosets`` attaches a
 spec, the one it enumerated; the tables of ``low_index``, ``intersect`` and
@@ -321,11 +324,13 @@ def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:
 
 
 def low_index(pres: Presentation, n_max: int):
-    """All subgroups of index <= n_max, one coset table each.
+    """The subgroups of index <= n_max by conjugacy class: one pair
+    (table, class size) per class.
 
-    Subgroups correspond bijectively to transitive pointed actions with
-    canonical (first-touch) coset numbering, so the backtracking emits every
-    subgroup exactly once -- not conjugacy representatives.  Output order is
+    The table is the least of the class's numberings (see
+    ``_search_index``) and the class size is k / [N_G(H) : H] at index k,
+    so the sizes of index k sum to the number of subgroups of index k.
+    ``subgroups_of_index`` lists every subgroup.  Output order is
     deterministic: ascending index, then lexicographic table.  The search
     visits at most ``DEFAULT_NODE_CAP`` nodes.
     """
@@ -334,36 +339,70 @@ def low_index(pres: Presentation, n_max: int):
     found = []
     budget = [0, DEFAULT_NODE_CAP, found]
     for k in range(1, n_max + 1):
-        found += _index_tables(pres, k, budget)
+        found += _index_classes(pres, k, budget)
     return found
 
 
 def subgroups_of_index(pres: Presentation, k: int):
-    """The subgroups of index exactly k, in the order low_index lists them;
-    the search of index k alone visits at most ``DEFAULT_NODE_CAP`` nodes."""
-    return _index_tables(pres, k, [0, DEFAULT_NODE_CAP, []])
-
-
-def _index_tables(pres, k, budget):
-    tables = []
-    _search_index(pres, k, tables, budget)
+    """Every subgroup of index exactly k, one table each, in lexicographic
+    order: each class table renumbered from each of its k base cosets, with
+    duplicates dropped.  The search of index k alone visits at most
+    ``DEFAULT_NODE_CAP`` nodes."""
+    classes = _index_classes(pres, k, [0, DEFAULT_NODE_CAP, []])
+    tables = {_renumbered(table.perms, b) for table, _ in classes for b in range(k)}
     return [CosetTable(pres, t) for t in sorted(tables)]
 
 
+def _index_classes(pres, k, budget):
+    classes = []
+    _search_index(pres, k, classes, budget)
+    return [(CosetTable(pres, t), size) for t, size in sorted(classes)]
+
+
+def _renumbered(perms, base):
+    """``perms`` renumbered from coset ``base`` by first touch: cosets are
+    numbered as they are first reached in slot order (coset, then
+    generator), the numbering ``_search_index`` builds."""
+    number = {base: 0}
+    order = [base]
+    for c in order:  # order grows while the loop runs
+        for p in perms:
+            if p[c] not in number:
+                number[p[c]] = len(order)
+                order.append(p[c])
+    return tuple(tuple(number[p[c]] for c in order) for p in perms)
+
+
 def _search_index(pres, k, out, budget):
-    """Append to ``out`` the perms of every canonically numbered transitive
-    action on k points in which every relator closes; each descent to a
-    slot is one node against ``budget``.  A node is pruned when some
-    relator trace is fully defined and does not close.  Only traces through
-    the edge c -g-> d just set are checked, which prunes exactly what a scan
-    of all k * |R| traces would: every other defined trace was defined, and
-    closed, at the parent.  A trace crosses the edge at some occurrence of g^+-1 in
-    its relator; as the partial table is injective, it is fully defined iff
-    the prefix traced backward from one end of the edge and the suffix traced
-    forward from the other both are, and then it closes iff they meet.
+    """Append to ``out`` one (perms, class size) per conjugacy class of
+    subgroups of index k: Sims' search by conjugacy class (Sims,
+    Computation with Finitely Presented Groups, 1994, ch. 5).
+
+    The slots (coset c, generator g) are filled in order, coset then
+    generator, and each image is a coset in use or the next unused one, so
+    tables are numbered by first touch from base coset 0.  A table on k
+    points in which every relator closes is one subgroup H; renumbered from
+    base coset b it is the stabilizer of b, a conjugate of H.  A class is
+    kept only in its least numbering, lexicographically in slot order.
+    When row c is complete, the partial table is renumbered from base coset
+    c as far as both are defined, and pruned if that renumbering is
+    smaller, as every completion's then is too.  At a leaf every base coset
+    is compared in full: the bases giving the table itself number
+    [N_G(H) : H], and the class holds k / [N_G(H) : H] subgroups.
+
+    Each descent to a slot is one node against ``budget``.  A node is also
+    pruned when some relator trace is fully defined and does not close.
+    Only traces through the edge c -g-> d just set are checked, which prunes
+    exactly what a scan of all k * |R| traces would: every other defined
+    trace was defined, and closed, at the parent.  A trace crosses the edge
+    at some occurrence of g^+-1 in its relator; as the partial table is
+    injective, it is fully defined iff the prefix traced backward from one
+    end of the edge and the suffix traced forward from the other both are,
+    and then it closes iff they meet.
     """
     rank = pres.rank
     act = [[None] * k for _ in range(2 * rank)]  # per column, as in _hlt
+    rows = act[0::2]  # the generators' columns, in slot order within a row
     # through[g]: (is g, prefix rows backward, suffix rows forward) per g^+-1
     through = [[] for _ in range(rank)]
     for w in pres.relators:
@@ -393,12 +432,58 @@ def _search_index(pres, k, out, budget):
                         return False
         return True
 
+    slot_rows = [(c, row) for c in range(k) for row in rows]  # in slot order
+
+    def renumbered(base):
+        """Renumber the table from ``base`` by first touch and compare it
+        with the table slot by slot while both are defined: the sign of the
+        difference (0 if they agree that far), and the old coset of each
+        new one.  ``order[j]`` exists when read: rows 0..j-1 of the two
+        agree, and the search only tests tables whose rows 0..j-1 reach
+        past j."""
+        number = {base: 0}
+        order = [base]
+        for j, row in slot_rows:
+            mine, image = row[j], row[order[j]]
+            if mine is None or image is None:
+                break
+            new = number.get(image)
+            if new is None:
+                new = number[image] = len(order)
+                order.append(image)
+            if new != mine:
+                return (-1 if new < mine else 1), order
+        return 0, order
+
+    def normalizer_index():
+        """0 if the complete table renumbered from some base coset is
+        smaller, else [N_G(H) : H], the number of base cosets that give the
+        table itself.  These form the orbit of coset 0 under the table's
+        automorphisms, and a base giving the table yields one, j -> order[j];
+        a base in the orbit of those found so far needs no walk."""
+        autos, orbit, seen = [], [0], {0}
+        for base in range(1, k):
+            if base in seen:
+                continue
+            sign, order = renumbered(base)
+            if sign < 0:
+                return 0
+            if sign == 0:
+                autos.append(order)
+                for x in orbit:  # orbit grows while the loop runs
+                    for auto in autos:
+                        if auto[x] not in seen:
+                            seen.add(auto[x])
+                            orbit.append(auto[x])
+        return len(orbit)
+
     # Depth-first over the slots in a loop, not by recursion, which would
     # nest k * rank calls deep.  Per slot: the points used on entering it
     # and the images left to try there; the image set there is in ``act``.
     points = [1] * len(slots)  # only points[0] is read before it is set
     tries = [None] * len(slots)
     nodes, cap = budget[0], budget[1]
+    last = rank - 1
     pos, descending = 0, True
     while pos >= 0:
         c, g, fwd, bwd = slots[pos]
@@ -411,8 +496,8 @@ def _search_index(pres, k, out, budget):
             if c >= used:
                 # Rows 0..used-1 are closed under the action, so the table
                 # is complete or can never become transitive on k points.
-                if c == k and used == k:
-                    out.append(tuple(tuple(act[2 * g]) for g in range(rank)))
+                if c == k and used == k and (n := normalizer_index()):
+                    out.append((tuple(tuple(row) for row in rows), k // n))
                 pos, descending = pos - 1, False
                 continue
             tries[pos] = iter(range(min(used + 1, k)))
@@ -423,9 +508,13 @@ def _search_index(pres, k, out, budget):
                 fwd[c] = d
                 bwd[d] = c
                 if edge_ok(g, c, d):
-                    points[pos + 1] = max(points[pos], d + 1)
-                    pos, descending = pos + 1, True
-                    break
+                    points[pos + 1] = used = max(points[pos], d + 1)
+                    # Once row c is complete, the renumbering from base
+                    # coset c is compared as far as it is defined; a leaf
+                    # compares every base in full.
+                    if g != last or used == c + 1 or not c or renumbered(c)[0] >= 0:
+                        pos, descending = pos + 1, True
+                        break
                 fwd[c] = bwd[d] = None
         else:
             pos, descending = pos - 1, False
@@ -439,27 +528,35 @@ def _search_index(pres, k, out, budget):
 
 def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
     """Table of H1 n H2: the component of (0, 0) in the product action,
-    numbered by a BFS in the order ``canonicalize`` uses."""
+    numbered by a BFS in the order ``canonicalize`` uses.  The pair of
+    cosets (a, b) is held as the integer a * n2 + b, and each generator's
+    row of the result is filled as the BFS reads its letter."""
     if t1.pres != t2.pres:
         raise ValueError("tables must share an ambient presentation")
-    letters = _letters(t1.pres.rank)
-    start = (0, 0)
-    number = {start: 0}
-    order = [start]
-    i = 0
-    while i < len(order):
-        a, b = order[i]
-        i += 1
-        for letter in letters:
-            nxt = (t1.letter_perm(letter)[a], t2.letter_perm(letter)[b])
+    n2 = t2.index
+    rows = tuple([] for _ in t1.perms)
+    # per generator: its row, then its images in t1 and t2, then those of
+    # its inverse
+    steps = [
+        (row, t1.letter_perm(g), t2.letter_perm(g), t1.letter_perm(-g), t2.letter_perm(-g))
+        for g, row in enumerate(rows, 1)
+    ]
+    number = {0: 0}
+    order = [0]
+    for code in order:  # order grows while the loop runs
+        a, b = divmod(code, n2)
+        for row, fwd1, fwd2, inv1, inv2 in steps:
+            nxt = fwd1[a] * n2 + fwd2[b]
+            i = number.get(nxt)
+            if i is None:
+                i = number[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+            nxt = inv1[a] * n2 + inv2[b]
             if nxt not in number:
                 number[nxt] = len(order)
                 order.append(nxt)
-    perms = tuple(
-        tuple(number[(t1.perms[g][a], t2.perms[g][b])] for a, b in order)
-        for g in range(t1.pres.rank)
-    )
-    return CosetTable(pres=t1.pres, perms=perms)
+    return CosetTable(pres=t1.pres, perms=tuple(map(tuple, rows)))
 
 
 def _image_closure(table: CosetTable, limit: int):

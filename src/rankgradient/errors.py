@@ -29,7 +29,8 @@ class ImageTooLarge(BudgetError):
 
 
 class LowIndexBudget(BudgetError):
-    """Low-index search ran out of nodes; carries the tables found so far."""
+    """Low-index search ran out of nodes; carries the (class table, class
+    size) pairs found so far."""
 
     def __init__(self, cap, partial):
         self.cap = cap

@@ -97,8 +97,9 @@ class Presentation:
             raise ValueError("duplicate generator names")
         reduced = tuple(cyclic_reduce(r) for r in self.relators)
         object.__setattr__(self, "relators", reduced)
+        rank = len(self.generators)
         for r in reduced:
-            if max_generator(r) >= len(self.generators):
+            if max(map(abs, r), default=0) > rank:
                 raise ValueError(f"relator {r} references an unknown generator")
 
     @property

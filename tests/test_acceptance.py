@@ -36,6 +36,7 @@ from rankgradient.towers import build_tower, tower_report
 from rankgradient.words import free_reduce, parse_presentation
 
 from test_homology import minor_gcd_diagonal, mod_p_rank_oracle, random_matrix, sparse
+from test_cosets import class_counts, every_subgroup
 from test_subgroups import stallings_fold
 
 
@@ -96,10 +97,7 @@ def corpus():
 
 def test_criterion_1_hall_counts():
     with criterion(1, "low_index on F2 matches Hall's recursion for n <= 5", 60):
-        tables = low_index(free(2), 5)
-        counts = {}
-        for t in tables:
-            counts[t.index] = counts.get(t.index, 0) + 1
+        counts = class_counts(low_index(free(2), 5))
         assert counts == {1: 1, 2: 3, 3: 13, 4: 71, 5: 461}
         assert counts == hall_counts(2, 5)
 
@@ -108,7 +106,7 @@ def test_criterion_2_nielsen_schreier():
     with criterion(2, "Nielsen-Schreier rank is exact on all low-index subgroups", 60):
         for rank, n_max in ((2, 4), (3, 3)):
             pres = free(rank)
-            for table in low_index(pres, n_max):
+            for table in every_subgroup(pres, n_max):
                 expected = 1 + table.index * (rank - 1)
                 folded, index = stallings_fold(rank, with_schreier_spec(table).spec)
                 assert (folded, index) == (expected, table.index)
@@ -264,7 +262,7 @@ def test_criterion_11_surface_group():
     with criterion(11, "genus-2 subgroups: beta1 = 2n + 2 at index 2 and 3", 120):
         pres, _ = parsed(SURFACE2)
         ratios = []
-        for table in low_index(pres, 3):
+        for table in every_subgroup(pres, 3):
             n = table.index
             if n < 2:
                 continue

@@ -18,16 +18,18 @@ from rankgradient.chains import (
 )
 from rankgradient import cosets
 from rankgradient.cosets import (
+    CosetTable,
     contains,
     enumerate_cosets,
     intersect,
     is_normal,
-    low_index,
     normal_core,
 )
 from rankgradient.errors import BudgetError
 from rankgradient.subgroups import RankBounds
 from rankgradient.words import free_reduce, parse_presentation
+
+from test_cosets import reference_search_index
 
 FIG8 = "gens a b t\nrel t^-1 a t = b^-1\nrel t^-1 b t = b^2 a b\n"
 
@@ -139,14 +141,17 @@ def test_farber_chain_seed_above_the_index_cap_is_not_a_level():
 
 
 def reference_farber_levels(pres, spec, depth):
-    """Levels 1..depth as the chain once built them: level n took the
-    index-n tables out of a fresh low_index(pres, n)."""
+    """Levels 1..depth as the chain once built them: level n took every
+    index-n table, in order, from a search that lists each subgroup (the
+    full-rescan oracle of the coset tests)."""
     h_table = enumerate_cosets(pres, spec)
     core = normal_core(h_table)
     levels, delta = [h_table], None
     for n in range(2, depth + 1):
-        for t in low_index(pres, n):
-            if t.index == n and (delta is None or not contains(t, delta)):
+        found = []
+        reference_search_index(pres, n, found, [0, cosets.DEFAULT_NODE_CAP, []])
+        for t in (CosetTable(pres, perms) for perms in sorted(found)):
+            if delta is None or not contains(t, delta):
                 delta = t if delta is None else intersect(delta, t)
         levels.append(intersect(core, delta) if delta is not None else core)
     return levels
@@ -166,13 +171,13 @@ def test_farber_chain_searches_each_index_once(monkeypatch):
     chain = farber_chain(pres, spec, 4)
     # level 4 is searched, then truncated at the intersection index cap
     assert chain.truncated.startswith("stopped before level 4: intersection index")
-    assert searches == [(2, 13), (3, 58), (4, 309)]
+    assert searches == [(2, 13), (3, 49), (4, 195)]
     assert [t.perms for t in chain.levels[1:]] == [t.perms for t in reference]
 
 
 def test_farber_chain_node_cap_covers_one_index(monkeypatch):
     # each level's search has DEFAULT_NODE_CAP nodes for its own index:
-    # index 2 takes 13 nodes and index 3 takes 58, so a cap of 15 stops
+    # index 2 takes 13 nodes and index 3 takes 49, so a cap of 15 stops
     # the chain before level 3 (the old search of indices 1-2, 16 nodes,
     # stopped it before level 2)
     pres, spec = parsed("gens a b\nsub K normal a^4, b^4, a b a^-1 b^-1\n")

@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgradient import cosets
+from rankgradient import chains, cosets
+from rankgradient.chains import farber_chain
 from rankgradient.cli import PRESET_NAMES
 from rankgradient.cosets import (
     DEFAULT_COSET_CAP,
@@ -21,6 +22,7 @@ from rankgradient.cosets import (
     normal_core,
     schreier_generators,
     schreier_transversal,
+    subgroups_of_index,
     validate,
     with_schreier_spec,
 )
@@ -36,6 +38,21 @@ def parsed(text):
 S3 = "gens a b\nrel a^3\nrel b^2\nrel a b a b\n"
 Z2Z2 = "gens a b\nrel a^2\nrel b^2\nrel a b a^-1 b^-1\n"
 SURFACE2 = "gens a b c d\nrel a b a^-1 b^-1 c d c^-1 d^-1\n"
+
+
+def every_subgroup(pres, n_max):
+    """The table of every subgroup of index <= n_max, ascending index, then
+    lexicographic table (what ``low_index`` listed before it went by
+    conjugacy class)."""
+    return [t for k in range(1, n_max + 1) for t in subgroups_of_index(pres, k)]
+
+
+def class_counts(classes):
+    """Subgroups per index, summed over (table, class size) pairs."""
+    counts = {}
+    for table, size in classes:
+        counts[table.index] = counts.get(table.index, 0) + size
+    return counts
 
 
 def hall_counts(rank, n_max):
@@ -139,30 +156,26 @@ def test_mednykh_counts_oracle():
 
 def test_low_index_matches_mednykh_on_surface2():
     pres, _ = preset("surface2")
-    counts = {}
-    for t in low_index(pres, 4):
-        counts[t.index] = counts.get(t.index, 0) + 1
+    classes = low_index(pres, 4)
+    counts = class_counts(classes)
     assert counts == {n: mednykh_counts(2, 4)[n] for n in range(1, 5)}
     assert counts == {1: 1, 2: 15, 3: 220, 4: 5275}
+    assert len(classes) == 1731
 
 
 @pytest.mark.parametrize("rank,n_max", [(2, 4), (3, 3)])
 def test_low_index_matches_hall(rank, n_max):
     pres, _ = parsed("gens " + " ".join("abc"[:rank]) + "\n")
-    tables = low_index(pres, n_max)
-    counts = {}
-    for t in tables:
-        counts[t.index] = counts.get(t.index, 0) + 1
     oracle = hall_counts(rank, n_max)
-    assert counts == {n: oracle[n] for n in range(1, n_max + 1)}
+    assert class_counts(low_index(pres, n_max)) == {n: oracle[n] for n in range(1, n_max + 1)}
 
 
 def test_low_index_deterministic_and_valid():
     pres, _ = parsed(S3)
-    tables = low_index(pres, 4)
+    classes = low_index(pres, 4)
     again = low_index(pres, 4)
-    assert [t.perms for t in tables] == [t.perms for t in again]
-    for t in tables:
+    assert [(t.perms, size) for t, size in classes] == [(t.perms, size) for t, size in again]
+    for t in every_subgroup(pres, 4):
         assert validate(t) == []
         # the attached spec really is the stabilizer of coset 0
         check = enumerate_cosets(pres, with_schreier_spec(t).spec)
@@ -175,6 +188,7 @@ def test_low_index_budget(monkeypatch):
     with pytest.raises(LowIndexBudget) as exc:
         low_index(pres, 6)
     assert isinstance(exc.value.partial, list)
+    assert exc.value.partial == low_index(pres, 3)  # indices 1 to 3 take 65 nodes
 
 
 def test_schreier_transversal_prefix_closed():
@@ -211,16 +225,66 @@ def test_intersect():
 
 def test_intersect_is_canonical_as_built():
     for text, n_max in (("gens a b\n", 3), (SURFACE2, 2)):
-        tables = low_index(parsed(text)[0], n_max)
+        tables = every_subgroup(parsed(text)[0], n_max)
         for t1 in tables:
             for t2 in tables:
                 meet = intersect(t1, t2)
                 assert canonicalize(meet).perms == meet.perms
 
 
+def reference_intersect(t1, t2):
+    """``intersect`` keyed by pairs: the product action numbered through a
+    dict of (a, b) tuples, then a second pass over the pairs for the
+    permutations.  Kept as the oracle for the integer pair codes."""
+    letters = cosets._letters(t1.pres.rank)
+    start = (0, 0)
+    number = {start: 0}
+    order = [start]
+    i = 0
+    while i < len(order):
+        a, b = order[i]
+        i += 1
+        for letter in letters:
+            nxt = (t1.letter_perm(letter)[a], t2.letter_perm(letter)[b])
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+    perms = tuple(
+        tuple(number[(t1.perms[g][a], t2.perms[g][b])] for a, b in order)
+        for g in range(t1.pres.rank)
+    )
+    return CosetTable(pres=t1.pres, perms=perms)
+
+
+def test_intersect_matches_pair_keyed_reference():
+    for text, n_max in (("gens a b\n", 3), (SURFACE2, 2)):
+        tables = every_subgroup(parsed(text)[0], n_max)
+        for t1 in tables:
+            for t2 in tables:
+                assert intersect(t1, t2).perms == reference_intersect(t1, t2).perms
+
+
+def test_intersect_matches_pair_keyed_reference_along_the_f2_chain(monkeypatch):
+    meets = []  # (t1, t2, intersection) for each intersection the chain takes
+
+    def recorded(t1, t2):
+        meets.append((t1, t2, intersect(t1, t2)))
+        return meets[-1][2]
+
+    monkeypatch.setattr(chains, "intersect", recorded)
+    pres, specs = preset("f2")
+    chain = farber_chain(pres, specs[0], 4)
+    # perfbench's f2_chain check compares both exactly
+    assert chain.indices() == (1, 16, 16, 3888)
+    assert chain.truncated == "stopped before level 4: intersection index 31104 exceeds cap 10000"
+    assert [meet.index for _, _, meet in meets][-1] == 31104
+    for t1, t2, meet in meets:
+        assert meet.perms == reference_intersect(t1, t2).perms
+
+
 def test_contains_agrees_with_schreier_membership():
     for text, n_max in (("gens a b\n", 4), (SURFACE2, 3)):
-        tables = low_index(parsed(text)[0], n_max)
+        tables = every_subgroup(parsed(text)[0], n_max)
         gens = [schreier_generators(t) for t in tables]
         for a in tables:
             for b, b_gens in zip(tables, gens):
@@ -245,11 +309,15 @@ def test_normal_core_of_normal_subgroup_is_itself():
 
 def test_is_normal_agrees_with_core_on_all_f2_subgroups_of_index_at_most_4():
     pres, _ = parsed("gens a b\n")
-    tables = low_index(pres, 4)
+    tables = every_subgroup(pres, 4)
     assert len(tables) == 88
     verdicts = [is_normal(t) for t in tables]
     assert verdicts == [normal_core(t).index == t.index for t in tables]
     assert sum(verdicts) == 15
+    # a normal subgroup is its own class: [N_G(H) : H] = index
+    assert sorted(t.perms for t, size in low_index(pres, 4) if size == 1) == sorted(
+        t.perms for t, normal in zip(tables, verdicts) if normal
+    )
 
 
 def test_word_perm_matches_apply():
@@ -557,57 +625,107 @@ def reference_search_index(pres, k, out, budget):
     extend(0, 1)
 
 
-def low_index_outcome(search, pres, n_max, node_cap):
-    """``low_index`` driven by ``search``: the perms found, or the cap, the
-    partial perms and the text of the LowIndexBudget it raised."""
-    found = []
-    budget = [0, node_cap, found]
-    try:
-        for k in range(1, n_max + 1):
-            tables = []
-            search(pres, k, tables, budget)
-            found += [CosetTable(pres, t) for t in sorted(tables)]
-    except LowIndexBudget as exc:
-        return ("cap", exc.cap, [t.perms for t in exc.partial], str(exc))
-    return [t.perms for t in found]
+def slot_key(perms):
+    """A table's entries in slot order (coset, then generator), the order
+    in which the search fills them and compares numberings."""
+    return tuple(p[c] for c in range(len(perms[0]) if perms else 1) for p in perms)
+
+
+def assert_classes_expand_to(pres, k, classes, subgroups):
+    """The class tables of index k, as _search_index left them, against
+    the perms of every subgroup of index k from an oracle search."""
+    # each class table is the least of its k renumberings, and its size
+    # is k over the number of base cosets that give the table itself
+    for perms, size in classes:
+        renumbered = [cosets._renumbered(perms, b) for b in range(k)]
+        assert slot_key(perms) == min(map(slot_key, renumbered))
+        assert size * renumbered.count(perms) == k
+    assert sum(size for _, size in classes) == len(subgroups)
+    # expanded, the classes are the oracle's subgroups in the old order
+    assert [t.perms for t in subgroups_of_index(pres, k)] == sorted(subgroups)
+
+
+def assert_budget_trips(pres, nodes, node_caps, monkeypatch):
+    """``low_index`` up to index len(nodes) under each node cap, where
+    nodes[k - 1] is what the search of index k takes: it raises
+    LowIndexBudget exactly below the total, with the classes of the indices
+    it finished."""
+    n_max = len(nodes)
+    finished = low_index(pres, n_max)
+    for node_cap in node_caps:
+        monkeypatch.setattr(cosets, "DEFAULT_NODE_CAP", node_cap)
+        done = 0  # indices searched within node_cap
+        while done < n_max and sum(nodes[:done + 1]) <= node_cap:
+            done += 1
+        if done == n_max:
+            assert low_index(pres, n_max) == finished
+            continue
+        with pytest.raises(LowIndexBudget) as exc:
+            low_index(pres, n_max)
+        partial = [pair for pair in finished if pair[0].index <= done]
+        assert exc.value.partial == partial
+        assert str(exc.value) == (
+            f"low-index search exceeded {node_cap} nodes ({len(partial)} tables found)"
+        )
 
 
 LOW_INDEX_CASES = [("surface2", 3), ("fig8", 5), ("s3", 5), ("z2z2", 5), ("lamplighter2", 5)]
+# nodes of the class search at index 1, 2, ... of each case
+CLASS_SEARCH_NODES = {
+    "surface2": [5, 91, 2056],
+    "fig8": [4, 24, 125, 614, 3612],
+    "s3": [3, 9, 22, 27, 32],
+    "z2z2": [3, 13, 18, 24, 26],
+    "lamplighter2": [3, 13, 24, 57, 84],
+}
+# the text at the last node cap that trips, one below the total
+LAST_TRIP = {
+    "surface2": "low-index search exceeded 2151 nodes (16 tables found)",
+    "fig8": "low-index search exceeded 4378 nodes (5 tables found)",
+    "s3": "low-index search exceeded 92 nodes (3 tables found)",
+    "z2z2": "low-index search exceeded 83 nodes (5 tables found)",
+    "lamplighter2": "low-index search exceeded 180 nodes (11 tables found)",
+}
 
 
 @pytest.mark.parametrize("name, n_max", LOW_INDEX_CASES)
 def test_low_index_search_matches_full_rescan(name, n_max):
     pres, _ = preset(name)
-    total = 0
+    reference_total = 0
     for k in range(1, n_max + 1):
-        got, want = [], []
-        got_budget, want_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
-        _search_index(pres, k, got, got_budget)
-        reference_search_index(pres, k, want, want_budget)
-        assert got == want  # same tables in the same order
-        assert got_budget[0] == want_budget[0]  # same node count
-        total += got_budget[0]
+        classes, subgroups = [], []
+        budget, reference_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
+        _search_index(pres, k, classes, budget)
+        reference_search_index(pres, k, subgroups, reference_budget)
+        assert_classes_expand_to(pres, k, classes, subgroups)
+        assert budget[0] == CLASS_SEARCH_NODES[name][k - 1]
+        assert budget[0] <= reference_budget[0]  # no more nodes than the rescan
+        reference_total += reference_budget[0]
     if name == "fig8":
         # Checking only the rotations that start at the new edge would not
         # do: a trace that does not close can have an undefined rotation.
         # That variant needs 14,945 nodes here, the full rescan 8,888.
-        assert total == 8888
+        assert reference_total == 8888
 
 
 @pytest.mark.parametrize("name, n_max", LOW_INDEX_CASES)
 def test_low_index_budget_trips_like_full_rescan(name, n_max, monkeypatch):
     pres, _ = preset(name)
-    for node_cap in (1, 2, 5, 20, 100, 500, 2000, 5000):
-        got = low_index_outcome(_search_index, pres, n_max, node_cap)
-        assert got == low_index_outcome(reference_search_index, pres, n_max, node_cap)
-        monkeypatch.setattr(cosets, "DEFAULT_NODE_CAP", node_cap)
-        if got[0] == "cap":
-            with pytest.raises(LowIndexBudget) as exc:
-                low_index(pres, n_max)
-            assert [t.perms for t in exc.value.partial] == got[2]
-            assert str(exc.value) == got[3]
-        else:
-            assert [t.perms for t in low_index(pres, n_max)] == got
+    nodes = CLASS_SEARCH_NODES[name]
+    total = sum(nodes)
+    node_caps = (1, 2, 5, 20, 100, 500, 2000, 5000, total - 1, total)
+    assert_budget_trips(pres, nodes, node_caps, monkeypatch)
+    monkeypatch.setattr(cosets, "DEFAULT_NODE_CAP", total - 1)
+    with pytest.raises(LowIndexBudget) as exc:
+        low_index(pres, n_max)
+    assert str(exc.value) == LAST_TRIP[name]
+    # the full rescan, which visits at least as many nodes per index,
+    # trips at every cap the class search trips at
+    for node_cap in [cap for cap in node_caps if cap < total]:
+        budget = [0, node_cap, []]
+        with pytest.raises(LowIndexBudget):
+            for k in range(1, n_max + 1):
+                reference_search_index(pres, k, [], budget)
 
 
 def recursive_search_index(pres, k, out, budget):
@@ -664,19 +782,28 @@ def recursive_search_index(pres, k, out, budget):
     extend(0, 1)
 
 
+# nodes of the class search at index 1, 2, ... (surface2 at index 4 takes
+# 67,976; the search that listed every subgroup took 135,447)
+DEEPER_NODES = {
+    "surface2": [5, 91, 2056, 67976],
+    "fig8": [4, 24, 125, 614, 3612, 26106],
+    "f2": [3, 13, 49, 195, 907],
+}
+
+
 @pytest.mark.parametrize("name, n_max", [("surface2", 4), ("fig8", 6), ("f2", 5)])
-def test_low_index_loop_matches_recursive_search(name, n_max):
+def test_low_index_loop_matches_recursive_search(name, n_max, monkeypatch):
     pres, _ = preset(name)
     for k in range(1, n_max + 1):
-        got, want = [], []
-        got_budget, want_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
-        _search_index(pres, k, got, got_budget)
-        recursive_search_index(pres, k, want, want_budget)
-        assert got == want  # same tables in the same order
-        assert got_budget[0] == want_budget[0]  # same node count
-    for node_cap in (1, 2, 3, 7, 50, 333, 1000, 4000, 20000, 60000, 200000):
-        got = low_index_outcome(_search_index, pres, n_max, node_cap)
-        assert got == low_index_outcome(recursive_search_index, pres, n_max, node_cap)
+        classes, subgroups = [], []
+        budget, recursive_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
+        _search_index(pres, k, classes, budget)
+        recursive_search_index(pres, k, subgroups, recursive_budget)
+        assert_classes_expand_to(pres, k, classes, subgroups)
+        assert budget[0] == DEEPER_NODES[name][k - 1]
+        assert budget[0] <= recursive_budget[0]
+    node_caps = (1, 2, 3, 7, 50, 333, 1000, 4000, 20000, 60000, 200000)
+    assert_budget_trips(pres, DEEPER_NODES[name], node_caps, monkeypatch)
 
 
 def test_low_index_search_needs_no_recursion_depth():
@@ -693,4 +820,4 @@ def test_low_index_search_needs_no_recursion_depth():
         _search_index(pres, 300, out, [0, DEFAULT_NODE_CAP, []])
     finally:
         sys.setrecursionlimit(limit)
-    assert out == [(tuple(range(1, 300)) + (0,),)]
+    assert out == [((tuple(range(1, 300)) + (0,),), 1)]  # normal: a class of 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankgradient.chains import gradient_sequence, hnn_chain, lamplighter_chain
-from rankgradient.cosets import enumerate_cosets, low_index, with_schreier_spec
+from rankgradient.cosets import enumerate_cosets, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
     _canonical_relator_key,
@@ -30,6 +30,8 @@ from rankgradient.words import (
     parse_presentation,
 )
 
+from test_cosets import every_subgroup
+
 
 def parsed(text):
     pres, specs = parse_presentation(text)
@@ -43,7 +45,7 @@ def free(rank):
 def test_nielsen_schreier_all_low_index():
     for rank, n_max in ((2, 4), (3, 3)):
         pres = free(rank)
-        for table in low_index(pres, n_max):
+        for table in every_subgroup(pres, n_max):
             expected = 1 + table.index * (rank - 1)
             folded_rank, index = stallings_fold(rank, with_schreier_spec(table).spec)
             assert index == table.index
@@ -106,7 +108,7 @@ def homology_corpus():
     tower levels."""
     s3, spec = parsed("gens a b\nrel a^3\nrel b^2\nrel a b a b\nsub H b\n")
     yield enumerate_cosets(s3, spec)
-    yield from low_index(preset("surface2"), 4)
+    yield from every_subgroup(preset("surface2"), 4)
     for chain, levels in ((hnn_chain(preset("fig8"), "t", 8), range(1, 9)),
                           (lamplighter_chain(3, 2), range(3))):
         for level in levels:
@@ -513,7 +515,7 @@ def test_tietze_matches_reference_on_tower_rewrites():
     "name,max_index", [("fig8", 4), ("surface2", 3), ("s3", 6), ("z2z2", 4), ("lamplighter2", 4)]
 )
 def test_tietze_matches_reference_on_low_index_subgroups(name, max_index):
-    tables = low_index(preset(name), max_index)
+    tables = every_subgroup(preset(name), max_index)
     assert tables
     for table in tables:
         assert_matches_reference(rewrite_presentation(table))

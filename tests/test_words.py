@@ -175,6 +175,31 @@ def test_presentation_rejects_bad_relator():
         Presentation(generators=("a",), relators=((2,),))
 
 
+def construction_error(generators, relators):
+    try:
+        Presentation(generators=generators, relators=relators)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("generators", [(), ("a",), ("a", "b"), ("a", "b", "c")])
+@pytest.mark.parametrize("relators", [
+    (), ((),), ((2,),), ((-3, 1),), ((1, -1, 3, -1, 1),), ((1, 0),), ((1, 2), (2, -3, 2)),
+])
+def test_presentation_range_check_matches_max_generator(generators, relators):
+    # the check at construction raises exactly where max_generator says a
+    # reduced relator reaches past the generators
+    try:
+        reduced = [cyclic_reduce(r) for r in relators]
+    except ValueError as exc:
+        want = str(exc)
+    else:
+        bad = [r for r in reduced if max_generator(r) >= len(generators)]
+        want = f"relator {bad[0]} references an unknown generator" if bad else None
+    assert construction_error(generators, relators) == want
+
+
 def test_word_str_exponent_collapsing():
     pres = Presentation(generators=("a", "b"))
     assert pres.word_str((1, 1, -2, -2, -2)) == "a^2 b^-3"
