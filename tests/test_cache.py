@@ -30,6 +30,8 @@ def test_serialize_round_trip():
     restored = deserialize_table(serialize_table(table), pres, spec)
     assert restored.perms == table.perms
     assert restored.provenance == "cache"
+    # equality and hashing ignore the provenance
+    assert restored == table and hash(restored) == hash(table)
 
 
 def test_cache_key_ignores_formatting():
@@ -43,7 +45,7 @@ def test_cache_key_ignores_formatting():
 def test_disabled_cache_counts_misses(monkeypatch):
     monkeypatch.delenv("RANKGRADIENT_CACHE", raising=False)
     cache = TableCache()
-    assert not cache.enabled
+    assert not cache.enabled and cache.directory is None
     pres, spec = parsed()
     cache.enumerate(pres, spec)
     cache.enumerate(pres, spec)
@@ -63,7 +65,7 @@ def test_cache_hit_after_miss(tmp_path):
 def test_env_var_enables_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("RANKGRADIENT_CACHE", str(tmp_path))
     cache = TableCache()
-    assert cache.enabled
+    assert cache.enabled and cache.directory == str(tmp_path)
     pres, spec = parsed()
     cache.enumerate(pres, spec)
     assert TableCache().enumerate(pres, spec).provenance == "cache"
