@@ -9,11 +9,8 @@ recomputed, never trusted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 
 from .cosets import (
     ALGORITHM_VERSION,
@@ -33,14 +30,18 @@ def _canonical(pres: Presentation, spec: SubgroupSpec | None) -> str:
     return canonical_form(pres, TRIVIAL_SUBGROUP if spec is None else spec)
 
 
-def cache_key(pres: Presentation, spec: SubgroupSpec | None = None) -> str:
-    text = ALGORITHM_VERSION + "\n" + _canonical(pres, spec)
+def _sha256(text: str) -> str:
+    import hashlib  # loads OpenSSL: only commands that use the cache pay for it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def cache_key(pres: Presentation, spec: SubgroupSpec | None = None) -> str:
+    return _sha256(ALGORITHM_VERSION + "\n" + _canonical(pres, spec))
+
+
 def _checksum(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def serialize_table(table: CosetTable) -> str:
@@ -91,7 +92,6 @@ def deserialize_table(
     return table
 
 
-@dataclass
 class TableCache:
     """Cached front end to enumerate_cosets with hit/miss instrumentation.
 
@@ -99,13 +99,17 @@ class TableCache:
     that, disables caching (every call enumerates).
     """
 
-    directory: str = None
-    hits: int = 0
-    misses: int = 0
+    def __init__(self, directory=None, hits=0, misses=0):
+        self.directory = os.environ.get(CACHE_DIR_ENV) if directory is None else directory
+        self.hits = hits
+        self.misses = misses
 
-    def __post_init__(self):
-        if self.directory is None:
-            self.directory = os.environ.get(CACHE_DIR_ENV)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.directory, self.hits, self.misses) == (
+            other.directory, other.hits, other.misses
+        )
 
     @property
     def enabled(self) -> bool:
@@ -134,6 +138,8 @@ class TableCache:
             pass
         table = enumerate_cosets(pres, spec, cap=cap)
         self.misses += 1
+        import tempfile
+
         os.makedirs(self.directory, exist_ok=True)
         # A private temp file per writer: concurrent writers of one key each
         # replace the entry atomically instead of racing on a shared name.

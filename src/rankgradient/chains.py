@@ -11,7 +11,7 @@ generators while the index is only 2^n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .cosets import (
@@ -33,24 +33,20 @@ DEFAULT_CHAIN_INDEX_CAP = 10_000
 REPORT_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(namedtuple("Chain", "ambient levels provenance nested stabilized truncated",
+                       defaults=((), (), None))):
     """Nested (or at least index-increasing) finite-index subgroups.
 
-    ``levels[0]`` is the whole group.  A level's spec is ``table.spec``:
-    the words it was enumerated from, or None for a level derived by
-    intersection and normal core.  ``nested[i]`` certifies that level i lies
-    in level i-1 (``cosets.contains``); ``stabilized`` lists levels whose
-    index failed to grow; ``truncated`` carries a human-readable marker when
-    a budget stopped the construction early.
+    ``levels`` is a tuple of CosetTable, and ``levels[0]`` is the whole
+    group.  A level's spec is ``table.spec``: the words it was enumerated
+    from, or None for a level derived by intersection and normal core.
+    ``nested[i]`` certifies that level i lies in level i-1
+    (``cosets.contains``); ``stabilized`` lists levels whose index failed to
+    grow; ``truncated`` carries a human-readable marker when a budget
+    stopped the construction early.
     """
 
-    ambient: Presentation
-    levels: tuple  # of CosetTable
-    provenance: str
-    nested: tuple = ()
-    stabilized: tuple = ()
-    truncated: str = None
+    __slots__ = ()
 
     def indices(self):
         return tuple(table.index for table in self.levels)
@@ -206,18 +202,15 @@ def lamplighter_chain(m: int, depth: int, coset_cap: int = DEFAULT_COSET_CAP) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelStats:
-    level: int
-    index: int
-    rank_lower: int = None
-    rank_upper: int = None
-    schreier_upper: int = None
-    beta1: int = None
-    b1p: dict = None
-    exact: bool = False
-    error: str = None
-    note: str = None  # a cap or limit met in bounding this level, by name
+class LevelStats(namedtuple(
+    "LevelStats",
+    "level index rank_lower rank_upper schreier_upper beta1 b1p exact error note",
+    defaults=(None, None, None, None, None, False, None, None),
+)):
+    """One level's rank bounds and homology; ``note`` names a cap or limit
+    met in bounding the level."""
+
+    __slots__ = ()
 
     def ratios(self):
         """The four gradient ratios at this level as exact rationals."""
@@ -233,12 +226,11 @@ class LevelStats:
         return out
 
 
-@dataclass(frozen=True)
-class GradientReport:
-    chain_provenance: str
-    primes: tuple
-    levels: tuple  # of LevelStats
-    schema_version: int = REPORT_SCHEMA_VERSION
+class GradientReport(namedtuple("GradientReport", "chain_provenance primes levels schema_version",
+                                defaults=(REPORT_SCHEMA_VERSION,))):
+    """A chain's LevelStats, one per level."""
+
+    __slots__ = ()
 
 
 def _level_stats(table, level, primes):
@@ -316,7 +308,7 @@ def gradient_sequence(chain: Chain, primes=DEFAULT_PRIMES) -> GradientReport:
         else:
             # not nested in the previous level; bound inside the whole group
             schreier = 1 + st.index * (base_best - 1)
-        st = replace(st, schreier_upper=schreier)
+        st = st._replace(schreier_upper=schreier)
         out.append(st)
         prev_best = min(schreier, st.rank_upper)
         prev_index = st.index

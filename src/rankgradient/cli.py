@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import __version__
 from .cache import CACHE_DIR_ENV, TableCache
@@ -70,9 +70,10 @@ PRESET_NAMES = (
 def load_source(args):
     """(presentation, specs-by-name, source tag) from --preset or --input."""
     if args.preset:
-        ref = resources.files("rankgradient.presets").joinpath(args.preset + ".txt")
+        path = os.path.join(os.path.dirname(__file__), "presets", args.preset + ".txt")
         try:
-            text = ref.read_text(encoding="utf-8")
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except FileNotFoundError:
             raise ParseError(
                 f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"

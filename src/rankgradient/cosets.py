@@ -21,7 +21,6 @@ spec, the one it enumerated; the tables of ``low_index``, ``intersect`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     InternalInvariantError,
     LowIndexBudget,
 )
-from .words import Presentation, SubgroupSpec, Word, free_reduce, invert
+from .words import Presentation, SubgroupSpec, Word, free_reduce, invert, read_only
 
 DEFAULT_COSET_CAP = 100_000
 DEFAULT_IMAGE_CAP = 1_000_000
@@ -42,14 +41,27 @@ ALGORITHM_VERSION = "rankgradient-cosets-1"
 TRIVIAL_SUBGROUP = SubgroupSpec(generators=(), name="trivial")
 
 
-@dataclass(frozen=True)
 class CosetTable:
-    """Complete transitive action of the generators on right cosets."""
+    """Complete transitive action of the generators on right cosets.
 
-    pres: Presentation
-    perms: tuple  # one permutation (tuple of ints) per generator
-    spec: SubgroupSpec | None = field(default=None, compare=False)
-    provenance: str = field(default="", compare=False)  # "cache" when read from the cache
+    ``perms`` holds one permutation (tuple of ints) per generator.  Equality
+    reads ``pres`` and ``perms`` only: ``spec`` is the SubgroupSpec the table
+    was enumerated from, if any, and ``provenance`` is "cache" when the table
+    was read from the cache.
+    """
+
+    def __init__(self, pres, perms, spec=None, provenance=""):
+        self.__dict__.update(pres=pres, perms=perms, spec=spec, provenance=provenance)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pres, self.perms) == (other.pres, other.perms)
+
+    def __hash__(self):
+        return hash((self.pres, self.perms))
 
     @cached_property
     def _inv_perms(self):
@@ -103,13 +115,13 @@ def _bfs(table: CosetTable):
     for coset 0 and for unreached cosets)."""
     order = [0]
     parent = [None] * table.index
-    letters = _letters(table.pres.rank)
+    steps = [(letter, table.letter_perm(letter)) for letter in _letters(table.pres.rank)]
     i = 0
     while i < len(order):
         c = order[i]
         i += 1
-        for letter in letters:
-            d = table.letter_perm(letter)[c]
+        for letter, perm in steps:
+            d = perm[c]
             if d != 0 and parent[d] is None:
                 parent[d] = (c, letter)
                 order.append(d)
@@ -315,7 +327,8 @@ def schreier_generators(table: CosetTable) -> tuple:
 
 
 def with_schreier_spec(table: CosetTable, name="H") -> CosetTable:
-    return replace(table, spec=SubgroupSpec(generators=schreier_generators(table), name=name))
+    spec = SubgroupSpec(generators=schreier_generators(table), name=name)
+    return CosetTable(table.pres, table.perms, spec, table.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +616,11 @@ def contains(table: CosetTable, sub: CosetTable) -> bool:
     well defined; it is built along the BFS of ``sub``, checking every edge."""
     image = [None] * sub.index
     image[0] = 0
-    letters = _letters(sub.pres.rank)
+    steps = [(sub.letter_perm(x), table.letter_perm(x)) for x in _letters(sub.pres.rank)]
     for c in _bfs(sub)[0]:
-        for letter in letters:
-            d = sub.letter_perm(letter)[c]
-            e = table.letter_perm(letter)[image[c]]
+        for sub_perm, perm in steps:
+            d = sub_perm[c]
+            e = perm[image[c]]
             if image[d] is None:
                 image[d] = e
             elif image[d] != e:

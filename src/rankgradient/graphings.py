@@ -11,12 +11,11 @@ and never affects connectivity, loop images, or the rank bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .cosets import (
     DEFAULT_COSET_CAP,
-    CosetTable,
     enumerate_cosets,
     schreier_generators,
     schreier_transversal,
@@ -24,7 +23,7 @@ from .cosets import (
 from .errors import IndexBoundExceeded, LabelLengthExceeded
 from .homology import DEFAULT_PRIMES, mod_p_rank
 from .subgroups import subgroup_abelianized_matrix, subgroup_homology
-from .words import SubgroupSpec, free_reduce, invert
+from .words import SubgroupSpec, free_reduce, invert, read_only
 
 DEFAULT_LABEL_CAP = 64
 
@@ -34,25 +33,23 @@ DEFAULT_LABEL_CAP = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Graphing:
-    """Finitely supported label -> coset-set map over one level's table."""
+    """Finitely supported label -> coset-set map over one level's table.
+    Equality reads the level and the fibers, not the table."""
 
-    table: CosetTable
-    level: int
-    fibers: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, table, level, fibers=None):
         cleaned = {}
-        for label, cosets in self.fibers.items():
+        for label, cosets in (fibers or {}).items():
             label = free_reduce(label)
             cosets = frozenset(cosets)
             if not cosets:
                 continue
-            if any(not 0 <= c < self.table.index for c in cosets):
+            if any(not 0 <= c < table.index for c in cosets):
                 raise ValueError(f"fiber of {label} contains an out-of-range coset")
             cleaned[label] = cleaned.get(label, frozenset()) | cosets
-        object.__setattr__(self, "fibers", cleaned)
+        self.__dict__.update(table=table, level=level, fibers=cleaned)
+
+    __setattr__ = __delattr__ = read_only
 
     def __eq__(self, other):
         return (
@@ -210,14 +207,12 @@ def to_labeled_graph(m: Graphing):
     return loops, len(word_to) < m.index
 
 
-@dataclass(frozen=True)
-class LGraphingCertificate:
+class LGraphingCertificate(namedtuple("LGraphingCertificate", "verdict reason")):
     """Verdict of ``is_l_graphing``, decided in order by connectivity, the
     mod-p ``loop_screen`` and coset enumeration: True, False, or None when
     the screen passed and the enumeration tripped its cap."""
 
-    verdict: object
-    reason: str
+    __slots__ = ()
 
 
 def loop_screen(table, loops):

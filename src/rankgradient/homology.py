@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .words import Presentation
 
@@ -17,17 +17,14 @@ from .words import Presentation
 DEFAULT_PRIMES = (2, 3, 5)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(namedtuple("HomologyReport", "beta1 torsion b1p")):
     """First-homology data of a presented group.
 
     ``torsion`` is the divisibility chain d1 | d2 | ... of entries > 1;
     ``b1p[p]`` is the mod-p first Betti number beta1 + #{i : p | d_i}.
     """
 
-    beta1: int
-    torsion: tuple
-    b1p: dict
+    __slots__ = ()
 
     @property
     def rank_lower(self):

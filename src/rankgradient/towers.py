@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -23,7 +23,7 @@ from .cosets import DEFAULT_COSET_CAP, CosetTable, enumerate_cosets, schreier_tr
 from .errors import BudgetError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import subgroup_homology
-from .words import Presentation, SubgroupSpec, csv_table, frac_str
+from .words import Presentation, SubgroupSpec, csv_table, frac_str, read_only
 
 DEFAULT_GROUP_ORDER_CAP = 1_000
 STABLE_LETTER = "t"  # the generator of the Z factor
@@ -39,15 +39,12 @@ ROUTE_TRIES = 200  # seeded sigma routes scored per level-0 layout
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteGroupData:
-    """Regular representation and invariants of a finite presented group."""
+class FiniteGroupData(namedtuple("FiniteGroupData", "pres table order rank b1p")):
+    """Regular representation and invariants of a finite presented group:
+    ``table`` is the action on the |A| elements (identity = 0) and ``rank``
+    the minimal generating-set size, found by brute force."""
 
-    pres: Presentation
-    table: CosetTable  # action on the |A| elements, identity = 0
-    order: int
-    rank: int  # minimal generating-set size, found by brute force
-    b1p: dict
+    __slots__ = ()
 
 
 def _brute_force_rank(table):
@@ -101,21 +98,32 @@ def finite_group_data(pres: Presentation):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoverGraph:
     """Transitive (A, sigma)-action on n points; base point 0.
 
     Points are the edges of the covering graph, A-orbits its vertices; every
-    A-orbit has size 1 or |A|.
+    A-orbit has size 1 or |A|.  ``a_perms`` holds one permutation per
+    generator of A.  ``known_orbit_map`` is the orbit map of a cover with
+    the same a_perms, when the caller has one (the A-orbits do not depend
+    on sigma); equality does not read it.
     """
 
-    group: FiniteGroupData
-    n: int
-    a_perms: tuple  # one permutation per generator of A
-    sigma: tuple
-    # the orbit map of a cover with the same a_perms, when the caller has
-    # one: the A-orbits do not depend on sigma
-    known_orbit_map: tuple = field(default=None, compare=False, repr=False)
+    def __init__(self, group, n, a_perms, sigma, known_orbit_map=None):
+        self.__dict__.update(
+            group=group, n=n, a_perms=a_perms, sigma=sigma, known_orbit_map=known_orbit_map
+        )
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.n, self.a_perms, self.sigma) == (
+            other.group, other.n, other.a_perms, other.sigma
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.n, self.a_perms, self.sigma))
 
     @cached_property
     def _orbit_map(self):
@@ -921,14 +929,10 @@ def build_tower(a_pres: Presentation, mu_target, depth: int, scale: int = 1, see
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Predictions:
-    d: Fraction
-    beta1: Fraction
-    b1p: dict
-    limit_d: Fraction
-    limit_b1p: dict
-    limit_beta1: Fraction
+class Predictions(namedtuple("Predictions", "d beta1 b1p limit_d limit_b1p limit_beta1")):
+    """Closed-form level stats of a cover and the three limiting gradients."""
+
+    __slots__ = ()
 
 
 def predict_stats(order, d_a, b1p_a, n, p, mu, primes=DEFAULT_PRIMES) -> Predictions:
@@ -951,19 +955,16 @@ def predict_stats(order, d_a, b1p_a, n, p, mu, primes=DEFAULT_PRIMES) -> Predict
     )
 
 
-@dataclass(frozen=True)
-class LevelComparison:
-    n: int
-    p: int
-    mu: Fraction
-    radius: int
-    predicted: Predictions
-    computed_index: int
-    computed_rank: tuple  # (lower, upper)
-    computed_beta1: int
-    computed_b1p: dict
-    b1p_match: bool
-    beta1_formula: str  # which closed form the computed beta1 matches
+class LevelComparison(namedtuple(
+    "LevelComparison",
+    "n p mu radius predicted computed_index computed_rank computed_beta1 computed_b1p "
+    "b1p_match beta1_formula",
+)):
+    """A cover's computed stats against its Predictions: ``computed_rank`` is
+    (lower, upper), and ``beta1_formula`` names the closed form the computed
+    beta1 matches."""
+
+    __slots__ = ()
 
 
 def verify_level(cover: CoverGraph, primes=DEFAULT_PRIMES) -> LevelComparison:
@@ -1007,13 +1008,10 @@ def verify_level(cover: CoverGraph, primes=DEFAULT_PRIMES) -> LevelComparison:
     )
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    mu_target: Fraction
-    levels: tuple  # of LevelComparison
-    limit_d: Fraction
-    limit_b1p: dict
-    limit_beta1: Fraction
+class TowerReport(namedtuple("TowerReport", "mu_target levels limit_d limit_b1p limit_beta1")):
+    """One LevelComparison per tower level, with the deepest level's limits."""
+
+    __slots__ = ()
 
 
 def tower_report(covers, primes=DEFAULT_PRIMES) -> TowerReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -78,29 +78,41 @@ def max_generator(w: Word) -> int:
     return max((abs(letter) - 1 for letter in w), default=-1)
 
 
-@dataclass(frozen=True)
+def read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the frozen record classes."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class Presentation:
     """A finitely presented group: named generators plus relator words.
 
-    Relators are cyclically reduced at construction; the text forms given to
-    the parser are retained separately for display.
+    Relators are cyclically reduced at construction.  Equality reads the
+    generators and relators only: ``relator_texts`` keeps the parser's text
+    forms for display, and ``note`` names what a simplification left undone
+    (set by tietze_simplify).
     """
 
-    generators: tuple
-    relators: tuple = ()
-    relator_texts: tuple = field(default=None, compare=False)
-    # what a simplification left undone, by name (set by tietze_simplify)
-    note: str = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators, relators=(), relator_texts=None, note=None):
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        reduced = tuple(cyclic_reduce(r) for r in self.relators)
-        object.__setattr__(self, "relators", reduced)
-        rank = len(self.generators)
+        reduced = tuple(cyclic_reduce(r) for r in relators)
+        rank = len(generators)
         for r in reduced:
             if max(map(abs, r), default=0) > rank:
                 raise ValueError(f"relator {r} references an unknown generator")
+        self.__dict__.update(
+            generators=generators, relators=reduced, relator_texts=relator_texts, note=note
+        )
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.relators) == (other.generators, other.relators)
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
     @property
     def rank(self) -> int:
@@ -122,17 +134,14 @@ class Presentation:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(namedtuple("SubgroupSpec", "generators normal name", defaults=(False, "H"))):
     """Subgroup generators over an ambient presentation.
 
     With ``normal=True`` the spec denotes the normal closure of the listed
     words rather than the plain subgroup they generate.
     """
 
-    generators: tuple
-    normal: bool = False
-    name: str = "H"
+    __slots__ = ()
 
     def validate_over(self, pres: Presentation):
         for w in self.generators:

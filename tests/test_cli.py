@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -24,6 +26,20 @@ from rankgradient.cli import (
     main,
 )
 from rankgradient.towers import BASE_POINT_CAP
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # -S skips site, whose .pth files may import some of these themselves
+    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile", "importlib.resources")
+    code = f"import sys, rankgradient.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def run(capsys, *argv):
