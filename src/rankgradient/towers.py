@@ -504,9 +504,10 @@ class _TwistSearch:
     it keeps a witness, one colliding walk pair of its window (None when
     unmet), and its total is 1 or 0.  A move keeps the pair unless one of
     its walks passes through the changed point and the pair no longer
-    collides; only then is the window rescanned.  A move saves the old
-    products of the walks it touches and the ceiling pairs, and a rejected
-    move is undone by swapping them back, not by recomputing."""
+    collides; only then is the window rescanned.  A move saves the products,
+    the table list and the totals, and updates a copy of each forbid dict,
+    so a rejected move is undone by restoring the saved objects, leaving
+    every table as it was, key order included."""
 
     def __init__(self, base, walks, r0, depth, orders):
         self.r0 = r0
@@ -534,18 +535,19 @@ class _TwistSearch:
             for x, _ in path:
                 through.setdefault(x, set()).add(i)
         # The walks through x are closed under extension.  Their products
-        # are recomputed in index order (parents first); each forbid table
-        # (specs 0 .. depth - 1) is then updated over its window's share of
-        # them in the set's iteration order, which fixes the forbid tables'
-        # key order and with it every draw of _conflict_point.
+        # are recomputed in index order (parents first); a copy of each
+        # forbid table (specs 0 .. depth - 1) is then updated over its
+        # window's share of them in the set's iteration order.  An accepted
+        # move thus moves a key whose count drops to 0 and comes back to the
+        # end of its dict, in an order the set fixes; a rejected move leaves
+        # the old dict and its order untouched.  That order fixes every draw
+        # of _conflict_point.
         self.through = {x: frozenset(members) for x, members in through.items()}
         self.below = {x: sorted(members) for x, members in through.items()}
         self.members = {
             x: [[i for i in members if i < end] for end in self.ends[:depth]]
             for x, members in through.items()
         }
-        self._old = [0] * len(walks)
-        self._pairs = []
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
@@ -643,51 +645,20 @@ class _TwistSearch:
         return obj
 
     def _change(self, twists, x, value, prods, tables, totals):
-        """Set twist x to value: recompute the products of the walks through
-        x, saving the old ones in _old and the ceiling pairs in _pairs, and
-        update the tables."""
+        """Set twist x to value: save prods, tables and totals for _undo,
+        recompute the products of the walks through x, update a copy of
+        each forbid table, and update the ceiling pairs."""
+        old = prods[:]
+        self._saved = old, tables[:], totals[:]
         twists[x] = value
-        mul, inv, parent, last, old = self.mul, self.inv, self.parent, self.last, self._old
+        mul, inv, parent, last = self.mul, self.inv, self.parent, self.last
         for i in self.below[x]:
             y, d = last[i]
-            old[i] = prods[i]
             prods[i] = mul[prods[parent[i]]][twists[y] if d == 1 else inv[twists[y]]]
-        self._retable(x, prods, tables, totals)
-        depth = self.depth
-        self._pairs = tables[depth:]
-        through = self.through[x]
-        for si in range(depth, len(self.specs)):
-            pair = tables[si]
-            if pair is not None:
-                i, j = pair
-                if i not in through and j not in through:
-                    continue
-                k = self.specs[si][1]
-                if prods[i] % k == prods[j] % k:
-                    continue
-            tables[si] = pair = self._witness(si, prods)
-            totals[si] = 0 if pair is None else 1
-
-    def _undo(self, twists, x, value, prods, tables, totals):
-        """Take back the last _change, made at x, which had the twist value:
-        swap the saved products and ceiling pairs back instead of
-        recomputing them."""
-        twists[x] = value
-        old = self._old
-        for i in self.below[x]:
-            prods[i], old[i] = old[i], prods[i]
-        self._retable(x, prods, tables, totals)
-        depth = self.depth
-        tables[depth:] = self._pairs
-        totals[depth:] = [0 if pair is None else 1 for pair in self._pairs]
-
-    def _retable(self, x, prods, tables, totals):
-        """Move each walk through x from its key under _old to its key under
-        prods, one loop per forbid table."""
-        old, vkey = self._old, self.vkey
+        vkey = self.vkey
         for si, members in enumerate(self.members[x]):
             k = self.specs[si][1]
-            counter, total = tables[si], totals[si]
+            counter, total = tables[si].copy(), totals[si]
             for i in members:
                 r_old, r = old[i] % k, prods[i] % k
                 if r_old != r:
@@ -702,7 +673,25 @@ class _TwistSearch:
                     m = counter.get(key, 0)
                     total += m
                     counter[key] = m + 1
-            totals[si] = total
+            tables[si], totals[si] = counter, total
+        through = self.through[x]
+        for si in range(self.depth, len(self.specs)):
+            pair = tables[si]
+            if pair is not None:
+                i, j = pair
+                if i not in through and j not in through:
+                    continue
+                k = self.specs[si][1]
+                if prods[i] % k == prods[j] % k:
+                    continue
+            tables[si] = pair = self._witness(si, prods)
+            totals[si] = 0 if pair is None else 1
+
+    def _undo(self, twists, x, value, prods, tables, totals):
+        """Take back the last _change, made at x, which had the twist value,
+        by restoring what it saved."""
+        twists[x] = value
+        prods[:], tables[:], totals[:] = self._saved
 
     def _conflict_point(self, prods, tables, totals, rng):
         """A point to re-draw, or None: a random unmet spec, then for a

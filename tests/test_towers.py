@@ -211,27 +211,27 @@ def test_check_projection_rejects_garbage(s3_tower):
 COVER_FINGERPRINTS = {
     ("s3", "3/4", 0): (
         "197e025d8c960fe6e1ed7ca7f14fcc09e0280a0c8ca1aeec5bb836a18f6b5571",
-        "100c11b29b8d85411448f499aa797dff59cb3025c68b5582aa5f5096e9999fe8",
-        "07c9c04d831b39359d1c27b00703cb8c3ec67631bc0b340d1f294aa41947642b",
-        "38a4bf1a04bf226becd62483c91c24b70b8f7669ce82afd1c9fbb465e9c3cb3c",
+        "a847fc02f4f40e8658610e9363c2dacc907790aca84258824e7b9f79efccf207",
+        "72734e99f9e4464c9993010e35b0dc5d40709495b0ab16ed6889d98e911fc1a4",
+        "0754b061c2b0295a68fc1663dfeac59ccdcfcf306693a36d5efe9e4b11ce2682",
     ),
     ("s3", "3/4", 1): (
         "197e025d8c960fe6e1ed7ca7f14fcc09e0280a0c8ca1aeec5bb836a18f6b5571",
-        "36819c2d4791b79caf2edc45e763728ff08d31f65602b193cfb60e3bc267f0ae",
-        "f6a36e7568c83bf360c50c7b653c32e53e760ddad713c2b4b21e0a51d3291405",
-        "60bd73ef724b65d1fedf423439a10b0b484a5abcdd5d33f2692dc49641cca2fa",
+        "6778c49c646462bfff8c87d0100d12440804d987ba2ec39a444421bbf54dd8e1",
+        "30c0d2702ab329484c781ac65731f81f5ae0ee8fcf7a0b4c43f925e0372a2f54",
+        "33df7f9171a5122ee6621613c785fd1e2cd09e45cfd927a3f78a72f274086bb9",
     ),
     ("s3", "2/3", 1): (
         "383a2d78260043a33af535a44ddc71b2c9d3bae151a4fdc35b725ceadacf1670",
-        "21275f56593f73927d3ebc7aaf2e66deaff78b6bbfbda168b959844e36d38af1",
-        "46c228d53d3a91883b81ef034b7cb28496bbb1423405c86bde4006350bfc9e03",
-        "ef887ecccab43b5028e2ae9e4ee32a8d726356cb67e2002dc4ae0c58c723689c",
+        "a0219c664b79654a2f74eff270e27709e1c6688625f7172065d43e44e8ab89b4",
+        "d3f3183bc98c0016843a6a083d3c5f54a81c76ab8673db9848f6ffb851518592",
+        "1adf184417a3469bed7953786810ae43d62dcfef98e5372c9d8043f82ed3c483",
     ),
     ("z2z2", "1/2", 0): (
         "f5b8a90da9613506751885f657929561cc4dcfda28b400754b29c46f67f769e0",
-        "7e70f635623ae585e71071bc290b70c395689920875804eea61987b94c0a0491",
-        "a2c12cc52fd0b329ef0394614d85bb6e5b4de5cd369f33704cfd086a08ba7a3c",
-        "f7d17bef1a62be022f8a0dd5459f36ba41f4a8f5458d41f6d5194983921173f8",
+        "697e99e28ba287c4eed4fdc0b6b0cde1456c125f901e806c63f774f1b2f7d505",
+        "e617e2708353376513f15c2d044d98547aab3fb8752cf7d13dc47206e9faa093",
+        "6e6625f4ac898dedf00417bae973bb9f76722bfb1eb0ae8f7c517461866c00f3",
     ),
 }
 
@@ -346,9 +346,10 @@ def test_budget_error_texts_are_pinned():
 
 
 # Reference annealer: every changed walk's product is taken along its whole
-# path, tables count (vertex, residue) tuples, counter updates follow the
-# iteration order of the set of walks through the changed point, and a
-# rejected move is taken back by recomputing it.
+# path, tables count (vertex, residue) tuples, and counter updates follow the
+# iteration order of the set of walks through the changed point.  A move
+# first saves the products and a copy of every table, and a rejected move
+# is taken back by restoring them, so every table keeps its key order.
 
 
 class FullPathSearch(_TwistSearch):
@@ -381,6 +382,7 @@ class FullPathSearch(_TwistSearch):
         return tables, totals
 
     def _change(self, twists, x, value, prods, tables, totals):
+        self._saved = list(prods), [dict(t) for t in tables], list(totals)
         twists[x] = value
         for i in self.through[x]:
             v, path, ln, _ = self.walks[i]
@@ -407,7 +409,8 @@ class FullPathSearch(_TwistSearch):
             prods[i] = g
 
     def _undo(self, twists, x, value, prods, tables, totals):
-        self._change(twists, x, value, prods, tables, totals)
+        twists[x] = value
+        prods[:], tables[:], totals[:] = self._saved
 
     def _conflict_point(self, prods, tables, totals, rng):
         unmet = [
@@ -517,8 +520,8 @@ def test_incremental_annealer_matches_full_path_oracle():
 
 
 def test_undo_matches_full_path_oracle():
-    # _undo swaps the saved products and ceiling pairs back; the oracle
-    # recomputes them
+    # _undo restores the saved products, tables and ceiling pairs; the oracle
+    # restores its own copies
     unmet = 0
     for case in ORACLE_LAYOUTS:
         layout = search_layout(*case)
@@ -551,6 +554,40 @@ def test_undo_matches_full_path_oracle():
     assert unmet > 1000
 
 
+def test_rejected_move_leaves_no_trace():
+    # _conflict_point draws from the forbid tables' key order, so an undone
+    # move must give back every table item by item, in order
+    undone = 0
+    for case in ORACLE_LAYOUTS:
+        layout = search_layout(*case)
+        fast = _TwistSearch(*layout)
+        depth = fast.depth
+        rng = random.Random(17)
+        points = sorted(fast.through)
+        for _ in range(50):
+            twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
+            prods = fast._products(twists)
+            tables, totals = fast._tables(prods)
+            for _ in range(40):
+                x, value = rng.choice(points), rng.randrange(fast.kmax)
+                before = (
+                    list(twists), list(prods), list(totals), tables[depth:],
+                    [list(t.items()) for t in tables[:depth]],
+                )
+                old = twists[x]
+                fast._change(twists, x, value, prods, tables, totals)
+                fast._undo(twists, x, old, prods, tables, totals)
+                after = (
+                    twists, prods, totals, tables[depth:],
+                    [list(t.items()) for t in tables[:depth]],
+                )
+                assert after == before
+                undone += 1
+                # move on to a fresh state through an accepted move
+                fast._change(twists, x, value, prods, tables, totals)
+    assert undone == 4000
+
+
 def test_conflict_draws_match_full_path_oracle():
     # the same point and the same rng state from many annealer states, so
     # the per-vertex member lists equal the oracle's scan of the window
@@ -577,8 +614,8 @@ def test_conflict_draws_match_full_path_oracle():
     pytest.param("s3", "3/4", 0, 12, 3, 4000, id="s3-3/4-0-12-3"),
     pytest.param("s3", "3/4", 1, 12, 1, 4000, id="s3-3/4-1-12-1"),
     pytest.param("z2z2", "1/2", 0, None, 0, 4000, id="z2z2-1/2-0-None-0"),
-    # the layout tower --group s3 --mu 3/4 --depth 3 searches; it finds no
-    # solution within 4,000 moves
+    # the layout tower --group s3 --mu 3/4 --depth 3 searches; it finds its
+    # solution at move 1,748
     pytest.param("s3", "3/4", 0, 12, 2, 5000, id="s3-3/4-0-12-2"),
 ])
 def test_annealer_matches_full_path_oracle_in_solve(
