@@ -29,7 +29,7 @@ from .errors import (
     InternalInvariantError,
     LowIndexBudget,
 )
-from .words import Presentation, SubgroupSpec, Word, free_reduce, invert, read_only
+from .words import Presentation, SubgroupSpec, Word, free_reduce, invert, primitive_root, read_only
 
 DEFAULT_COSET_CAP = 100_000
 DEFAULT_IMAGE_CAP = 1_000_000
@@ -639,6 +639,15 @@ def is_normal(table: CosetTable) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _perm_power(perm, e):
+    """perm^e, e >= 1, by repeated squaring."""
+    if e == 1:
+        return perm
+    half = _perm_power(perm, e // 2)
+    square = [half[c] for c in half]
+    return tuple(square if e % 2 == 0 else [perm[c] for c in square])
+
+
 def validate(table: CosetTable):
     """Audit all CosetTable invariants; empty list means the table is valid."""
     problems = []
@@ -651,7 +660,8 @@ def validate(table: CosetTable):
             problems.append("action is not transitive on cosets")
         identity = tuple(range(n))
         for r_i, relator in enumerate(table.pres.relators):
-            if table.word_perm(relator) != identity:
+            u, e = primitive_root(relator)
+            if _perm_power(table.word_perm(u), e) != identity:
                 problems.append(f"relator {r_i} does not act as the identity")
         if table.spec is not None and not table.spec.normal:
             for w in table.spec.generators:

@@ -39,9 +39,11 @@ def abelianized_matrix(relators):
     for relator in relators:
         sums = {}
         for letter in relator:
-            j = abs(letter) - 1
-            sums[j] = sums.get(j, 0) + (1 if letter > 0 else -1)
-        rows.append(sorted((j, v) for j, v in sums.items() if v))
+            if letter > 0:
+                sums[letter - 1] = sums.get(letter - 1, 0) + 1
+            else:
+                sums[-letter - 1] = sums.get(-letter - 1, 0) - 1
+        rows.append(sorted([(j, v) for j, v in sums.items() if v]))
     return rows
 
 
@@ -156,23 +158,17 @@ def _unit_reduce(matrix):
     columns, are huge but have a handful of +-1 entries per row, so this
     collapses them to a core the dense routine can afford.
 
-    Duplicate rows are dropped first: they span the same lattice, and a
-    relator u^m gives the same Fox row at coset c and at c.u.  Pivots are
-    picked by Markowitz cost from a lazily revalidated heap: an entry is
-    pushed when it becomes +-1, and a popped entry whose cost has grown
-    since is pushed back at its current cost, so each +-1 entry of the
-    remainder has a heap entry until the heap runs dry.
+    Pivots are picked by Markowitz cost from a lazily revalidated heap:
+    an entry is pushed when it becomes +-1, and a popped entry whose cost
+    has grown since is pushed back at its current cost, so each +-1 entry
+    of the remainder has a heap entry until the heap runs dry.  Duplicate
+    rows are not looked for: ``_schreier_words`` walks a proper-power
+    relator once per orbit of its root, so a cover's Fox matrix has none
+    from it, and a duplicate costs no more than any other row.
 
     Returns (units, remainder), the remainder as {column: value} dict rows.
     """
-    rows = {}
-    seen = set()
-    for row in matrix:
-        row = tuple(row)
-        if row and row not in seen:
-            seen.add(row)
-            rows[len(rows)] = dict(row)
-    del seen
+    rows = {i: dict(row) for i, row in enumerate(matrix) if row}
     cols = {}
     for i, entries in rows.items():
         for j in entries:
@@ -223,20 +219,66 @@ def _unit_reduce(matrix):
     return units, [rows[i] for i in sorted(rows)]
 
 
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 of which every value is a product of
+    powers, by gcd splitting (factor refinement): a pair x, b sharing
+    g > 1 is replaced by x / g, b / g and g, which lowers their product,
+    so this ends.  No integer is factored."""
+    base = []
+    todo = list(values)
+    while todo:
+        x = todo.pop()
+        if x == 1 or x in base:
+            continue
+        for k, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[k]
+                todo += (b // g, x // g, g)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _invariant_factors(counts):
+    """The divisibility chain, ascending, of the direct sum of Z/d taken
+    count times for each d > 1 in ``counts`` ({d: count}), with 1s padding
+    it to the number of summands.
+
+    Over a coprime base of the values the sum splits by the Chinese
+    remainder theorem into parts Z/b^k, so the i-th largest invariant
+    factor is the product over base elements b of b to its i-th largest
+    exponent.  Work grows with the number of summands times the size of
+    the base, never with the square of the number of summands."""
+    chain = [1] * sum(counts.values())  # largest factor first
+    for b in _coprime_base(counts):
+        exponents = []
+        for d, n in counts.items():
+            k = 0
+            while d % b == 0:
+                d //= b
+                k += 1
+            exponents += [k] * n
+        exponents.sort(reverse=True)
+        for i, k in enumerate(exponents):
+            if not k:
+                break
+            chain[i] *= b**k
+    return chain[::-1]
+
+
 def _snf_by_components(rows):
     """(nonzero SNF diagonal as a divisibility chain, rank) of {column: value}
-    dict rows, split into connected row/column blocks that are densified one
-    at a time.  Block-diagonal up to permutation means the SNF is the union
-    of the blocks' invariant factors.
-
-    The merged multiset is renormalized into a chain by gcd/lcm swaps, which
-    never needs to factor anything.  The 1s divide everything and are set
-    aside; on the rest one pass suffices: after step i, entries[i] divides
-    every later entry, and a later swap replaces two multiples of entries[i]
-    by their gcd and lcm, which are multiples of it too."""
+    dict rows, split into connected row/column blocks.  Block-diagonal up
+    to permutation means the SNF is the union of the blocks' invariant
+    factors, renormalized into a chain by ``_invariant_factors``.  Each
+    distinct block, densified on its columns in order, goes through
+    ``smith_normal_form`` once; equal blocks reuse its result."""
     if not rows:
         return [], 0
-    parent = {}
+    # union-find over the rows; a column joins every row to its first row
+    parent = list(range(len(rows)))
 
     def find(x):
         while parent[x] != x:
@@ -244,32 +286,31 @@ def _snf_by_components(rows):
             x = parent[x]
         return x
 
+    first = {}
     for i, row in enumerate(rows):
-        parent.setdefault(("r", i), ("r", i))
         for j in row:
-            parent.setdefault(("c", j), ("c", j))
-            a, b = find(("r", i)), find(("c", j))
+            a, b = find(i), find(first.setdefault(j, i))
             if a != b:
                 parent[a] = b
     blocks = {}
     for i, row in enumerate(rows):
-        blocks.setdefault(find(("r", i)), []).append(row)
-    entries = []
+        blocks.setdefault(find(i), []).append(row)
+    snf = {}  # dense block -> (diagonal, rank)
+    counts = {}
     rank = 0
     for block in blocks.values():
         live = sorted({j for row in block for j in row})
-        sub = [[row.get(j, 0) for j in live] for row in block]
-        diag, r = smith_normal_form(sub) if live else ([], 0)
-        entries.extend(d for d in diag if d)
+        if not live:
+            continue
+        sub = tuple(tuple(row.get(j, 0) for j in live) for row in block)
+        if sub not in snf:
+            snf[sub] = smith_normal_form(sub)
+        diag, r = snf[sub]
+        for d in diag[:r]:
+            counts[d] = counts.get(d, 0) + 1
         rank += r
-    ones = [d for d in entries if d == 1]
-    entries = sorted(d for d in entries if d != 1)
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if entries[j] % entries[i]:
-                g = math.gcd(entries[i], entries[j])
-                entries[i], entries[j] = g, entries[i] * entries[j] // g
-    return ones + entries, rank
+    ones = counts.pop(1, 0)
+    return [1] * ones + _invariant_factors(counts), rank
 
 
 def report_from_matrix(matrix, num_generators, primes=DEFAULT_PRIMES):

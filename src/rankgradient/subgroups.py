@@ -26,6 +26,7 @@ from .words import (
     cyclic_reduce,
     cyclic_strip,
     invert,
+    primitive_root,
 )
 
 DEFAULT_RELATOR_CAP = 10_000  # letters in a rewritten or substituted relator
@@ -33,12 +34,18 @@ TIETZE_PASSES = 200  # eliminations per simplification
 
 
 def _schreier_words(table: CosetTable, loops=()):
-    """(coset c, word) for each relator at each coset c, then for each loop
+    """(coset c, word) for the relators at the cosets, then for each loop
     word at coset 0: the loop of the word at c in the cover graph, as the
     signed numbers of the cotree edges it crosses, in order.  The edge
     c -g-> c.g that ``cotree_pairs`` lists i-th reads i + 1 crossed forwards
     and -(i + 1) backwards; tree edges are skipped, so the word is the
-    Reidemeister-Schreier rewrite, unreduced."""
+    Reidemeister-Schreier rewrite, unreduced.
+
+    A relator u^e with e > 1 (u its primitive root) is walked once per
+    orbit of u on the cosets, at the orbit's least coset: its loop at c.u
+    is a rotation of its loop at c, the same relator up to conjugacy and
+    the same Fox row.  Every other relator is walked at every coset, in
+    coset then relator order."""
     if not table.pres.relators and not loops:
         return  # no word to walk, so no cotree to number
     rank = table.pres.rank
@@ -48,24 +55,33 @@ def _schreier_words(table: CosetTable, loops=()):
     perms = table.perms
     inverses = [table.letter_perm(-g) for g in range(1, rank + 1)]
 
-    def walk(c, word):
+    def walk(c, word, times=1, seen=None):
+        """The loop of word^times at c; marks in ``seen`` each coset a
+        pass of word ends at."""
         out = []
         d = c
-        for letter in word:
-            if letter > 0:
-                i = number[d * rank + letter - 1]
-                d = perms[letter - 1][d]
-            else:
-                d = inverses[-letter - 1][d]
-                i = -number[d * rank - letter - 1]
-            if i:
-                out.append(i)
+        for _ in range(times):
+            for letter in word:
+                if letter > 0:
+                    i = number[d * rank + letter - 1]
+                    d = perms[letter - 1][d]
+                else:
+                    d = inverses[-letter - 1][d]
+                    i = -number[d * rank - letter - 1]
+                if i:
+                    out.append(i)
+            if seen is not None:
+                seen[d] = 1
         assert d == c, "relator trace did not close"
         return out
 
+    roots = [primitive_root(relator) for relator in table.pres.relators]
+    # per power relator, the cosets of the u-orbits walked so far
+    walked = [bytearray(table.index) if e > 1 else None for _, e in roots]
     for c in range(table.index):
-        for relator in table.pres.relators:
-            yield c, walk(c, relator)
+        for (u, e), seen in zip(roots, walked):
+            if seen is None or not seen[c]:
+                yield c, walk(c, u, e, seen)
     for loop in loops:
         yield 0, walk(0, loop)
 
@@ -73,9 +89,11 @@ def _schreier_words(table: CosetTable, loops=()):
 def rewrite_presentation(table: CosetTable) -> Presentation:
     """Reidemeister-Schreier presentation of the subgroup of the table.
 
-    Generators are the nontrivial Schreier generators, one per cotree edge;
-    there is one rewritten relator per (coset, ambient relator) pair before
-    reduction, each of at most ``DEFAULT_RELATOR_CAP`` letters.
+    Generators are the nontrivial Schreier generators, one per cotree edge.
+    Relators are the ``_schreier_words`` cyclically reduced, each of at
+    most ``DEFAULT_RELATOR_CAP`` letters: one per coset for a relator that
+    is not a proper power, one per orbit of its root for one that is (the
+    other cosets of the orbit give its rotations).
     """
     relators = []
     for c, w in _schreier_words(table):
@@ -90,9 +108,11 @@ def rewrite_presentation(table: CosetTable) -> Presentation:
 def subgroup_abelianized_matrix(table: CosetTable, loops=()):
     """Fox matrix of the cover of the subgroup H of a coset table on its
     cotree columns, plus one row per loop word at coset 0: the abelianized
-    ``_schreier_words``.  Reading a 1-cycle off the cotree edges maps the
-    cycle lattice onto the columns, so the cokernel of the relator rows is
-    H1(H) (Magnus, Karrass and Solitar, Combinatorial Group Theory, 2.3).
+    ``_schreier_words``, so a proper-power relator has one row per orbit
+    of its root, the rows it drops being copies.  Reading a 1-cycle off
+    the cotree edges maps the cycle lattice onto the columns, so the
+    cokernel of the relator rows is H1(H) (Magnus, Karrass and Solitar,
+    Combinatorial Group Theory, 2.3).
 
     Returns (rows, index * (rank - 1) + 1 cotree columns).
     """

@@ -73,6 +73,17 @@ def cyclic_reduce(w: Word) -> Word:
     return cyclic_strip(free_reduce(w))
 
 
+def primitive_root(w: Word):
+    """(u, e) with w = u^e and u not a proper power: u is the shortest
+    prefix whose length divides len(w) and whose power is w.  A cyclically
+    reduced w has a cyclically reduced root; the identity is ((), 1)."""
+    n = len(w)
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and w[:d] * (n // d) == w:
+            return w[:d], n // d
+    return w, 1
+
+
 def max_generator(w: Word) -> int:
     """Largest 0-based generator index used in w, or -1 for the identity."""
     return max((abs(letter) - 1 for letter in w), default=-1)

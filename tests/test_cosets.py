@@ -1,3 +1,4 @@
+import random
 from importlib import resources
 from math import factorial
 
@@ -168,6 +169,30 @@ def test_low_index_matches_hall(rank, n_max):
     pres, _ = parsed("gens " + " ".join("abc"[:rank]) + "\n")
     oracle = hall_counts(rank, n_max)
     assert class_counts(low_index(pres, n_max)) == {n: oracle[n] for n in range(1, n_max + 1)}
+
+
+def test_validate_relator_problems_match_the_letter_by_letter_action():
+    # validate raises a power relator u^e to e by squaring u's permutation;
+    # the reference composes all e * |u| letter permutations
+    pres, _ = parsed(
+        "gens a b\nrel a^6\nrel b^4\nrel a b a b a b\nrel a b^-1 a b^-1 a b^-1 a b^-1 a b^-1\n"
+        "rel a^2 b^2\nrel a b a^-1 b^-1\n"
+    )
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        table = CosetTable(pres, tuple(tuple(rng.sample(range(n), n)) for _ in "ab"))
+        identity = tuple(range(n))
+        want = [
+            f"relator {i} does not act as the identity"
+            for i, r in enumerate(pres.relators)
+            if table.word_perm(r) != identity
+        ]
+        assert [p for p in validate(table) if p.startswith("relator")] == want
+        seen.update(want)
+    assert len(seen) == len(pres.relators)  # each relator fails on some table
+    assert validate(enumerate_cosets(parsed(S3)[0])) == []
 
 
 def test_low_index_deterministic_and_valid():

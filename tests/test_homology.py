@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+from importlib import resources
 from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankgradient import homology
 from rankgradient.cosets import enumerate_cosets
 from rankgradient.homology import (
     _snf_by_components,
@@ -15,7 +18,8 @@ from rankgradient.homology import (
     report_from_matrix,
     smith_normal_form,
 )
-from rankgradient.subgroups import subgroup_homology
+from rankgradient.subgroups import subgroup_abelianized_matrix, subgroup_homology
+from rankgradient.towers import build_tower, cover_table
 from rankgradient.words import parse_presentation
 
 
@@ -183,6 +187,86 @@ def test_snf_by_components_matches_dense_snf_on_block_matrices():
         core_diag, core_rank = _snf_by_components(core)
         assert sorted([1] * units + core_diag) == diag
         assert units + core_rank == expected_rank
+
+
+def pairwise_chain(entries):
+    """Reference merge of invariant factors into a divisibility chain: the
+    pairwise gcd/lcm loop ``_snf_by_components`` once ran, quadratic in
+    the number of factors.  The 1s divide everything and are set aside; on
+    the rest one pass suffices: after step i, entries[i] divides every
+    later entry, and a later swap replaces two multiples of entries[i] by
+    their gcd and lcm, which are multiples of it too."""
+    ones = [d for d in entries if d == 1]
+    entries = sorted(d for d in entries if d != 1)
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if entries[j] % entries[i]:
+                g = gcd(entries[i], entries[j])
+                entries[i], entries[j] = g, entries[i] * entries[j] // g
+    return ones + entries
+
+
+@pytest.mark.parametrize("pool", [
+    (2, 3, 4, 6, 9, 12),
+    (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 25, 27, 30, 49, 210),
+])
+def test_merge_matches_pairwise_reference_seeded(pool):
+    # a few distinct values, each repeated many times, with either sign
+    rng = random.Random(2025)
+    for _ in range(300):
+        values = rng.sample(pool, rng.randint(1, 5))
+        entries = [rng.choice(values) for _ in range(rng.randint(0, 80))]
+        rows = [{j: rng.choice((d, -d))} for j, d in enumerate(entries)]
+        diag, rank = _snf_by_components(rows)
+        assert diag == pairwise_chain(entries)
+        assert rank == len(entries)
+
+
+def dense_blocks(rows):
+    """The connected blocks of {column: value} rows, found by a search over
+    shared columns, each densified on its sorted columns with its rows in
+    input order."""
+    by_column = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            by_column.setdefault(j, []).append(i)
+    seen = set()
+    blocks = []
+    for i in range(len(rows)):
+        if i in seen:
+            continue
+        seen.add(i)
+        members, stack = [], [i]
+        while stack:
+            r = stack.pop()
+            members.append(r)
+            for j in rows[r]:
+                for r2 in by_column[j]:
+                    if r2 not in seen:
+                        seen.add(r2)
+                        stack.append(r2)
+        members.sort()
+        columns = sorted({j for r in members for j in rows[r]})
+        blocks.append(tuple(tuple(rows[r].get(j, 0) for j in columns) for r in members))
+    return blocks
+
+
+def test_one_smith_normal_form_per_distinct_block(monkeypatch):
+    text = resources.files("rankgradient.presets").joinpath("s3.txt").read_text()
+    covers = build_tower(parse_presentation(text)[0], Fraction(3, 4), 3, scale=12, seed=0)
+    rows, _ = subgroup_abelianized_matrix(cover_table(covers[-1]))
+    _, core = _unit_reduce(rows)
+    blocks = dense_blocks(core)
+    distinct = set(blocks)
+    assert len(distinct) < len(blocks)
+    calls = []
+    real = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    diag, rank = _snf_by_components(core)
+    assert sorted(tuple(map(tuple, m)) for m in calls) == sorted(distinct)
+    factors = [d for block in blocks for d in real(block)[0] if d]
+    assert diag == pairwise_chain(factors)
+    assert rank == len(factors)
 
 
 def abelian_group(a, b, c, sub=""):

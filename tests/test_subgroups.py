@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankgradient.chains import gradient_sequence, hnn_chain, lamplighter_chain
-from rankgradient.cosets import enumerate_cosets, with_schreier_spec
+from rankgradient.cosets import CosetTable, enumerate_cosets, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
     _canonical_relator_key,
@@ -28,6 +28,7 @@ from rankgradient.words import (
     free_reduce,
     invert,
     parse_presentation,
+    primitive_root,
 )
 
 from test_cosets import every_subgroup
@@ -279,6 +280,74 @@ def test_subgroup_homology_matches_full_edge_matrix():
         assert subgroup_homology(table) == want, (table.pres, table.index)
         count += 1
     assert count == 1 + 5511 + 8 + 3 + 2
+
+
+def orbit_starts(table, u):
+    """The least coset of each orbit of u's permutation, ascending."""
+    perm = table.word_perm(u)
+    seen, starts = set(), []
+    for c in range(table.index):
+        if c not in seen:
+            starts.append(c)
+            while c not in seen:
+                seen.add(c)
+                c = perm[c]
+    return starts
+
+
+# Z/4 x Z/5 x Z/3: three power relators and three commutators.  Over <a^2>
+# the orbits of a have 2 cosets, so a^4 runs twice round each.
+@pytest.mark.parametrize("sub,index,rows", [
+    ("", 60, 60 // 4 + 60 // 5 + 60 // 3 + 3 * 60),
+    ("a^2", 30, 30 // 2 + 30 // 5 + 30 // 3 + 3 * 30),
+])
+def test_schreier_words_walk_a_power_relator_once_per_orbit(sub, index, rows):
+    pres, spec = parsed(
+        "gens a b c\nrel a^4\nrel b^5\nrel c^3\n"
+        "rel a b a^-1 b^-1\nrel a c a^-1 c^-1\nrel b c b^-1 c^-1\n"
+        + (f"sub H {sub}\n" if sub else "")
+    )
+    table = enumerate_cosets(pres, spec)
+    assert table.index == index
+    total = 0
+    for relator in pres.relators:
+        alone = CosetTable(Presentation(pres.generators, (relator,)), table.perms)
+        cosets = [c for c, _ in subgroups._schreier_words(alone)]
+        u, e = primitive_root(relator)
+        if e > 1:
+            assert cosets == orbit_starts(table, u)
+        else:
+            assert cosets == list(range(index))
+        total += len(cosets)
+    assert total == rows
+    assert len(subgroups.subgroup_abelianized_matrix(table)[0]) == rows
+    assert len(rewrite_presentation(table).relators) <= rows
+
+
+def power_relator_covers():
+    """Coset tables over groups with proper-power relators: the s3
+    mu = 3/4 depth-3 tower levels, a z2z2 mu = 1/2 depth-1 tower and the
+    lamplighter W3 chain levels."""
+    for group, mu, depth in (("s3", Fraction(3, 4), 3), ("z2z2", Fraction(1, 2), 1)):
+        for cover in build_tower(preset(group), mu, depth, scale=12, seed=0):
+            yield cover_table(cover)
+    yield from lamplighter_chain(3, 2).levels
+
+
+def test_orbit_walk_matches_full_edge_matrix():
+    # The full-edge oracle walks every relator at every coset; the walker
+    # walks a power relator once per orbit of its root, with fewer rows.
+    count = walked = full = 0
+    for table in power_relator_covers():
+        rows, cols = full_edge_matrix(table)
+        want = report_from_matrix(rows, cols - table.index + 1)
+        assert subgroup_homology(table) == want, (table.pres, table.index)
+        assert homology_report(rewrite_presentation(table)) == want
+        walked += len(subgroups.subgroup_abelianized_matrix(table)[0])
+        full += len(rows)
+        count += 1
+    assert count == 4 + 2 + 3
+    assert walked < full
 
 
 def test_relator_free_homology_numbers_no_cotree(monkeypatch):

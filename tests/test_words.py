@@ -14,6 +14,7 @@ from rankgradient.words import (
     invert,
     max_generator,
     parse_presentation,
+    primitive_root,
     serialize_presentation,
 )
 
@@ -72,6 +73,36 @@ conjugated_words = st.one_of(
 @given(conjugated_words)
 def test_cyclic_reduce_matches_slicing_loop(raw):
     assert cyclic_reduce(raw) == old_cyclic_reduce(raw)
+
+
+def is_proper_power(w):
+    """Whether w = v^k for some k > 1: exactly when w equals one of its
+    nontrivial rotations (Lyndon and Schutzenberger, 1962)."""
+    return any(w[i:] + w[:i] == w for i in range(1, len(w)))
+
+
+# cyclically reduced words, and their powers so that roots are hit
+cyclic_words = st.lists(letters, max_size=8).map(cyclic_reduce)
+powered_words = st.tuples(cyclic_words, st.integers(1, 5)).map(
+    lambda wk: cyclic_reduce(wk[0] * wk[1])
+)
+
+
+@given(st.one_of(cyclic_words, powered_words))
+def test_primitive_root(w):
+    u, e = primitive_root(w)
+    assert u * e == w
+    assert not is_proper_power(u)
+    assert e == 1 or is_proper_power(w)
+    assert cyclic_reduce(u) == u  # a cyclically reduced word has one
+
+
+def test_primitive_root_examples():
+    assert primitive_root((1, 1, 1)) == ((1,), 3)
+    assert primitive_root((1, 2, 1, 2)) == ((1, 2), 2)
+    assert primitive_root((1, 2, -1, -2)) == ((1, 2, -1, -2), 1)
+    assert primitive_root((1, 2, 1)) == ((1, 2, 1), 1)
+    assert primitive_root(()) == ((), 1)
 
 
 def test_csv_table_rows_end_in_crlf_and_quote():
