@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .cosets import DEFAULT_COSET_CAP, CosetTable, enumerate_cosets, schreier_transversal, validate
-from .errors import BudgetError
+from .errors import BudgetError, InternalInvariantError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import subgroup_homology
 from .words import Presentation, SubgroupSpec, csv_table, frac_str, read_only
@@ -31,7 +31,7 @@ DEFAULT_RADIUS_CAP = 64
 DEFAULT_SEARCH_RESTARTS = 6
 DEFAULT_SEARCH_MOVES = 300_000
 BASE_POINT_CAP = 5_000  # points of a level-0 cover
-ROUTE_TRIES = 200  # seeded sigma routes scored per level-0 layout
+ROUTE_TRIES = 200  # at most 200 seeded sigma routes scored per level-0 layout
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +242,25 @@ def _edge_graph(cover: CoverGraph):
 # ---------------------------------------------------------------------------
 
 
+def _radius_floor(plan):
+    """Least injectivity radius of any route following `plan`.
+
+    A fixed point is an orbit with exactly two edges, so the two walks from
+    a fixed base point 0 run along paths of new vertices until they reach
+    the hubs of the nearest regular (None) slots, R cycle steps to the
+    right and L to the left.  The ball of radius m = min(L, R) is therefore
+    injective whatever the route, unless L = R and both walks may reach the
+    same hub at length m; then only radius m - 1 is certain.  With no fixed
+    points (mu = 0) the floor is 0.
+    """
+    if 0 not in plan:
+        return 0
+    i, size = plan.index(0), len(plan)
+    right = next(k for k in range(1, size + 1) if plan[(i + k) % size] is None)
+    left = next(k for k in range(1, size + 1) if plan[(i - k) % size] is None)
+    return min(left, right) - (left == right)
+
+
 def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: int = None):
     """Level-0 layout: `regular` blocks carrying the regular representation,
     then fixed points.
@@ -251,6 +270,13 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
     points lie in different orbits whenever there is more than one block)
     and the fixed points are spread between them as evenly as possible,
     forming chains of degree-2 vertices.
+
+    The scan keeps the first clean route of least radius, and no route can
+    score below min(_radius_floor(plan), DEFAULT_RADIUS_CAP), so it stops at
+    the first clean route at that bound: no later route has a strictly
+    greater (clean, -radius) key and the rng is local, so the cover is the
+    one the full ROUTE_TRIES scan returns.  A radius below the bound raises
+    InternalInvariantError.
     """
     a = group.order
     fixed = mu.numerator * scale
@@ -334,6 +360,7 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
             credit -= 1
     plan.extend(spread[placed:])
 
+    floor = min(_radius_floor(plan), DEFAULT_RADIUS_CAP)
     rng = random.Random(rng_seed)
     best = None
     for _ in range(ROUTE_TRIES):
@@ -377,12 +404,16 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
         multiplicity, loops = edge_profile(cover.sigma)
         clean = loops == 0 and multiplicity <= 2
         radius = injectivity_radius(cover)
+        if radius < floor:
+            raise InternalInvariantError(f"route radius {radius} below its floor {floor}")
         # prefer clean routes with a small starting radius: the lifts can
         # only push the radius up, so headroom below the structural ceiling
         # is what makes a deep tower possible
         key = (clean, -radius)
         if best is None or key > best[0]:
             best = (key, cover)
+        if clean and radius == floor:
+            break
     if best is None:
         raise ValueError(
             f"no route satisfying the hub constraints found for mu={mu}, "
@@ -548,6 +579,10 @@ class _TwistSearch:
             x: [[i for i in members if i < end] for end in self.ends[:depth]]
             for x, members in through.items()
         }
+        # per forbid spec, (table, its colliding keys) as last listed by
+        # _conflict_point: a stored table is never changed, so the list
+        # holds while the spec keeps the same table object
+        self._bad = [None] * depth
 
     def feasible(self):
         """Cheap necessary conditions on the layout, checked before burning
@@ -701,7 +736,9 @@ class _TwistSearch:
 
         The members of a key v * kmax + r are the walks at vertex v in the
         window with product = r mod k, listed in index order from the
-        vertex's walk list rather than by a scan of the whole window."""
+        vertex's walk list rather than by a scan of the whole window.  A
+        table's colliding keys are listed once and reused while the spec
+        keeps that table, as it does after a rejected move."""
         unmet = [
             si
             for si, (_, _, forbid) in enumerate(self.specs)
@@ -712,8 +749,10 @@ class _TwistSearch:
         si = rng.choice(unmet)
         _, k, forbid = self.specs[si]
         if forbid:
-            bad = [key for key, m in tables[si].items() if m > 1]
-            v, r = divmod(rng.choice(bad), self.kmax)
+            table, cached = tables[si], self._bad[si]
+            if cached is None or cached[0] is not table:
+                cached = self._bad[si] = table, [key for key, m in table.items() if m > 1]
+            v, r = divmod(rng.choice(cached[1]), self.kmax)
             end = self.ends[si]
             members = [i for i in self.at_vertex[v] if i < end and prods[i] % k == r]
         else:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from rankgradient.cosets import enumerate_cosets, with_schreier_spec
-from rankgradient.errors import BudgetError
+from rankgradient.errors import BudgetError, InternalInvariantError
 from rankgradient import towers
 from rankgradient.towers import (
     CoverGraph,
@@ -609,6 +609,36 @@ def test_conflict_draws_match_full_path_oracle():
     assert forbidding > 300
 
 
+def test_conflict_point_keeps_the_colliding_keys_of_a_kept_table():
+    # a rejected move restores the forbid tables themselves, so the key
+    # lists _conflict_point made for them still hold and are reused
+    layout = search_layout("s3", "3/4", 0, 12, 2)
+    fast = _TwistSearch(*layout)
+    rng = random.Random(11)
+    points = sorted(fast.through)
+    twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
+    prods = fast._products(twists)
+    tables, totals = fast._tables(prods)
+    kept = 0
+    for _ in range(300):
+        fast._conflict_point(prods, tables, totals, rng)
+        before = list(fast._bad)
+        x, value = rng.choice(points), rng.randrange(fast.kmax)
+        old = twists[x]
+        fast._change(twists, x, value, prods, tables, totals)
+        fast._undo(twists, x, old, prods, tables, totals)
+        fast._conflict_point(prods, tables, totals, rng)
+        for si, entry in enumerate(fast._bad):
+            if entry is not None and entry[0] is tables[si]:
+                assert entry[1] == [key for key, m in tables[si].items() if m > 1]
+            if before[si] is not None and before[si][0] is tables[si]:
+                assert entry is before[si]
+                kept += 1
+        # move on to a fresh state through an accepted move
+        fast._change(twists, x, value, prods, tables, totals)
+    assert kept > 100
+
+
 # layouts whose search succeeds within a few thousand moves
 @pytest.mark.parametrize("group,mu,seed,chain_len,route_seed,moves", [
     pytest.param("s3", "3/4", 0, 12, 3, 4000, id="s3-3/4-0-12-3"),
@@ -632,6 +662,9 @@ def test_annealer_matches_full_path_oracle_in_solve(
 
 
 SCANNED = [(c, r) for c in (12, 14, None, 8) for r in range(4)]
+# routes _base_cover scores over the SCANNED layouts of the pinned cases
+# when it stops at the radius floor (4,750 when every route is scored)
+ROUTES_TO_FLOOR = 1018
 # The eager try order of tower --group s3 --mu 3/4 --depth 3: all 16
 # level-0 layouts built first, then stably sorted by `bumped`.
 EAGER_ORDER_S3 = [
@@ -781,41 +814,73 @@ def echelon_feasible(search):
     return False, "every fresh pair in the ceiling window is forced apart mod 2"
 
 
+def scan_bases():
+    """Every distinct scanned level-0 layout of the pinned cases, as
+    (case, layout, base), in the order _base_cover first returns them."""
+    bases = []
+    for case in sorted(COVER_FINGERPRINTS):
+        group, mu, seed = case
+        data = finite_group_data(preset(group))
+        seen = set()
+        for chain_len, route_seed in SCANNED:
+            base = _base_cover(
+                data, Fraction(mu), 12, rng_seed=seed + route_seed, chain_len=chain_len
+            )
+            if (base.sigma, base.a_perms) not in seen:
+                seen.add((base.sigma, base.a_perms))
+                bases.append((case, (chain_len, route_seed), base))
+    return bases
+
+
 @pytest.fixture(scope="module")
 def scanned_bases():
-    """Every distinct scanned level-0 layout of the pinned cases, as
-    (case, layout, base), plus (radius, oracle radius) for every route cover
-    that _base_cover scored for them."""
-    radius = towers.injectivity_radius
-    scored = []
+    """scan_bases() with the radius floor turned off, so every route is
+    scored, plus (radius, oracle radius, min(floor, cap)) for every route
+    cover that _base_cover scored."""
+    radius, floor = towers.injectivity_radius, towers._radius_floor
+    scored, floors = [], []
 
     def checked(cover):
-        scored.append((radius(cover), bfs_radius(cover)))
+        scored.append((radius(cover), bfs_radius(cover), floors[-1]))
         return scored[-1][0]
 
-    bases = []
+    def floor_off(plan):
+        floors.append(min(floor(plan), towers.DEFAULT_RADIUS_CAP))
+        return -1
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(towers, "injectivity_radius", checked)
-        for case in sorted(COVER_FINGERPRINTS):
-            group, mu, seed = case
-            data = finite_group_data(preset(group))
-            seen = set()
-            for chain_len, route_seed in SCANNED:
-                base = _base_cover(
-                    data, Fraction(mu), 12, rng_seed=seed + route_seed, chain_len=chain_len
-                )
-                if (base.sigma, base.a_perms) not in seen:
-                    seen.add((base.sigma, base.a_perms))
-                    bases.append((case, (chain_len, route_seed), base))
+        mp.setattr(towers, "_radius_floor", floor_off)
+        bases = scan_bases()
     return bases, scored
 
 
 def test_radius_matches_bfs_oracle_on_route_covers(scanned_bases):
     _, scored = scanned_bases
-    # 64 _base_cover calls; routes the hub constraints reject are not scored
+    # 64 _base_cover calls, every route scored; routes the hub constraints
+    # reject are not scored
     assert len(scored) == 4750
-    assert all(r == oracle for r, oracle in scored)
-    assert len({r for r, _ in scored}) > 1
+    assert all(r == oracle for r, oracle, _ in scored)
+    assert len({r for r, _, _ in scored}) > 1
+    # no route scores below its layout's floor, and some sit on it
+    assert all(r >= floor for r, _, floor in scored)
+    assert any(r == floor for r, _, floor in scored)
+
+
+def test_route_scan_stops_at_the_radius_floor(scanned_bases):
+    bases, _ = scanned_bases
+    radius = towers.injectivity_radius
+    calls = []
+
+    def counted(cover):
+        calls.append(cover)
+        return radius(cover)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(towers, "injectivity_radius", counted)
+        assert scan_bases() == bases
+    # the same 64 _base_cover calls and covers as the full scan
+    assert len(calls) == ROUTES_TO_FLOOR
 
 
 @pytest.mark.parametrize("case", sorted(COVER_FINGERPRINTS))
@@ -1022,6 +1087,11 @@ ROUTE_GRID = (
     + [("z2z2", mu, scale, (1,), (None, 1, 12))
        for mu in ("0", "1/2", "3/4", "4/5") for scale in (1, 3, 6)]
     + [("s3", "3/4", 12, (0, 2), (12, 14)), ("z2z2", "1/2", 12, (5,), (None,))]
+    # a radius floor (75) above DEFAULT_RADIUS_CAP (64)
+    + [("s3", "3/4", 100, (0,), (None,))]
+    # routes with a loop score radius 0, on the floor, before the first
+    # clean route does
+    + [("z2z2", "0", 6, (0,), (None,))]
 )
 
 
@@ -1035,6 +1105,72 @@ def test_route_search_matches_reference(group, mu, scale, seeds, chain_lens):
             assert route_outcome(_base_cover, *args) == route_outcome(
                 reference_base_cover, *args
             ), (group, mu, scale, rng_seed, chain_len)
+
+
+def floor_sides(plan):
+    """(L, R): cycle steps from the base point 0 to the nearest regular
+    slot going left and going right, read off the plan rotated to start at
+    0; None when 0 is not in the plan."""
+    if 0 not in plan:
+        return None
+    i = plan.index(0)
+    rotated = plan[i:] + plan[:i]
+    slots = [j for j, x in enumerate(rotated) if x is None]
+    return len(rotated) - slots[-1], slots[0]
+
+
+def test_radius_floor_of_synthetic_plans():
+    f = towers._radius_floor
+    assert f([None] * 6) == 0
+    assert f([0, None]) == 0  # L = R = 1: both walks reach the same hub
+    assert f([3, 2, 0, 1, None, None]) == 2  # L = 3, R = 2
+    assert f([1, 0, 2, None, None]) == 1  # L = R = 2
+    assert f([None, 1, 0, 2, 3]) == 2  # L = 2, R = 3, wrapping round
+    assert floor_sides([None, 1, 0, 2, 3]) == (2, 3)
+
+
+FLOOR_CASES = [
+    # (group, mu, scale, rng_seed, chain_len, (L, R), floor)
+    ("s3", "3/4", 6, 0, None, (6, 5), 5),
+    ("s3", "3/4", 12, 0, 12, (7, 7), 6),
+    ("z2z2", "0", 6, 1, None, None, 0),
+    ("s3", "3/4", 100, 0, None, (76, 76), 75),
+]
+
+
+@pytest.mark.parametrize("group,mu,scale,rng_seed,chain_len,sides,floor", FLOOR_CASES)
+def test_radius_floor_of_route_plans(group, mu, scale, rng_seed, chain_len, sides, floor):
+    real = towers._radius_floor
+    plans = []
+
+    def recorded(plan):
+        plans.append(plan)
+        return real(plan)
+
+    data = finite_group_data(preset(group))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(towers, "_radius_floor", recorded)
+        cover = _base_cover(data, Fraction(mu), scale, rng_seed, chain_len)
+    (plan,) = plans
+    assert floor_sides(plan) == sides
+    assert real(plan) == floor
+    radius = injectivity_radius(cover)
+    assert radius >= min(floor, towers.DEFAULT_RADIUS_CAP)
+    if floor > towers.DEFAULT_RADIUS_CAP:
+        assert radius == towers.DEFAULT_RADIUS_CAP
+    # ROUTE_GRID checks this layout against the full reference scan
+    assert any(
+        row[:3] == (group, mu, scale) and rng_seed in row[3] and chain_len in row[4]
+        for row in ROUTE_GRID
+    )
+
+
+def test_route_below_the_radius_floor_raises(monkeypatch):
+    # a floor the routes cannot reach is caught, not trusted
+    monkeypatch.setattr(towers, "_radius_floor", lambda plan: 100)
+    s3 = finite_group_data(preset("s3"))
+    with pytest.raises(InternalInvariantError, match="below its floor 64"):
+        _base_cover(s3, Fraction(3, 4), 12, chain_len=12)
 
 
 def test_route_search_reference_covers_the_edge_cases():
