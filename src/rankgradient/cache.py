@@ -31,9 +31,18 @@ def _canonical(pres: Presentation, spec: SubgroupSpec | None) -> str:
 
 
 def _sha256(text: str) -> str:
-    import hashlib  # loads OpenSSL: only commands that use the cache pay for it
+    # CPython's built-in SHA-256 gives the same digests as hashlib's, without
+    # mapping OpenSSL (about 2-4 MB of peak RSS for one digest); hashlib is
+    # the fallback for builds without it.
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def cache_key(pres: Presentation, spec: SubgroupSpec | None = None) -> str:

@@ -94,7 +94,8 @@ def farber_chain(
     Delta_n intersects every subgroup of index at most n.
 
     Levels from 2 on are normal.  Hitting the index cap truncates the chain
-    with a marker instead of failing.
+    with a marker instead of failing; a Delta_n past the cap is counted by
+    ``intersect``, not built.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -113,7 +114,7 @@ def farber_chain(
                 for t in subgroups_of_index(pres, n):
                     if delta is not None and contains(t, delta):
                         continue  # intersection already inside t
-                    delta = t if delta is None else intersect(delta, t)
+                    delta = t if delta is None else intersect(delta, t, index_cap)
                     if delta.index > index_cap:
                         raise BudgetError(
                             f"intersection index {delta.index} exceeds cap {index_cap}"

@@ -27,6 +27,7 @@ from .errors import (
     ImageTooLarge,
     IndexBoundExceeded,
     InternalInvariantError,
+    IntersectionTooLarge,
     LowIndexBudget,
 )
 from .words import Presentation, SubgroupSpec, Word, free_reduce, invert, primitive_root, read_only
@@ -539,14 +540,19 @@ def _search_index(pres, k, out, budget):
 # ---------------------------------------------------------------------------
 
 
-def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
+def intersect(t1: CosetTable, t2: CosetTable, cap: int | None = None) -> CosetTable:
     """Table of H1 n H2: the component of (0, 0) in the product action,
     numbered by a BFS in the order ``canonicalize`` uses.  The pair of
     cosets (a, b) is held as the integer a * n2 + b, and each generator's
-    row of the result is filled as the BFS reads its letter."""
+    row of the result is filled as the BFS reads its letter.
+
+    Once more than ``cap`` cosets are numbered, the partial table is
+    dropped and the rest of the component is only counted, in a set of
+    pair codes, before IntersectionTooLarge reports the full index."""
     if t1.pres != t2.pres:
         raise ValueError("tables must share an ambient presentation")
     n2 = t2.index
+    limit = t1.index * n2 if cap is None else cap  # the index is at most n1 * n2
     rows = tuple([] for _ in t1.perms)
     # per generator: its row, then its images in t1 and t2, then those of
     # its inverse
@@ -557,6 +563,8 @@ def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
     number = {0: 0}
     order = [0]
     for code in order:  # order grows while the loop runs
+        if len(order) > limit:
+            break
         a, b = divmod(code, n2)
         for row, fwd1, fwd2, inv1, inv2 in steps:
             nxt = fwd1[a] * n2 + fwd2[b]
@@ -569,7 +577,23 @@ def intersect(t1: CosetTable, t2: CosetTable) -> CosetTable:
             if nxt not in number:
                 number[nxt] = len(order)
                 order.append(nxt)
-    return CosetTable(pres=t1.pres, perms=tuple(map(tuple, rows)))
+    else:
+        return CosetTable(pres=t1.pres, perms=tuple(map(tuple, rows)))
+    unread = order[number[code]:]
+    order = rows = steps = row = None  # free the partial table
+    seen = set(number)
+    number = None
+    # the letters' images alone reach the whole component: the action is
+    # by permutations of a finite set
+    forward = list(zip(t1.perms, t2.perms))
+    while unread:
+        a, b = divmod(unread.pop(), n2)
+        for fwd1, fwd2 in forward:
+            nxt = fwd1[a] * n2 + fwd2[b]
+            if nxt not in seen:
+                seen.add(nxt)
+                unread.append(nxt)
+    raise IntersectionTooLarge(len(seen), cap)
 
 
 def _image_closure(table: CosetTable, limit: int):

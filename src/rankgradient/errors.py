@@ -20,6 +20,16 @@ class IndexBoundExceeded(BudgetError):
         )
 
 
+class IntersectionTooLarge(BudgetError):
+    """An intersection of coset tables has more cosets than the index cap;
+    ``index`` is its full index, counted without building the table."""
+
+    def __init__(self, index, cap):
+        self.index = index
+        self.cap = cap
+        super().__init__(f"intersection index {index} exceeds cap {cap}")
+
+
 class ImageTooLarge(BudgetError):
     """The permutation image group grew past the closure cap."""
 

@@ -42,6 +42,45 @@ def test_cache_key_ignores_formatting():
     assert a != cache_key(*parsed(TEXT.replace("sub H b", "sub H a")))
 
 
+@pytest.mark.parametrize("text", ["gens a b\nrel a^3\n", "sub H \u03b1 \u00e9 \u2211 \U0001d400", ""])
+def test_sha256_matches_hashlib(text):
+    import hashlib
+
+    from rankgradient.cache import _sha256
+
+    assert _sha256(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cache_key_is_pinned():
+    # entries written before the built-in SHA-256 keep their names (the key
+    # moves only with ALGORITHM_VERSION or the canonical form)
+    assert cache_key(*parsed()) == "6352c4bbf45dbb5214e312d96ad3fe7964ae46f2ab0c72a58dbfc7b35d37cd9c"
+
+
+CACHED_ENUMERATE = """
+import sys
+from rankgradient.cli import main
+
+for _ in range(2):
+    main(["enumerate", "--preset", "s3", "--cache-dir", sys.argv[1], "--format", "text"])
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_cached_enumerate_loads_no_openssl(tmp_path):
+    # -S skips site, whose .pth files may import hashlib themselves
+    src = str(Path(rankgradient.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", CACHED_ENUMERATE, str(tmp_path)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout.splitlines()
+    assert [line for line in out if line.startswith("index")] == [
+        "index 6 (subgroup 1, cache miss)",
+        "index 6 (subgroup 1, cache hit)",
+    ]
+    assert out[-1] == "[]"
+
+
 def test_disabled_cache_counts_misses(monkeypatch):
     monkeypatch.delenv("RANKGRADIENT_CACHE", raising=False)
     cache = TableCache()

@@ -27,7 +27,7 @@ from rankgradient.cosets import (
     validate,
     with_schreier_spec,
 )
-from rankgradient.errors import IndexBoundExceeded, LowIndexBudget
+from rankgradient.errors import BudgetError, IndexBoundExceeded, IntersectionTooLarge, LowIndexBudget
 from rankgradient.words import SubgroupSpec, free_reduce, invert, parse_presentation
 
 
@@ -289,12 +289,32 @@ def test_intersect_matches_pair_keyed_reference():
                 assert intersect(t1, t2).perms == reference_intersect(t1, t2).perms
 
 
+def test_capped_intersect_builds_or_counts():
+    # at or above the index the capped call is the uncapped table; below it,
+    # the error carries the full index, counted without the table
+    for text, n_max in (("gens a b\n", 3), (SURFACE2, 2)):
+        tables = every_subgroup(parsed(text)[0], n_max)
+        for t1 in tables:
+            for t2 in tables:
+                meet = intersect(t1, t2)
+                for cap in (meet.index, meet.index + 1, t1.index * t2.index):
+                    assert intersect(t1, t2, cap).perms == meet.perms
+                for cap in range(meet.index):
+                    with pytest.raises(IntersectionTooLarge) as info:
+                        intersect(t1, t2, cap)
+                    assert (info.value.index, info.value.cap) == (meet.index, cap)
+                    assert isinstance(info.value, BudgetError)
+                    assert str(info.value) == f"intersection index {meet.index} exceeds cap {cap}"
+
+
 def test_intersect_matches_pair_keyed_reference_along_the_f2_chain(monkeypatch):
     meets = []  # (t1, t2, intersection) for each intersection the chain takes
 
-    def recorded(t1, t2):
+    def recorded(t1, t2, cap=None):
+        # record the uncapped meet, so the last one (31,104 cosets, past the
+        # cap) is still checked against the reference
         meets.append((t1, t2, intersect(t1, t2)))
-        return meets[-1][2]
+        return intersect(t1, t2, cap)
 
     monkeypatch.setattr(chains, "intersect", recorded)
     pres, specs = preset("f2")

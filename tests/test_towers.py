@@ -992,7 +992,7 @@ def reference_base_cover(group, mu, scale, rng_seed=0, chain_len=None):
     if chain_len is None:
         chain_len = max(fixed // 2, min(fixed, 1))
     chain_len = min(chain_len, fixed)
-    others = list(range(1, fixed))
+    others = list(range(1 if chain_len else 0, fixed))
     cut = max(chain_len - 1, 0)
     chain_rest, spread = others[:cut], others[cut:]
     half = len(chain_rest) // 2
@@ -1092,6 +1092,9 @@ ROUTE_GRID = (
     # routes with a loop score radius 0, on the floor, before the first
     # clean route does
     + [("z2z2", "0", 6, (0,), (None,))]
+    # no base chain: the base point is spread among the regular slots
+    + [("s3", "3/4", scale, (0, 3), (0,)) for scale in (1, 6, 12)]
+    + [("z2z2", "1/2", scale, (0, 3), (0,)) for scale in (1, 3, 6)]
 )
 
 
