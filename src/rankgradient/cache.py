@@ -20,14 +20,14 @@ from .cosets import (
     enumerate_cosets,
     validate,
 )
-from .words import Presentation, SubgroupSpec, canonical_form
+from .words import Presentation, SubgroupSpec, serialize_presentation
 
 CACHE_DIR_ENV = "RANKGRADIENT_CACHE"
 
 
 def _canonical(pres: Presentation, spec: SubgroupSpec | None) -> str:
     # A table enumerated without a spec carries TRIVIAL_SUBGROUP.
-    return canonical_form(pres, TRIVIAL_SUBGROUP if spec is None else spec)
+    return serialize_presentation(pres, [TRIVIAL_SUBGROUP if spec is None else spec])
 
 
 def _sha256(text: str) -> str:

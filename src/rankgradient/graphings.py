@@ -21,7 +21,7 @@ from .cosets import (
     schreier_transversal,
 )
 from .errors import IndexBoundExceeded, LabelLengthExceeded
-from .homology import DEFAULT_PRIMES, mod_p_rank
+from .homology import DEFAULT_PRIMES, report_from_matrix
 from .subgroups import subgroup_abelianized_matrix, subgroup_homology
 from .words import SubgroupSpec, free_reduce, invert, read_only
 
@@ -222,15 +222,16 @@ def loop_screen(table, loops):
     of the cover graph over Z.  ``subgroup_abelianized_matrix`` reads each
     cycle off the cotree edges, which maps that lattice onto all of its
     columns, index * rank - index + 1 of them, so the rows span the column
-    space over every F_p too.  A rank below the column count over some p in
+    space over every F_p too.  Their rank over F_p is the column count less
+    the b_{1,p} of ``report_from_matrix``, so b_{1,p} > 0 for some p in
     ``DEFAULT_PRIMES`` refutes them; passing proves nothing.
     """
     rows, cycles = subgroup_abelianized_matrix(table, loops)
+    b1p = report_from_matrix(rows, cycles, DEFAULT_PRIMES).b1p
     for p in DEFAULT_PRIMES:
-        got = mod_p_rank(rows, p)
-        if got < cycles:
+        if b1p[p]:
             return (
-                f"loop and relator classes have rank {got} over F_{p}, "
+                f"loop and relator classes have rank {cycles - b1p[p]} over F_{p}, "
                 f"the cycle space has rank {cycles}"
             )
     return None

@@ -1,15 +1,17 @@
-"""Abelianization invariants via exact integer Smith normal form.
+"""First Betti numbers of presented groups, as exact ranks of relation
+matrices over Q and F_p.
 
-Everything here runs on arbitrary-precision Python ints; there is no
-floating point or fixed-width path anywhere.  Relation matrices are lists
-of sparse rows: (column, value) pairs sorted by column, no zero values.
+Everything here runs on arbitrary-precision Python ints and Fractions;
+there is no floating point or fixed-width path anywhere.  Relation
+matrices are lists of sparse rows: (column, value) pairs sorted by column,
+no zero values.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import namedtuple
+from fractions import Fraction
 
 from .words import Presentation
 
@@ -17,11 +19,11 @@ from .words import Presentation
 DEFAULT_PRIMES = (2, 3, 5)
 
 
-class HomologyReport(namedtuple("HomologyReport", "beta1 torsion b1p")):
-    """First-homology data of a presented group.
-
-    ``torsion`` is the divisibility chain d1 | d2 | ... of entries > 1;
-    ``b1p[p]`` is the mod-p first Betti number beta1 + #{i : p | d_i}.
+class HomologyReport(namedtuple("HomologyReport", "beta1 b1p")):
+    """First Betti numbers of a presented group: ``beta1`` over Q, and
+    ``b1p[p]``, the dimension of H_1 with F_p coefficients, for each prime
+    asked for.  Both are the generator count less the relation matrix's
+    rank over that field.
     """
 
     __slots__ = ()
@@ -54,6 +56,8 @@ def smith_normal_form(matrix):
     entries satisfying d1 | d2 | ... and rank is the number of nonzero
     entries.  Pivoting picks the minimal absolute value with a lowest-row,
     then lowest-column tie-break, which keeps intermediate entries tame.
+    The Betti numbers do not go through it: ``report_from_matrix`` takes
+    ranks, and this stays as the reference the tests check them against.
     """
     a = [list(row) for row in matrix]
     m = len(a)
@@ -120,43 +124,15 @@ def smith_normal_form(matrix):
     return diag, rank
 
 
-def mod_p_rank(matrix, p):
-    """Rank over F_p (p prime) of sparse integer rows.
-
-    Echelon form built one row at a time: a row is reduced against the
-    monic pivot rows found so far, keyed by their last column, until it is
-    zero or ends in a new column and becomes a pivot itself.  Cover-graph
-    rows number their cotree edges from the base coset outwards, so a last
-    column is an edge few rows share and fill-in stays low.
-    """
-    pivots = {}
-    for row in matrix:
-        live = {j: v % p for j, v in row if v % p}
-        while live:
-            lead = max(live)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(live[lead], -1, p)
-                pivots[lead] = {j: v * inv % p for j, v in live.items()}
-                break
-            factor = live[lead]
-            for j, v in pivot.items():
-                new = (live.get(j, 0) - factor * v) % p
-                if new:
-                    live[j] = new
-                else:
-                    del live[j]
-    return len(pivots)
-
-
 def _unit_reduce(matrix):
     """Peel unit pivots off a sparse integer matrix.
 
     Pivoting on a +-1 entry is a unimodular change of basis contributing a
     diagonal 1, so SNF(input) = identity block of size ``units`` plus
-    SNF(remainder).  Fox matrices of finite covers, on their cotree
-    columns, are huge but have a handful of +-1 entries per row, so this
-    collapses them to a core the dense routine can afford.
+    SNF(remainder), and over every field the rank is ``units`` plus the
+    remainder's.  Fox matrices of finite covers, on their cotree columns,
+    are huge but have a handful of +-1 entries per row, so this collapses
+    them to a core the dense ranks can afford.
 
     Pivots are picked by Markowitz cost from a lazily revalidated heap:
     an entry is pushed when it becomes +-1, and a popped entry whose cost
@@ -219,66 +195,49 @@ def _unit_reduce(matrix):
     return units, [rows[i] for i in sorted(rows)]
 
 
-def _coprime_base(values):
-    """Pairwise coprime integers > 1 of which every value is a product of
-    powers, by gcd splitting (factor refinement): a pair x, b sharing
-    g > 1 is replaced by x / g, b / g and g, which lowers their product,
-    so this ends.  No integer is factored."""
-    base = []
-    todo = list(values)
-    while todo:
-        x = todo.pop()
-        if x == 1 or x in base:
-            continue
-        for k, b in enumerate(base):
-            g = math.gcd(x, b)
-            if g > 1:
-                del base[k]
-                todo += (b // g, x // g, g)
+def _rank(rows, p=None):
+    """Rank of a dense integer matrix over F_p (p prime), or over Q when p
+    is None.
+
+    Echelon form built one row at a time: a row is reduced against the
+    monic pivot rows found so far, keyed by their last column, until it is
+    zero or ends in a new column and becomes a pivot itself.  Over F_p the
+    entries are reduced mod p.  Over Q they are Fractions in lowest terms,
+    and every entry of Gaussian elimination is a ratio of two minors of the
+    input (Edmonds), so none grows past them; cross-multiplied integer rows
+    have no such bound.
+    """
+    norm = Fraction if p is None else (lambda v: v % p)
+    pivots = {}
+    for row in rows:
+        live = {j: x for j, v in enumerate(row) if (x := norm(v))}
+        while live:
+            lead = max(live)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / live[lead] if p is None else pow(live[lead], -1, p)
+                pivots[lead] = {j: norm(v * inv) for j, v in live.items()}
                 break
-        else:
-            base.append(x)
-    return base
+            factor = live[lead]
+            for j, v in pivot.items():
+                new = norm(live.get(j, 0) - factor * v)
+                if new:
+                    live[j] = new
+                else:
+                    del live[j]
+    return len(pivots)
 
 
-def _invariant_factors(counts):
-    """The divisibility chain, ascending, of the direct sum of Z/d taken
-    count times for each d > 1 in ``counts`` ({d: count}), with 1s padding
-    it to the number of summands.
+def _block_ranks(core, primes):
+    """(rank over Q, {p: rank over F_p}) of {column: value} dict rows.
 
-    Over a coprime base of the values the sum splits by the Chinese
-    remainder theorem into parts Z/b^k, so the i-th largest invariant
-    factor is the product over base elements b of b to its i-th largest
-    exponent.  Work grows with the number of summands times the size of
-    the base, never with the square of the number of summands."""
-    chain = [1] * sum(counts.values())  # largest factor first
-    for b in _coprime_base(counts):
-        exponents = []
-        for d, n in counts.items():
-            k = 0
-            while d % b == 0:
-                d //= b
-                k += 1
-            exponents += [k] * n
-        exponents.sort(reverse=True)
-        for i, k in enumerate(exponents):
-            if not k:
-                break
-            chain[i] *= b**k
-    return chain[::-1]
-
-
-def _snf_by_components(rows):
-    """(nonzero SNF diagonal as a divisibility chain, rank) of {column: value}
-    dict rows, split into connected row/column blocks.  Block-diagonal up
-    to permutation means the SNF is the union of the blocks' invariant
-    factors, renormalized into a chain by ``_invariant_factors``.  Each
-    distinct block, densified on its columns in order, goes through
-    ``smith_normal_form`` once; equal blocks reuse its result."""
-    if not rows:
-        return [], 0
+    The rows split into connected row/column blocks, and a block-diagonal
+    matrix has the sum of its blocks' ranks.  Each distinct block, densified
+    on its columns in order, is ranked once over Q and once over each F_p;
+    equal blocks reuse those ranks.
+    """
     # union-find over the rows; a column joins every row to its first row
-    parent = list(range(len(rows)))
+    parent = list(range(len(core)))
 
     def find(x):
         while parent[x] != x:
@@ -287,45 +246,38 @@ def _snf_by_components(rows):
         return x
 
     first = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(core):
         for j in row:
             a, b = find(i), find(first.setdefault(j, i))
             if a != b:
                 parent[a] = b
     blocks = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(core):
         blocks.setdefault(find(i), []).append(row)
-    snf = {}  # dense block -> (diagonal, rank)
-    counts = {}
-    rank = 0
+    ranks = dict.fromkeys((None, *primes), 0)  # None stands for Q
+    memo = {}  # dense block -> {field: its rank}
     for block in blocks.values():
         live = sorted({j for row in block for j in row})
-        if not live:
-            continue
         sub = tuple(tuple(row.get(j, 0) for j in live) for row in block)
-        if sub not in snf:
-            snf[sub] = smith_normal_form(sub)
-        diag, r = snf[sub]
-        for d in diag[:r]:
-            counts[d] = counts.get(d, 0) + 1
-        rank += r
-    ones = counts.pop(1, 0)
-    return [1] * ones + _invariant_factors(counts), rank
+        if sub not in memo:
+            memo[sub] = {p: _rank(sub, p) for p in ranks}
+        for p, r in memo[sub].items():
+            ranks[p] += r
+    return ranks.pop(None), ranks
 
 
 def report_from_matrix(matrix, num_generators, primes=DEFAULT_PRIMES):
-    """HomologyReport for an abelian group presented by the given relation matrix."""
+    """HomologyReport for an abelian group presented by the given relation
+    matrix: the unit peel's pivots are independent over every field, so
+    each Betti number is what is left free of them less the core's rank."""
     if not primes:
         raise ValueError("primes must be nonempty")
     units, core = _unit_reduce(matrix)
-    diag, rank = _snf_by_components(core)
-    rank += units
-    beta1 = num_generators - rank
-    torsion = tuple(d for d in diag if d > 1)
-    b1p = {p: beta1 + sum(1 for d in torsion if d % p == 0) for p in primes}
-    return HomologyReport(beta1=beta1, torsion=torsion, b1p=b1p)
+    free = num_generators - units
+    rank, ranks = _block_ranks(core, primes)
+    return HomologyReport(beta1=free - rank, b1p={p: free - ranks[p] for p in primes})
 
 
 def homology_report(pres: Presentation, primes=DEFAULT_PRIMES) -> HomologyReport:
-    """beta1, torsion and b_{1,p} of the abelianization of a presented group."""
+    """beta1 and b_{1,p} of the abelianization of a presented group."""
     return report_from_matrix(abelianized_matrix(pres.relators), pres.rank, primes)

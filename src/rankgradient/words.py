@@ -98,12 +98,11 @@ class Presentation:
     """A finitely presented group: named generators plus relator words.
 
     Relators are cyclically reduced at construction.  Equality reads the
-    generators and relators only: ``relator_texts`` keeps the parser's text
-    forms for display, and ``note`` names what a simplification left undone
-    (set by tietze_simplify).
+    generators and relators only: ``note`` names what a simplification left
+    undone (set by tietze_simplify).
     """
 
-    def __init__(self, generators, relators=(), relator_texts=None, note=None):
+    def __init__(self, generators, relators=(), note=None):
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
         reduced = tuple(cyclic_reduce(r) for r in relators)
@@ -111,9 +110,7 @@ class Presentation:
         for r in reduced:
             if max(map(abs, r), default=0) > rank:
                 raise ValueError(f"relator {r} references an unknown generator")
-        self.__dict__.update(
-            generators=generators, relators=reduced, relator_texts=relator_texts, note=note
-        )
+        self.__dict__.update(generators=generators, relators=reduced, note=note)
 
     __setattr__ = __delattr__ = read_only
 
@@ -207,7 +204,6 @@ def parse_presentation(text):
     gens = None
     gen_index = {}
     relators = []
-    relator_texts = []
     specs = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -237,7 +233,6 @@ def parse_presentation(text):
                 relators.append(concat(lhs, invert(rhs)))
             else:
                 relators.append(_parse_word_tokens(rest, gen_index, lineno))
-            relator_texts.append(" ".join(rest))
         elif keyword == "sub":
             if gens is None:
                 raise ParseError("'sub' before 'gens'", line=lineno)
@@ -265,7 +260,7 @@ def parse_presentation(text):
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno, column=1)
     if gens is None:
         raise ParseError("missing 'gens' line")
-    pres = Presentation(generators=gens, relators=tuple(relators), relator_texts=tuple(relator_texts))
+    pres = Presentation(generators=gens, relators=tuple(relators))
     for spec in specs:
         spec.validate_over(pres)
     return pres, specs
@@ -298,8 +293,3 @@ def csv_table(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def canonical_form(pres: Presentation, spec: SubgroupSpec | None = None) -> str:
-    """Whitespace/comment-insensitive key used for caching."""
-    return serialize_presentation(pres, [spec] if spec is not None else [])

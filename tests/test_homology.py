@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from rankgradient import homology
 from rankgradient.cosets import enumerate_cosets
 from rankgradient.homology import (
-    _snf_by_components,
+    _block_ranks,
+    _rank,
     _unit_reduce,
     abelianized_matrix,
     homology_report,
-    mod_p_rank,
     report_from_matrix,
     smith_normal_form,
 )
@@ -84,6 +84,21 @@ def mod_p_rank_oracle(matrix, p):
     return rank
 
 
+def oracle_betti(matrix, n, primes=(2, 3, 5)):
+    """(beta1, b1p) of the abelian group on n generators with the given
+    dense relation rows, read off ``minor_gcd_diagonal``: beta1 is n less
+    the rank, and b_{1,p} adds the invariant factors p divides."""
+    diag = minor_gcd_diagonal(matrix)
+    beta1 = n - sum(1 for d in diag if d)
+    return beta1, {p: beta1 + sum(1 for d in diag if d and d % p == 0) for p in primes}
+
+
+def assert_betti_match_oracle(matrix):
+    n = len(matrix[0])
+    report = report_from_matrix(sparse(matrix), n)
+    assert (report.beta1, report.b1p) == oracle_betti(matrix, n), matrix
+
+
 def random_matrix(rng, max_size=6, max_entry=9):
     m = rng.randint(1, max_size)
     n = rng.randint(1, max_size)
@@ -111,18 +126,24 @@ def test_mod_p_rank_matches_oracle_seeded():
     rng = random.Random(34)
     for _ in range(200):
         matrix = random_matrix(rng)
+        n = len(matrix[0])
+        report = report_from_matrix(sparse(matrix), n)
         for p in (2, 3, 5):
-            assert mod_p_rank(sparse(matrix), p) == mod_p_rank_oracle(matrix, p)
+            assert report.b1p[p] == n - mod_p_rank_oracle(matrix, p)
+            assert _rank(matrix, p) == mod_p_rank_oracle(matrix, p)
+        assert _rank(matrix) == sum(1 for d in minor_gcd_diagonal(matrix) if d)
 
 
 def test_b1p_consistent_with_mod_p_rank():
     rng = random.Random(56)
     for _ in range(200):
-        matrix = random_matrix(rng)
-        n = len(matrix[0])
-        report = report_from_matrix(sparse(matrix), n)
-        for p in (2, 3, 5):
-            assert report.b1p[p] == n - mod_p_rank(sparse(matrix), p)
+        assert_betti_match_oracle(random_matrix(rng))
+
+
+def densify(core):
+    """{column: value} rows as dense rows on their sorted columns."""
+    live = sorted({j for row in core for j in row})
+    return [[row.get(j, 0) for j in live] for row in core]
 
 
 def test_unit_reduce_preserves_smith_form():
@@ -130,7 +151,7 @@ def test_unit_reduce_preserves_smith_form():
     for _ in range(200):
         matrix = random_matrix(rng)
         units, core = _unit_reduce(sparse(matrix))
-        diag_core, rank_core = _snf_by_components(core)
+        diag_core, rank_core = smith_normal_form(densify(core))
         full = [1] * units + list(diag_core)
         nonzero = sorted(d for d in full if d)
         expected, rank = smith_normal_form(matrix)
@@ -138,12 +159,56 @@ def test_unit_reduce_preserves_smith_form():
         assert units + rank_core == rank
 
 
-def test_snf_by_components_blocks():
-    # two independent blocks, chain must interleave them correctly
+def test_block_ranks_blocks():
+    # two independent blocks: Z/2 + Z/3, with the ranks of Z/6
     matrix = [[2, 0, 0], [0, 3, 0]]
-    diag, rank = _snf_by_components([dict(row) for row in sparse(matrix)])
-    assert diag == [1, 6]
+    rank, ranks = _block_ranks([dict(row) for row in sparse(matrix)], (2, 3, 5))
     assert rank == 2
+    assert ranks == {2: 1, 3: 1, 5: 2}
+
+
+def snf_ranks(matrix, primes=(2, 3, 5)):
+    """(rank over Q, {p: rank over F_p}) of a dense matrix, read off its
+    Smith normal form: F_p loses the invariant factors p divides."""
+    diag, rank = smith_normal_form(matrix)
+    return rank, {p: sum(1 for d in diag if d % p) for p in primes}
+
+
+# Relation matrices with no +-1 entry: the unit peel leaves each whole,
+# and a dense Smith normal form of the first stalls for minutes.
+UNIT_FREE = [
+    [[4, 30, 0, -6, 0, 0], [0, 0, 9, -6, 3, 3], [30, 30, 30, 3, -6, 2],
+     [6, 2, 12, 6, 0, 30], [9, 0, 0, -6, -4, 6], [0, 30, 30, 9, 3, -6]],
+    [[12, 2, 0, 2, 30, 6], [12, 0, 4, 30, 6, 12], [9, 6, 2, -4, 9, -4],
+     [9, 4, -6, -4, 2, 0], [30, 0, 9, 9, 12, 12], [9, 30, 0, 4, 6, -6]],
+    [[30, 30, 2, 12, -6, 12], [6, -6, 9, 4, 12, 0], [4, 12, 2, 6, 30, 3],
+     [2, 9, -4, 6, 9, 9], [30, 30, -6, 6, 6, 6], [3, 0, 30, 2, 4, 3]],
+]
+
+
+def presentation_text(matrix):
+    """One relator per row, generator j raised to entry j."""
+    gens = "abcdefghij"[: len(matrix[0])]
+    lines = ["gens " + " ".join(gens)]
+    for row in matrix:
+        lines.append("rel " + " ".join(f"{g}^{v}" for g, v in zip(gens, row) if v))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("matrix", UNIT_FREE)
+def test_unit_free_matrices_match_oracle(matrix):
+    assert _unit_reduce(sparse(matrix))[0] == 0
+    assert_betti_match_oracle(matrix)
+    report = homology_report(parse_presentation(presentation_text(matrix))[0])
+    assert (report.beta1, report.b1p) == oracle_betti(matrix, len(matrix[0]))
+
+
+def test_unit_free_matrices_match_oracle_seeded():
+    rng = random.Random(2026)
+    values = (0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, 12, 30)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        assert_betti_match_oracle([[rng.choice(values) for _ in range(n)] for _ in range(m)])
 
 
 def random_block_diagonal(rng):
@@ -169,57 +234,39 @@ def random_block_diagonal(rng):
     return [[row[j] for j in order] for row in dense]
 
 
-def test_snf_by_components_matches_dense_snf_on_block_matrices():
+def test_block_ranks_match_dense_snf_on_block_matrices():
     rng = random.Random(1303)
     for _ in range(150):
         matrix = random_block_diagonal(rng)
         rows = [dict(row) for row in sparse(matrix) if row]
-        diag, rank = _snf_by_components(rows)
-        expected, expected_rank = smith_normal_form(matrix)
-        assert diag == [d for d in expected if d]
-        assert rank == expected_rank
+        expected = snf_ranks(matrix)
+        assert _block_ranks(rows, (2, 3, 5)) == expected
         # duplicated rows span the same lattice: the peel drops them
         doubled = sparse(matrix) + sparse(matrix)[::2]
         rng.shuffle(doubled)
         units, core = _unit_reduce(doubled)
         # every entry that became +-1 was queued, so none is left
         assert all(v not in (1, -1) for row in core for v in row.values())
-        core_diag, core_rank = _snf_by_components(core)
-        assert sorted([1] * units + core_diag) == diag
-        assert units + core_rank == expected_rank
-
-
-def pairwise_chain(entries):
-    """Reference merge of invariant factors into a divisibility chain: the
-    pairwise gcd/lcm loop ``_snf_by_components`` once ran, quadratic in
-    the number of factors.  The 1s divide everything and are set aside; on
-    the rest one pass suffices: after step i, entries[i] divides every
-    later entry, and a later swap replaces two multiples of entries[i] by
-    their gcd and lcm, which are multiples of it too."""
-    ones = [d for d in entries if d == 1]
-    entries = sorted(d for d in entries if d != 1)
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if entries[j] % entries[i]:
-                g = gcd(entries[i], entries[j])
-                entries[i], entries[j] = g, entries[i] * entries[j] // g
-    return ones + entries
+        core_rank, core_ranks = _block_ranks(core, (2, 3, 5))
+        assert units + core_rank == expected[0]
+        assert {p: units + r for p, r in core_ranks.items()} == expected[1]
 
 
 @pytest.mark.parametrize("pool", [
     (2, 3, 4, 6, 9, 12),
     (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 25, 27, 30, 49, 210),
 ])
-def test_merge_matches_pairwise_reference_seeded(pool):
-    # a few distinct values, each repeated many times, with either sign
+def test_block_ranks_of_diagonal_rows_seeded(pool):
+    # a few distinct values, each repeated many times, with either sign:
+    # each row is its own block, so the ranks are counts of its entries
     rng = random.Random(2025)
     for _ in range(300):
         values = rng.sample(pool, rng.randint(1, 5))
         entries = [rng.choice(values) for _ in range(rng.randint(0, 80))]
         rows = [{j: rng.choice((d, -d))} for j, d in enumerate(entries)]
-        diag, rank = _snf_by_components(rows)
-        assert diag == pairwise_chain(entries)
+        rank, ranks = _block_ranks(rows, (2, 3, 5, 7))
         assert rank == len(entries)
+        assert ranks == {p: sum(1 for d in entries if d % p) for p in (2, 3, 5, 7)}
 
 
 def dense_blocks(rows):
@@ -251,7 +298,7 @@ def dense_blocks(rows):
     return blocks
 
 
-def test_one_smith_normal_form_per_distinct_block(monkeypatch):
+def test_one_rank_per_distinct_block_and_field(monkeypatch):
     text = resources.files("rankgradient.presets").joinpath("s3.txt").read_text()
     covers = build_tower(parse_presentation(text)[0], Fraction(3, 4), 3, scale=12, seed=0)
     rows, _ = subgroup_abelianized_matrix(cover_table(covers[-1]))
@@ -260,13 +307,16 @@ def test_one_smith_normal_form_per_distinct_block(monkeypatch):
     distinct = set(blocks)
     assert len(distinct) < len(blocks)
     calls = []
-    real = homology.smith_normal_form
-    monkeypatch.setattr(homology, "smith_normal_form", lambda m: calls.append(m) or real(m))
-    diag, rank = _snf_by_components(core)
-    assert sorted(tuple(map(tuple, m)) for m in calls) == sorted(distinct)
-    factors = [d for block in blocks for d in real(block)[0] if d]
-    assert diag == pairwise_chain(factors)
-    assert rank == len(factors)
+    real = homology._rank
+    monkeypatch.setattr(homology, "_rank", lambda m, p=None: calls.append((m, p)) or real(m, p))
+    rank, ranks = _block_ranks(core, (2, 3, 5))
+    fields = (None, 2, 3, 5)
+    assert sorted(calls, key=repr) == sorted(
+        ((block, p) for block in distinct for p in fields), key=repr
+    )
+    each = [snf_ranks(block) for block in blocks]
+    assert rank == sum(r for r, _ in each)
+    assert ranks == {p: sum(r[p] for _, r in each) for p in (2, 3, 5)}
 
 
 def abelian_group(a, b, c, sub=""):
@@ -292,7 +342,6 @@ def test_subgroup_homology_of_abelian_groups_is_the_subgroup(sub, index, torsion
     assert table.index == index
     report = subgroup_homology(table)
     assert report.beta1 == 0
-    assert report.torsion == torsion
     assert report.b1p == {p: sum(1 for d in torsion if d % p == 0) for p in (2, 3, 5)}
 
 
@@ -315,7 +364,7 @@ def test_snf_divisibility_and_rank_properties(m, n, data):
             assert b == 0
     # rank over Q sandwiched by every mod-p rank
     for p in (2, 3, 5):
-        assert mod_p_rank(sparse(matrix), p) <= rank
+        assert _rank(matrix, p) <= rank == _rank(matrix)
 
 
 @settings(max_examples=40, deadline=None)
@@ -336,7 +385,6 @@ def test_homology_report_klein_bottle():
     pres, _ = parse_presentation("gens a b\nrel a b a b^-1\n")
     report = homology_report(pres)
     assert report.beta1 == 1
-    assert report.torsion == (2,)
     assert report.b1p == {2: 2, 3: 1, 5: 1}
 
 
@@ -344,4 +392,4 @@ def test_homology_report_free_group():
     pres, _ = parse_presentation("gens a b c\n")
     report = homology_report(pres)
     assert report.beta1 == 3
-    assert report.torsion == ()
+    assert report.b1p == {2: 3, 3: 3, 5: 3}

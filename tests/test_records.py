@@ -68,7 +68,7 @@ def comparison():
 EQUAL_PAIRS = {
     "Presentation": lambda: (
         Presentation(("a", "b"), ((1, 2, -1),)),
-        Presentation(generators=("a", "b"), relators=((2,),), relator_texts=None, note=None),
+        Presentation(generators=("a", "b"), relators=((2,),), note=None),
     ),
     "SubgroupSpec": lambda: (
         SubgroupSpec(((1,), (2, 2))),
@@ -92,8 +92,8 @@ EQUAL_PAIRS = {
                        schema_version=REPORT_SCHEMA_VERSION),
     ),
     "HomologyReport": lambda: (
-        HomologyReport(0, (2,), {2: 1}),
-        HomologyReport(beta1=0, torsion=(2,), b1p={2: 1}),
+        HomologyReport(0, {2: 1}),
+        HomologyReport(beta1=0, b1p={2: 1}),
     ),
     "Graphing": lambda: (
         Graphing(s3_table(), 1),
@@ -177,11 +177,11 @@ def test_table_cache_is_mutable_and_falls_back_to_the_environment(tmp_path, monk
     assert TableCache() != TableCache(str(tmp_path))
 
 
-def test_presentation_equality_ignores_relator_texts_and_note():
+def test_presentation_equality_ignores_note():
     plain = Presentation(("a", "b"), ((1, 2),))
-    shown = Presentation(("a", "b"), ((1, 2),), relator_texts=("a b",), note="refused 1")
+    shown = Presentation(("a", "b"), ((1, 2),), note="refused 1")
     assert plain == shown and hash(plain) == hash(shown)
-    assert shown.relator_texts == ("a b",) and shown.note == "refused 1"
+    assert shown.note == "refused 1"
     assert plain != Presentation(("a", "b"), ((2, 1, 1),))
     assert plain != Presentation(("a", "c"), ((1, 2),))
 
