@@ -22,8 +22,6 @@ from .cosets import (
 )
 from .words import Presentation, SubgroupSpec, serialize_presentation
 
-CACHE_DIR_ENV = "RANKGRADIENT_CACHE"
-
 
 def _canonical(pres: Presentation, spec: SubgroupSpec | None) -> str:
     # A table enumerated without a spec carries TRIVIAL_SUBGROUP.
@@ -104,14 +102,13 @@ def deserialize_table(
 class TableCache:
     """Cached front end to enumerate_cosets with hit/miss instrumentation.
 
-    ``directory=None`` falls back to the environment override and, failing
-    that, disables caching (every call enumerates).
+    ``directory=None`` disables caching (every call enumerates).
     """
 
-    def __init__(self, directory=None, hits=0, misses=0):
-        self.directory = os.environ.get(CACHE_DIR_ENV) if directory is None else directory
-        self.hits = hits
-        self.misses = misses
+    def __init__(self, directory=None):
+        self.directory = directory
+        self.hits = 0
+        self.misses = 0
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -227,8 +227,7 @@ class LevelStats(namedtuple(
         return out
 
 
-class GradientReport(namedtuple("GradientReport", "chain_provenance primes levels schema_version",
-                                defaults=(REPORT_SCHEMA_VERSION,))):
+class GradientReport(namedtuple("GradientReport", "chain_provenance primes levels")):
     """A chain's LevelStats, one per level."""
 
     __slots__ = ()
@@ -354,7 +353,7 @@ def report_to_obj(report: GradientReport) -> dict:
                 entry["note"] = st.note
         levels.append(entry)
     return {
-        "schema_version": report.schema_version,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "chain": report.chain_provenance,
         "primes": list(report.primes),
         "levels": levels,

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cache import CACHE_DIR_ENV, TableCache
+from .cache import TableCache
 from .chains import (
     DEFAULT_CHAIN_INDEX_CAP,
     farber_chain,
@@ -387,8 +387,7 @@ def build_parser():
     with_csv = _parent("--format", choices=("json", "csv", "text"), default="json")
     primes = _parent("--primes", type=_primes, default=DEFAULT_PRIMES)
     coset_cap = _parent("--coset-cap", type=_positive_int, default=DEFAULT_COSET_CAP)
-    cache_dir = _parent("--cache-dir", default=None,
-                        help=f"coset table cache (or ${CACHE_DIR_ENV})")
+    cache_dir = _parent("--cache-dir", default=None, help="coset table cache")
 
     chain = argparse.ArgumentParser(add_help=False)
     chain.add_argument("--kind", choices=("auto", "farber", "hnn", "lamplighter"),

@@ -23,7 +23,7 @@ from .cosets import DEFAULT_COSET_CAP, CosetTable, enumerate_cosets, schreier_tr
 from .errors import BudgetError, InternalInvariantError
 from .homology import DEFAULT_PRIMES, homology_report
 from .subgroups import subgroup_homology
-from .words import Presentation, SubgroupSpec, csv_table, frac_str, read_only
+from .words import Presentation, csv_table, frac_str, read_only
 
 DEFAULT_GROUP_ORDER_CAP = 1_000
 STABLE_LETTER = "t"  # the generator of the Z factor
@@ -79,8 +79,7 @@ def _brute_force_rank(table):
 def finite_group_data(pres: Presentation):
     """Enumerate a finite presented group of order at most
     DEFAULT_GROUP_ORDER_CAP and compute |A|, d(A), b1p(A)."""
-    trivial = SubgroupSpec(generators=(), name="1")
-    table = enumerate_cosets(pres, trivial, cap=DEFAULT_GROUP_ORDER_CAP)
+    table = enumerate_cosets(pres, cap=DEFAULT_GROUP_ORDER_CAP)
     report = homology_report(pres)
     if report.beta1 != 0:
         raise ValueError("the base group is infinite (beta1 > 0)")
@@ -533,12 +532,12 @@ class _TwistSearch:
     reaches 0: _conflict_point draws a colliding key from its insertion
     order.  A ceiling is read only as met or unmet, so instead of a table
     it keeps a witness, one colliding walk pair of its window (None when
-    unmet), and its total is 1 or 0.  A move keeps the pair unless one of
-    its walks passes through the changed point and the pair no longer
-    collides; only then is the window rescanned.  A move saves the products,
-    the table list and the totals, and updates a copy of each forbid dict,
-    so a rejected move is undone by restoring the saved objects, leaving
-    every table as it was, key order included."""
+    unmet), and its total is 1 or 0.  A move keeps the pair while it still
+    collides under the new products; only when it does not is the window
+    rescanned.  A move saves the products, the table list and the totals,
+    and updates a copy of each forbid dict, so a rejected move is undone
+    by restoring the saved objects, leaving every table as it was, key
+    order included."""
 
     def __init__(self, base, walks, r0, depth, orders):
         self.r0 = r0
@@ -573,7 +572,6 @@ class _TwistSearch:
         # end of its dict, in an order the set fixes; a rejected move leaves
         # the old dict and its order untouched.  That order fixes every draw
         # of _conflict_point.
-        self.through = {x: frozenset(members) for x, members in through.items()}
         self.below = {x: sorted(members) for x, members in through.items()}
         self.members = {
             x: [[i for i in members if i < end] for end in self.ends[:depth]]
@@ -709,13 +707,10 @@ class _TwistSearch:
                     total += m
                     counter[key] = m + 1
             tables[si], totals[si] = counter, total
-        through = self.through[x]
         for si in range(self.depth, len(self.specs)):
             pair = tables[si]
             if pair is not None:
                 i, j = pair
-                if i not in through and j not in through:
-                    continue
                 k = self.specs[si][1]
                 if prods[i] % k == prods[j] % k:
                     continue

@@ -13,6 +13,7 @@ from rankgradient.cache import (
     deserialize_table,
     serialize_table,
 )
+from rankgradient.cli import EXIT_OK, main
 from rankgradient.cosets import enumerate_cosets, validate
 from rankgradient.words import parse_presentation
 
@@ -81,8 +82,7 @@ def test_cached_enumerate_loads_no_openssl(tmp_path):
     assert out[-1] == "[]"
 
 
-def test_disabled_cache_counts_misses(monkeypatch):
-    monkeypatch.delenv("RANKGRADIENT_CACHE", raising=False)
+def test_disabled_cache_counts_misses():
     cache = TableCache()
     assert not cache.enabled and cache.directory is None
     pres, spec = parsed()
@@ -101,13 +101,21 @@ def test_cache_hit_after_miss(tmp_path):
     assert second.provenance == "cache"
 
 
-def test_env_var_enables_cache(tmp_path, monkeypatch):
+def run_main(capsys, *argv):
+    assert main(list(argv)) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_environment_cannot_change_a_report(tmp_path, monkeypatch, capsys):
+    # the cache directory comes from --cache-dir alone, so the config echo
+    # names every setting that can move a report's bytes
+    argv = ("enumerate", "--preset", "s3", "--format", "text")
+    plain = run_main(capsys, *argv)
+    assert "cache miss" in plain
     monkeypatch.setenv("RANKGRADIENT_CACHE", str(tmp_path))
-    cache = TableCache()
-    assert cache.enabled and cache.directory == str(tmp_path)
-    pres, spec = parsed()
-    cache.enumerate(pres, spec)
-    assert TableCache().enumerate(pres, spec).provenance == "cache"
+    assert [run_main(capsys, *argv) for _ in range(2)] == [plain, plain]
+    run_main(capsys, "validate", "--preset", "f2")
+    assert list(tmp_path.iterdir()) == []
 
 
 def corrupt(path, mangle):

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from rankgradient import __version__
-from rankgradient.cache import CACHE_DIR_ENV
 from rankgradient.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -196,9 +195,7 @@ def test_graphing_rejects_non_generating_gens(capsys, gens, rank):
 )
 def test_enumerate_cap_exits_0_or_3_and_names_the_cap(source, cap):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        os.environ.pop(CACHE_DIR_ENV, None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["enumerate", *source, "--coset-cap", str(cap)])
     assert code in (EXIT_OK, EXIT_BUDGET)
     if code == EXIT_BUDGET:
@@ -523,8 +520,7 @@ def subparsers():
     return subs.choices
 
 
-def echo_of(capsys, monkeypatch, command, *extra):
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+def echo_of(capsys, command, *extra):
     code, out, _ = run(capsys, command, *ECHO_ARGV[command], *extra)
     assert code == EXIT_OK
     return json.loads(out)["config"]
@@ -535,8 +531,8 @@ def test_every_command_has_an_echo_case():
 
 
 @pytest.mark.parametrize("command", sorted(ECHO_ARGV))
-def test_echo_keys_are_the_options_the_command_parses(capsys, monkeypatch, command):
-    config = echo_of(capsys, monkeypatch, command)
+def test_echo_keys_are_the_options_the_command_parses(capsys, command):
+    config = echo_of(capsys, command)
     dests = {a.dest for a in subparsers()[command]._actions if a.dest != "help"}
     want = {"command", "source"} | dests - {"preset", "input"}
     assert set(config) == want
@@ -545,25 +541,25 @@ def test_echo_keys_are_the_options_the_command_parses(capsys, monkeypatch, comma
 
 
 @pytest.mark.parametrize("command", sorted(ECHO_ARGV))
-def test_text_header_echoes_the_same_config(capsys, monkeypatch, command):
-    config = echo_of(capsys, monkeypatch, command)
+def test_text_header_echoes_the_same_config(capsys, command):
+    config = echo_of(capsys, command)
     _, out, _ = run(capsys, command, *ECHO_ARGV[command], "--format", "text")
     assert out.splitlines()[1] == "# config " + json.dumps({**config, "format": "text"})
 
 
-def test_tower_echoes_covers(capsys, monkeypatch):
-    assert echo_of(capsys, monkeypatch, "tower", "--covers")["covers"] is True
-    assert echo_of(capsys, monkeypatch, "tower")["covers"] is False
+def test_tower_echoes_covers(capsys):
+    assert echo_of(capsys, "tower", "--covers")["covers"] is True
+    assert echo_of(capsys, "tower")["covers"] is False
 
 
-def test_chain_echoes_the_index_cap_in_effect(capsys, monkeypatch):
-    assert echo_of(capsys, monkeypatch, "chain")["index_cap"] == 10000
-    assert echo_of(capsys, monkeypatch, "chain", "--index-cap", "7")["index_cap"] == 7
-    assert "effort" not in echo_of(capsys, monkeypatch, "chain")
+def test_chain_echoes_the_index_cap_in_effect(capsys):
+    assert echo_of(capsys, "chain")["index_cap"] == 10000
+    assert echo_of(capsys, "chain", "--index-cap", "7")["index_cap"] == 7
+    assert "effort" not in echo_of(capsys, "chain")
 
 
-def test_lowindex_echoes_no_settings_it_does_not_take(capsys, monkeypatch):
-    config = echo_of(capsys, monkeypatch, "lowindex")
+def test_lowindex_echoes_no_settings_it_does_not_take(capsys):
+    config = echo_of(capsys, "lowindex")
     assert not {"effort", "primes", "seed", "depth"} & set(config)
     assert config == {"command": "lowindex", "format": "json", "max": 2,
                       "source": "preset:f2"}

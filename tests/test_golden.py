@@ -13,13 +13,11 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from rankgradient.cache import CACHE_DIR_ENV
 from rankgradient.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -89,8 +87,7 @@ def golden_path(name):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_output(name, monkeypatch):
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+def test_golden_output(name):
     code, out = run_cli(COMMANDS[name].split())
     assert code == EXIT_OK
     with open(golden_path(name), "r", encoding="utf-8", newline="") as fh:
@@ -107,7 +104,6 @@ def test_golden_report_body_unchanged(name):
 
 
 if __name__ == "__main__":
-    os.environ.pop(CACHE_DIR_ENV, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, command in sorted(COMMANDS.items()):
         code, out = run_cli(command.split())

@@ -357,10 +357,8 @@ def test_loop_screen_needs_p_2_on_fig8(monkeypatch):
 ])
 def test_graphing_goldens_trip_no_coset_cap(monkeypatch, capsys, argv):
     import rankgradient.cosets as cosets
-    from rankgradient.cache import CACHE_DIR_ENV
     from rankgradient.cli import EXIT_OK, main
 
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
     hlt = cosets._hlt
     defined, trips = [], []
 

@@ -11,9 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from rankgradient.cache import CACHE_DIR_ENV, TableCache
+from rankgradient.cache import TableCache
 from rankgradient.chains import (
-    REPORT_SCHEMA_VERSION,
     Chain,
     GradientReport,
     LevelStats,
@@ -88,8 +87,7 @@ EQUAL_PAIRS = {
     ),
     "GradientReport": lambda: (
         GradientReport("p", (2,), (LevelStats(0, 1),)),
-        GradientReport(chain_provenance="p", primes=(2,), levels=(LevelStats(0, 1),),
-                       schema_version=REPORT_SCHEMA_VERSION),
+        GradientReport(chain_provenance="p", primes=(2,), levels=(LevelStats(0, 1),)),
     ),
     "HomologyReport": lambda: (
         HomologyReport(0, {2: 1}),
@@ -105,7 +103,7 @@ EQUAL_PAIRS = {
     ),
     "FiniteGroupData": lambda: (
         finite_group_data(s3()),
-        FiniteGroupData(pres=s3(), table=enumerate_cosets(s3(), SubgroupSpec((), name="1")),
+        FiniteGroupData(pres=s3(), table=enumerate_cosets(s3()),
                         order=6, rank=2, b1p={2: 1, 3: 0, 5: 0}),
     ),
     "CoverGraph": lambda: (s3_cover(), s3_cover()),
@@ -123,7 +121,7 @@ EQUAL_PAIRS = {
         TowerReport(mu_target=Fraction(0), levels=(comparison(),), limit_d=Fraction(1, 6),
                     limit_b1p={2: Fraction(1, 6)}, limit_beta1=Fraction(5, 6)),
     ),
-    "TableCache": lambda: (TableCache("d"), TableCache(directory="d", hits=0, misses=0)),
+    "TableCache": lambda: (TableCache("d"), TableCache(directory="d")),
 }
 
 # Records holding a dict, and the two mutable-or-custom-equality records,
@@ -165,14 +163,11 @@ def test_frozen_records_reject_assignment(name):
             setattr(record, attr, None)
 
 
-def test_table_cache_is_mutable_and_falls_back_to_the_environment(tmp_path, monkeypatch):
-    cache = TableCache(str(tmp_path), 1, 2)
+def test_table_cache_is_mutable_and_disabled_without_a_directory(tmp_path):
+    cache = TableCache(str(tmp_path))
     cache.hits += 1
-    assert (cache.directory, cache.hits, cache.misses) == (str(tmp_path), 2, 2)
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    assert TableCache() == TableCache(str(tmp_path))
-    assert TableCache().directory == str(tmp_path)
-    monkeypatch.delenv(CACHE_DIR_ENV)
+    assert (cache.directory, cache.hits, cache.misses) == (str(tmp_path), 1, 0)
+    assert cache != TableCache(str(tmp_path))
     assert TableCache().directory is None and not TableCache().enabled
     assert TableCache() != TableCache(str(tmp_path))
 

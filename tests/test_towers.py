@@ -563,7 +563,7 @@ def test_rejected_move_leaves_no_trace():
         fast = _TwistSearch(*layout)
         depth = fast.depth
         rng = random.Random(17)
-        points = sorted(fast.through)
+        points = sorted(fast.below)
         for _ in range(50):
             twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
             prods = fast._products(twists)
@@ -615,7 +615,7 @@ def test_conflict_point_keeps_the_colliding_keys_of_a_kept_table():
     layout = search_layout("s3", "3/4", 0, 12, 2)
     fast = _TwistSearch(*layout)
     rng = random.Random(11)
-    points = sorted(fast.through)
+    points = sorted(fast.below)
     twists = [rng.randrange(fast.kmax) for _ in range(fast.n0)]
     prods = fast._products(twists)
     tables, totals = fast._tables(prods)

@@ -8,7 +8,6 @@ rebind module attributes, so they run in a subprocess of their own.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +43,9 @@ print(json.dumps({"codes": codes, "tower": tower, "chain": chain, "graphing": gr
 
 
 def test_span_hooks_wrap_and_count(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "RANKGRADIENT_CACHE"}
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT), str(tmp_path / "spans.jsonl")],
-        env=env, capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
