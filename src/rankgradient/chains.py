@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from .cosets import (
     DEFAULT_COSET_CAP,
+    classes_of_index,
     contains,
     enumerate_cosets,
     intersect,
     is_normal,
     normal_core,
-    subgroups_of_index,
 )
 from .errors import BudgetError, InternalInvariantError, RelatorLengthExceeded
 from .homology import DEFAULT_PRIMES
@@ -91,7 +91,9 @@ def farber_chain(
     coset_cap: int = DEFAULT_COSET_CAP,
 ) -> Chain:
     """Normal-core chain: level 1 = H, level n = core(H) meet Delta_n, where
-    Delta_n intersects every subgroup of index at most n.
+    Delta_n intersects every subgroup of index at most n.  The subgroups of
+    one conjugacy class meet in the normal core of any of them, so Delta_n
+    is built from the normal cores of the class tables of each index.
 
     Levels from 2 on are normal.  Hitting the index cap truncates the chain
     with a marker instead of failing; a Delta_n past the cap is counted by
@@ -111,7 +113,8 @@ def farber_chain(
         delta = None  # running intersection of all subgroups of index <= n
         for n in range(2, depth + 1):
             try:
-                for t in subgroups_of_index(pres, n):
+                for table, _ in classes_of_index(pres, n):
+                    t = normal_core(table)  # the intersection of its class
                     if delta is not None and contains(t, delta):
                         continue  # intersection already inside t
                     delta = t if delta is None else intersect(delta, t, index_cap)
@@ -165,6 +168,8 @@ def hnn_chain(
 def lamplighter_presentation(m: int) -> Presentation:
     """Finite wreath quotient (Z/2 by Z/2^m): <a,t | a^2, t^(2^m),
     [a, t^-i a t^i] for 1 <= i <= 2^(m-1)>."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     relators = [(1, 1), (2,) * (2 ** m)]
     for i in range(1, 2 ** (m - 1) + 1):
         conj = tuple([-2] * i + [1] + [2] * i)

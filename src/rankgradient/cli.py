@@ -27,6 +27,7 @@ from .chains import (
     gradient_sequence,
     hnn_chain,
     lamplighter_chain,
+    lamplighter_presentation,
     report_to_csv,
     report_to_obj,
 )
@@ -193,6 +194,8 @@ def build_chain(args, pres, specs, source):
             m = int(source.rsplit("lamplighter", 1)[1])
         if m is None:
             raise ParseError("lamplighter chains need --m")
+        if pres != lamplighter_presentation(m):
+            raise ParseError(f"{source} is not the lamplighter presentation for --m {m}")
         return lamplighter_chain(m, args.depth, coset_cap=args.coset_cap)
     raise ParseError(f"unknown chain kind {kind!r}")
 

@@ -5,8 +5,7 @@ conjugacy class, subgroup intersection via product actions, and normal
 cores via the regular representation of the permutation image.  Enumeration
 fills one flat int table under a live-coset cap.  Low-index search finds one
 table per conjugacy class with its class size, checks only the relator
-traces through each new edge, and ``subgroups_of_index`` expands the classes
-to every subgroup (see ``enumerate_cosets``, ``_search_index``).
+traces through each new edge (see ``enumerate_cosets``, ``_search_index``).
 
 Conventions: coset 0 is the subgroup itself, words act on the right, and a
 table's permutations are listed per generator.  Enumeration, intersection
@@ -344,9 +343,8 @@ def low_index(pres: Presentation, n_max: int):
     The table is the least of the class's numberings (see
     ``_search_index``) and the class size is k / [N_G(H) : H] at index k,
     so the sizes of index k sum to the number of subgroups of index k.
-    ``subgroups_of_index`` lists every subgroup.  Output order is
-    deterministic: ascending index, then lexicographic table.  The search
-    visits at most ``DEFAULT_NODE_CAP`` nodes.
+    Output order is deterministic: ascending index, then lexicographic
+    table.  The search visits at most ``DEFAULT_NODE_CAP`` nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -357,34 +355,17 @@ def low_index(pres: Presentation, n_max: int):
     return found
 
 
-def subgroups_of_index(pres: Presentation, k: int):
-    """Every subgroup of index exactly k, one table each, in lexicographic
-    order: each class table renumbered from each of its k base cosets, with
-    duplicates dropped.  The search of index k alone visits at most
+def classes_of_index(pres: Presentation, k: int):
+    """The (class table, class size) pairs of index exactly k, as
+    ``low_index`` lists them; the search of index k alone visits at most
     ``DEFAULT_NODE_CAP`` nodes."""
-    classes = _index_classes(pres, k, [0, DEFAULT_NODE_CAP, []])
-    tables = {_renumbered(table.perms, b) for table, _ in classes for b in range(k)}
-    return [CosetTable(pres, t) for t in sorted(tables)]
+    return _index_classes(pres, k, [0, DEFAULT_NODE_CAP, []])
 
 
 def _index_classes(pres, k, budget):
     classes = []
     _search_index(pres, k, classes, budget)
     return [(CosetTable(pres, t), size) for t, size in sorted(classes)]
-
-
-def _renumbered(perms, base):
-    """``perms`` renumbered from coset ``base`` by first touch: cosets are
-    numbered as they are first reached in slot order (coset, then
-    generator), the numbering ``_search_index`` builds."""
-    number = {base: 0}
-    order = [base]
-    for c in order:  # order grows while the loop runs
-        for p in perms:
-            if p[c] not in number:
-                number[p[c]] = len(order)
-                order.append(p[c])
-    return tuple(tuple(number[p[c]] for c in order) for p in perms)
 
 
 def _search_index(pres, k, out, budget):

@@ -102,15 +102,11 @@ class CoverGraph:
 
     Points are the edges of the covering graph, A-orbits its vertices; every
     A-orbit has size 1 or |A|.  ``a_perms`` holds one permutation per
-    generator of A.  ``known_orbit_map`` is the orbit map of a cover with
-    the same a_perms, when the caller has one (the A-orbits do not depend
-    on sigma); equality does not read it.
+    generator of A.
     """
 
-    def __init__(self, group, n, a_perms, sigma, known_orbit_map=None):
-        self.__dict__.update(
-            group=group, n=n, a_perms=a_perms, sigma=sigma, known_orbit_map=known_orbit_map
-        )
+    def __init__(self, group, n, a_perms, sigma):
+        self.__dict__.update(group=group, n=n, a_perms=a_perms, sigma=sigma)
 
     __setattr__ = __delattr__ = read_only
 
@@ -121,15 +117,9 @@ class CoverGraph:
             other.group, other.n, other.a_perms, other.sigma
         )
 
-    def __hash__(self):
-        return hash((self.group, self.n, self.a_perms, self.sigma))
-
     @cached_property
     def _orbit_map(self):
-        """(A-orbits, orbit id of each point), computed once per cover
-        unless known_orbit_map supplies it."""
-        if self.known_orbit_map is not None:
-            return self.known_orbit_map
+        """(A-orbits, orbit id of each point), computed once per cover."""
         ids = [None] * self.n
         orbits = []
         for x in range(self.n):
@@ -299,25 +289,17 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
                 perm[x] = fixed + block * a + group.table.perms[g][e]
         a_perms.append(tuple(perm))
     a_perms = tuple(a_perms)
-    # the A-orbits are the fixed points and the blocks, whatever the route
-    orbit_map = CoverGraph(group=group, n=n, a_perms=a_perms, sigma=tuple(range(n)))._orbit_map
-    ids = orbit_map[1]
     block_points = [list(range(fixed + b * a, fixed + (b + 1) * a)) for b in range(regular)]
 
     def cover_for(route):
         sigma = [0] * n
         for i, x in enumerate(route):
             sigma[x] = route[(i + 1) % n]
-        return CoverGraph(
-            group=group,
-            n=n,
-            a_perms=a_perms,
-            sigma=tuple(sigma),
-            known_orbit_map=orbit_map,
-        )
+        return CoverGraph(group=group, n=n, a_perms=a_perms, sigma=tuple(sigma))
 
-    def edge_profile(sigma):
+    def edge_profile(cover):
         """(max multiplicity, loop count) of the covering graph."""
+        ids, sigma = cover.orbit_ids(), cover.sigma
         counts = {}
         loops = 0
         for x in range(n):
@@ -400,7 +382,7 @@ def _base_cover(group, mu: Fraction, scale: int, rng_seed: int = 0, chain_len: i
         if not ok:
             continue
         cover = cover_for(route)
-        multiplicity, loops = edge_profile(cover.sigma)
+        multiplicity, loops = edge_profile(cover)
         clean = loops == 0 and multiplicity <= 2
         radius = injectivity_radius(cover)
         if radius < floor:

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from rankgradient import chains
 from rankgradient.chains import (
+    DEFAULT_CHAIN_INDEX_CAP,
     farber_chain,
     farber_defect,
     gradient_sequence,
@@ -24,8 +26,9 @@ from rankgradient.cosets import (
     intersect,
     is_normal,
     normal_core,
+    with_schreier_spec,
 )
-from rankgradient.errors import BudgetError
+from rankgradient.errors import BudgetError, IntersectionTooLarge
 from rankgradient.subgroups import RankBounds
 from rankgradient.words import free_reduce, parse_presentation
 
@@ -37,6 +40,10 @@ FIG8 = "gens a b t\nrel t^-1 a t = b^-1\nrel t^-1 b t = b^2 a b\n"
 def parsed(text):
     pres, specs = parse_presentation(text)
     return pres, (specs[0] if specs else None)
+
+
+def preset_text(name):
+    return resources.files("rankgradient.presets").joinpath(name + ".txt").read_text()
 
 
 def test_hnn_fig8_indices_and_rank():
@@ -140,26 +147,36 @@ def test_farber_chain_seed_above_the_index_cap_is_not_a_level():
     assert chain.truncated == "stopped before level 1: level index 16 exceeds cap 5"
 
 
-def reference_farber_levels(pres, spec, depth):
-    """Levels 1..depth as the chain once built them: level n took every
-    index-n table, in order, from a search that lists each subgroup (the
-    full-rescan oracle of the coset tests)."""
+def reference_farber_levels(pres, spec, depth, index_cap=None):
+    """(levels, stopped): levels 1, 2, ... as the chain once built them,
+    where level n took every index-n table, in order, from a search that
+    lists each subgroup (the full-rescan oracle of the coset tests).  Under
+    an index cap they stop before the first level whose index, or whose
+    Delta_n's, is larger; ``stopped`` is that level, or None."""
     h_table = enumerate_cosets(pres, spec)
+    if index_cap is not None and h_table.index > index_cap:
+        return [], 1
     core = normal_core(h_table)
     levels, delta = [h_table], None
     for n in range(2, depth + 1):
         found = []
         reference_search_index(pres, n, found, [0, cosets.DEFAULT_NODE_CAP, []])
-        for t in (CosetTable(pres, perms) for perms in sorted(found)):
-            if delta is None or not contains(t, delta):
-                delta = t if delta is None else intersect(delta, t)
-        levels.append(intersect(core, delta) if delta is not None else core)
-    return levels
+        try:
+            for t in (CosetTable(pres, perms) for perms in sorted(found)):
+                if delta is None or not contains(t, delta):
+                    delta = t if delta is None else intersect(delta, t, index_cap)
+        except IntersectionTooLarge:
+            return levels, n
+        level = intersect(core, delta) if delta is not None else core
+        if index_cap is not None and level.index > index_cap:
+            return levels, n
+        levels.append(level)
+    return levels, None
 
 
 def test_farber_chain_searches_each_index_once(monkeypatch):
     pres, spec = parsed("gens a b\nsub K normal a^4, b^4, a b a^-1 b^-1\n")
-    reference = reference_farber_levels(pres, spec, 3)
+    reference, _ = reference_farber_levels(pres, spec, 3)
     searches = []  # (index, nodes) per low-index search
     search_index = cosets._search_index
 
@@ -173,6 +190,45 @@ def test_farber_chain_searches_each_index_once(monkeypatch):
     assert chain.truncated.startswith("stopped before level 4: intersection index")
     assert searches == [(2, 13), (3, 49), (4, 195)]
     assert [t.perms for t in chain.levels[1:]] == [t.perms for t in reference]
+
+
+def surface2_point_stabilizer():
+    # a = (0 1) and d = (1 2) with b, c trivial satisfy [a, b][c, d] and
+    # act as S3, so the stabilizer of coset 0 has index 3 and is not normal
+    pres = parsed(preset_text("surface2"))[0]
+    table = CosetTable(pres, ((1, 0, 2), (0, 1, 2), (0, 1, 2), (0, 2, 1)))
+    return pres, with_schreier_spec(table).spec
+
+
+FARBER_SEEDS = {
+    "f2-H": lambda: parsed("gens a b\nsub H a, b^2, b a b^-1\n"),
+    "f2-preset-K": lambda: parsed(preset_text("f2")),
+    "surface2-stabilizer": surface2_point_stabilizer,
+    # A5 has no proper subgroup of index below 5 and one class of index 5,
+    # the point stabilizers A4: Delta_5 is their core, the trivial group,
+    # where one class table alone would leave an A4 of index 5
+    "a5-whole": lambda: parsed("gens a b\nrel a^2\nrel b^3\nrel a b a b a b a b a b\n"
+                               "sub G a, b\n"),
+}
+
+
+@pytest.mark.parametrize("seed, depth, index_cap", [
+    ("f2-H", 3, DEFAULT_CHAIN_INDEX_CAP),
+    ("f2-preset-K", 3, DEFAULT_CHAIN_INDEX_CAP),
+    ("surface2-stabilizer", 3, DEFAULT_CHAIN_INDEX_CAP),
+    ("f2-preset-K", 3, 20),
+    ("f2-preset-K", 3, 100),
+    ("a5-whole", 5, DEFAULT_CHAIN_INDEX_CAP),
+])
+def test_farber_levels_match_the_every_subgroup_oracle(seed, depth, index_cap):
+    pres, spec = FARBER_SEEDS[seed]()
+    chain = farber_chain(pres, spec, depth, index_cap=index_cap)
+    reference, stopped = reference_farber_levels(pres, spec, depth, index_cap)
+    assert [t.perms for t in chain.levels[1:]] == [t.perms for t in reference]
+    if stopped is None:
+        assert chain.truncated is None
+    else:
+        assert chain.truncated.startswith(f"stopped before level {stopped}: ")
 
 
 def test_farber_chain_node_cap_covers_one_index(monkeypatch):

@@ -332,6 +332,34 @@ def test_hnn_input_without_a_z_quotient_is_a_parse_error(capsys, tmp_path):
     assert "does not map onto Z" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--preset", "f2", "--kind", "lamplighter", "--m", "2"),
+     "preset:f2 is not the lamplighter presentation for --m 2"),
+    (("--preset", "lamplighter2", "--m", "3"),
+     "preset:lamplighter2 is not the lamplighter presentation for --m 3"),
+    (("--preset", "lamplighter2", "--m", "0"), "need m >= 1"),
+])
+def test_lamplighter_chain_of_another_group_is_a_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, "chain", *argv, "--depth", "2")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_lamplighter_chain_reads_its_input(capsys, tmp_path):
+    from importlib import resources
+
+    text = resources.files("rankgradient.presets").joinpath("lamplighter2.txt").read_text()
+    path = tmp_path / "w2.txt"
+    path.write_text(text)
+    code, by_file, _ = run(capsys, "chain", "--input", str(path), "--kind", "lamplighter",
+                           "--m", "2", "--depth", "2")
+    assert code == EXIT_OK
+    _, by_preset, _ = run(capsys, "chain", "--preset", "lamplighter2", "--depth", "2")
+    assert json.loads(by_file)["report"] == json.loads(by_preset)["report"]
+
+
 def test_reserved_generator_name_in_input_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("gens 1 a\nrel 1 a\n")

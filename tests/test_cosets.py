@@ -15,6 +15,7 @@ from rankgradient.cosets import (
     _hlt,
     _search_index,
     canonicalize,
+    classes_of_index,
     contains,
     enumerate_cosets,
     intersect,
@@ -23,7 +24,6 @@ from rankgradient.cosets import (
     normal_core,
     schreier_generators,
     schreier_transversal,
-    subgroups_of_index,
     validate,
     with_schreier_spec,
 )
@@ -39,6 +39,28 @@ def parsed(text):
 S3 = "gens a b\nrel a^3\nrel b^2\nrel a b a b\n"
 Z2Z2 = "gens a b\nrel a^2\nrel b^2\nrel a b a^-1 b^-1\n"
 SURFACE2 = "gens a b c d\nrel a b a^-1 b^-1 c d c^-1 d^-1\n"
+
+
+def renumbered(perms, base):
+    """``perms`` renumbered from coset ``base`` by first touch: cosets are
+    numbered as they are first reached in slot order (coset, then
+    generator), the numbering ``_search_index`` builds."""
+    number = {base: 0}
+    order = [base]
+    for c in order:  # order grows while the loop runs
+        for p in perms:
+            if p[c] not in number:
+                number[p[c]] = len(order)
+                order.append(p[c])
+    return tuple(tuple(number[p[c]] for c in order) for p in perms)
+
+
+def subgroups_of_index(pres, k):
+    """Every subgroup of index exactly k, one table each, in lexicographic
+    order: each class table renumbered from each of its k base cosets, with
+    duplicates dropped."""
+    tables = {renumbered(t.perms, b) for t, _ in classes_of_index(pres, k) for b in range(k)}
+    return [CosetTable(pres, t) for t in sorted(tables)]
 
 
 def every_subgroup(pres, n_max):
@@ -682,9 +704,9 @@ def assert_classes_expand_to(pres, k, classes, subgroups):
     # each class table is the least of its k renumberings, and its size
     # is k over the number of base cosets that give the table itself
     for perms, size in classes:
-        renumbered = [cosets._renumbered(perms, b) for b in range(k)]
-        assert slot_key(perms) == min(map(slot_key, renumbered))
-        assert size * renumbered.count(perms) == k
+        numberings = [renumbered(perms, b) for b in range(k)]
+        assert slot_key(perms) == min(map(slot_key, numberings))
+        assert size * numberings.count(perms) == k
     assert sum(size for _, size in classes) == len(subgroups)
     # expanded, the classes are the oracle's subgroups in the old order
     assert [t.perms for t in subgroups_of_index(pres, k)] == sorted(subgroups)

@@ -46,11 +46,10 @@ def s3_table(spec=None, provenance=""):
     return CosetTable(table.pres, table.perms, spec, provenance)
 
 
-def s3_cover(known_orbit_map=None):
+def s3_cover():
     # A = S3 acting on itself; sigma joins nothing, so the cover is A alone
     group = finite_group_data(s3())
-    return CoverGraph(group, group.order, group.table.perms, tuple(range(group.order)),
-                      known_orbit_map)
+    return CoverGraph(group, group.order, group.table.perms, tuple(range(group.order)))
 
 
 def predictions():
@@ -149,7 +148,7 @@ FIELD = {
     "Presentation": "relators", "SubgroupSpec": "name", "CosetTable": "provenance",
     "Chain": "levels", "LevelStats": "note", "GradientReport": "levels",
     "HomologyReport": "beta1", "Graphing": "fibers", "LGraphingCertificate": "verdict",
-    "FiniteGroupData": "order", "CoverGraph": "known_orbit_map", "Predictions": "d",
+    "FiniteGroupData": "order", "CoverGraph": "sigma", "Predictions": "d",
     "LevelComparison": "radius", "TowerReport": "levels",
 }
 
@@ -190,16 +189,13 @@ def test_coset_table_equality_ignores_spec_and_provenance():
     assert plain != CosetTable(Presentation(("x", "y")), plain.perms)
 
 
-def test_cover_graph_equality_ignores_known_orbit_map():
+def test_cover_graph_caches_its_orbit_map_and_equality_reads_sigma():
     computed = s3_cover()
     orbit_map = computed._orbit_map
     assert computed._orbit_map is orbit_map  # cached after the first read
-    given = s3_cover(known_orbit_map=("given", None))
-    assert given == computed
-    assert given._orbit_map == ("given", None)
-    assert given.known_orbit_map == ("given", None) and computed.known_orbit_map is None
+    assert orbit_map == ([tuple(range(6))], [0] * 6)  # A is transitive on itself
     other = CoverGraph(computed.group, computed.n, computed.a_perms, computed.sigma[::-1])
-    assert other != computed
+    assert other != computed and other.orbit_ids() == computed.orbit_ids()
 
 
 def test_graphing_equality_reads_level_and_fibers():
