@@ -23,9 +23,9 @@ from .cosets import (
     is_normal,
     normal_core,
 )
-from .errors import BudgetError, InternalInvariantError, RelatorLengthExceeded
+from .errors import BudgetError, InternalInvariantError
 from .homology import DEFAULT_PRIMES
-from .subgroups import RankBounds, rank_bounds, subgroup_homology
+from .subgroups import rank_bounds, subgroup_homology
 from .words import Presentation, SubgroupSpec, Word, csv_table, frac_str, free_reduce
 
 DEFAULT_CHAIN_INDEX_CAP = 10_000
@@ -114,9 +114,10 @@ def farber_chain(
         for n in range(2, depth + 1):
             try:
                 for table, _ in classes_of_index(pres, n):
-                    t = normal_core(table)  # the intersection of its class
-                    if delta is not None and contains(t, delta):
-                        continue  # intersection already inside t
+                    # delta is normal: in the table's core iff in the table
+                    if delta is not None and contains(table, delta):
+                        continue
+                    t = normal_core(table)
                     delta = t if delta is None else intersect(delta, t, index_cap)
                     if delta.index > index_cap:
                         raise BudgetError(
@@ -239,46 +240,17 @@ class GradientReport(namedtuple("GradientReport", "chain_provenance primes level
 
 
 def _level_stats(table, level, primes):
-    """LevelStats of one level.  When rewriting for the Tietze upper bound
-    trips the relator length cap, the level keeps its homology and reports
-    the Schreier count 1 + index * (rank - 1), with a note naming the cap.
-    A note of the Tietze result (the step limit, refused eliminations) is
-    carried over, saying so when the spec words give a lower rank_upper
-    than Tietze, which the note then does not touch."""
+    """LevelStats of one level; a BudgetError makes it an error level."""
     try:
         report = subgroup_homology(table, primes)
-        try:
-            bounds = rank_bounds(table, report)
-            note = bounds.note
-        except RelatorLengthExceeded as exc:
-            bounds = RankBounds(
-                report.rank_lower, 1 + table.index * (table.pres.rank - 1)
-            )
-            note = f"rank_upper is the Schreier count: {exc}"
-        lower, upper = bounds
-        spec = table.spec
-        if spec is not None and not spec.normal and spec.generators:
-            # the spec words generate the subgroup by construction, so their
-            # count is a certified upper bound too
-            upper = max(min(upper, len(spec.generators)), lower)
-            if bounds.note and upper < bounds[1]:
-                note = (
-                    f"{bounds.note} (its bound is {bounds[1]}; rank_upper {upper} "
-                    "comes from the spec words and is unaffected)"
-                )
-        return LevelStats(
-            level=level,
-            index=table.index,
-            rank_lower=lower,
-            rank_upper=upper,
-            schreier_upper=None,  # filled in sequentially afterwards
-            beta1=report.beta1,
-            b1p=dict(report.b1p),
-            exact=lower == upper,
-            note=note,
-        )
+        lower, upper = bounds = rank_bounds(table, report)
     except BudgetError as exc:
         return LevelStats(level=level, index=table.index, error=str(exc))
+    return LevelStats(
+        level=level, index=table.index, rank_lower=lower, rank_upper=upper,
+        schreier_upper=None,  # filled in sequentially afterwards
+        beta1=report.beta1, b1p=dict(report.b1p), exact=lower == upper, note=bounds.note,
+    )
 
 
 def gradient_sequence(chain: Chain, primes=DEFAULT_PRIMES) -> GradientReport:

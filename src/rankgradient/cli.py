@@ -194,7 +194,13 @@ def build_chain(args, pres, specs, source):
             m = int(source.rsplit("lamplighter", 1)[1])
         if m is None:
             raise ParseError("lamplighter chains need --m")
-        if pres != lamplighter_presentation(m):
+        # W_m has r = 2^(m-1) commutators and 2r^2 + 8r + 2 letters in all:
+        # compare the names and both counts before building it
+        r = len(pres.relators) - 2
+        if m >= 1 and not (
+            pres.generators == ("a", "t") and r.bit_length() == m and r == 1 << (m - 1)
+            and sum(map(len, pres.relators)) == 2 * r * r + 8 * r + 2
+        ) or pres != lamplighter_presentation(m):
             raise ParseError(f"{source} is not the lamplighter presentation for --m {m}")
         return lamplighter_chain(m, args.depth, coset_cap=args.coset_cap)
     raise ParseError(f"unknown chain kind {kind!r}")

@@ -182,9 +182,10 @@ class _Relator:
         return _canonical_relator_key(self.word)
 
 
-def _join_reduced(chunks):
+def _join_reduced(chunks, cap):
     """Free reduction of the concatenation of freely reduced words: letters
-    cancel only where the kept part of one chunk meets the next."""
+    cancel only where the kept part of one chunk meets the next.  None when
+    it has more than cap letters, found before the word is built."""
     kept = []  # [word, start, end]: word[start:end] survives so far
     for w in chunks:
         i, n = 0, len(w)
@@ -198,6 +199,8 @@ def _join_reduced(chunks):
                 kept.pop()
         if i < n:
             kept.append([w, i, n])
+    if sum(n - i for _, i, n in kept) > cap:
+        return None
     out = []
     for w, i, n in kept:
         out += w[i:n]
@@ -245,8 +248,8 @@ def _substituted(rel, g, relators):
                 chunks += (s[start:i], image[s[i]])
                 start = i + 1
             chunks.append(s[start:])
-            changed[other] = w = _join_reduced(chunks)
-            if len(w) > DEFAULT_RELATOR_CAP:
+            changed[other] = w = _join_reduced(chunks, DEFAULT_RELATOR_CAP)
+            if w is None:
                 return None
     return changed
 
@@ -332,8 +335,8 @@ def tietze_simplify(pres: Presentation) -> Presentation:
 
 
 class RankBounds(tuple):
-    """The rank interval (lower, upper); ``note`` is the note of the Tietze
-    result the upper bound came from, or None."""
+    """The rank interval (lower, upper); ``note`` names a cap or limit met
+    in bounding it, or is None."""
 
     def __new__(cls, lower, upper, note=None):
         bounds = super().__new__(cls, (lower, upper))
@@ -343,20 +346,38 @@ class RankBounds(tuple):
 
 def rank_bounds(table: CosetTable, report) -> RankBounds:
     """Rank interval [lower, upper] for the subgroup of the table, given
-    its homology report.
+    its homology report, with a note naming a cap met in bounding it.
 
-    lower: best homology bound (beta1 and b_{1,p}); upper: generator count
-    after Tietze simplification of the rewritten presentation.  Over a
-    relator-free ambient group Tietze removes no generator, so that count
-    is the Schreier count 1 + index * (rank - 1), taken without rewriting.
+    lower: best homology bound (beta1 and b_{1,p}).  upper: the least
+    certified generator count among the word count of a plain spec and
+    the Schreier count 1 + index * (rank - 1), over a relator-free ambient
+    group (where Tietze removes no generator) or when rewriting trips the
+    relator cap, else the Tietze count of the rewritten presentation.
     """
     lower = report.rank_lower
-    note = None
-    if not table.pres.relators:
-        upper = 1 + table.index * (table.pres.rank - 1)
-    else:
-        simplified = tietze_simplify(rewrite_presentation(table))
-        upper, note = simplified.rank, simplified.note
+    upper = 1 + table.index * (table.pres.rank - 1)  # the Schreier count
+    note = capped = None
+    if table.pres.relators:
+        try:
+            rewritten = rewrite_presentation(table)
+        except RelatorLengthExceeded as exc:
+            capped = exc
+        else:
+            simplified = tietze_simplify(rewritten)
+            upper, note = simplified.rank, simplified.note
+    spec = table.spec
+    words = len(spec.generators) if spec is not None and not spec.normal else 0
+    if 0 < words < upper:
+        if capped:
+            note = f"rank_upper comes from the spec words, not the Schreier count {upper}: {capped}"
+        elif note:
+            note = (
+                f"{note} (its bound is {upper}; rank_upper {words} "
+                "comes from the spec words and is unaffected)"
+            )
+        upper = words
+    elif capped:
+        note = f"rank_upper is the Schreier count: {capped}"
     if lower > upper:
         raise AssertionError(f"rank bounds crossed: {lower} > {upper}")
     return RankBounds(lower, upper, note)

@@ -29,8 +29,9 @@ from rankgradient.cosets import (
     with_schreier_spec,
 )
 from rankgradient.errors import BudgetError, IntersectionTooLarge
-from rankgradient.subgroups import RankBounds
-from rankgradient.words import free_reduce, parse_presentation
+from rankgradient import subgroups
+from rankgradient.homology import HomologyReport
+from rankgradient.words import Presentation, free_reduce, parse_presentation
 
 from test_cosets import reference_search_index
 
@@ -192,6 +193,21 @@ def test_farber_chain_searches_each_index_once(monkeypatch):
     assert [t.perms for t in chain.levels[1:]] == [t.perms for t in reference]
 
 
+def test_farber_chain_builds_only_the_cores_it_meets(monkeypatch):
+    # Delta_n is normal, so a class table whose core would be skipped is
+    # skipped on the table itself: 11 normal cores at f2 depth 4, seed
+    # included, against 14 when every class table's core was built first
+    pres, spec = parsed(preset_text("f2"))
+    built = []
+    core = chains.normal_core
+    monkeypatch.setattr(chains, "normal_core", lambda table: built.append(1) or core(table))
+    chain = farber_chain(pres, spec, 4)
+    assert chain.truncated == (
+        "stopped before level 4: intersection index 31104 exceeds cap 10000"
+    )
+    assert len(built) == 11
+
+
 def surface2_point_stabilizer():
     # a = (0 1) and d = (1 2) with b, c trivial satisfy [a, b][c, d] and
     # act as S3, so the stabilizer of coset 0 has index 3 and is not normal
@@ -308,6 +324,11 @@ def test_relator_cap_keeps_the_level_and_names_the_cap():
     assert all("note" not in lv for lv in json.loads(report_to_json(fig8))["levels"])
 
 
+def tietze_result(rank, note=None):
+    """A stand-in for the result of ``tietze_simplify``: rank generators."""
+    return Presentation(generators=tuple(f"x{i}" for i in range(rank)), relators=(), note=note)
+
+
 def test_tietze_note_says_when_the_spec_words_give_rank_upper(monkeypatch):
     # fig8 level 4 has 3 spec words
     table = hnn_chain(parsed(FIG8)[0], "t", 4).levels[4]
@@ -318,7 +339,35 @@ def test_tietze_note_says_when_the_spec_words_give_rank_upper(monkeypatch):
         (5, f"{note} (its bound is 5; rank_upper 3 comes from the spec words and is unaffected)"),
     ]:
         monkeypatch.setattr(
-            chains, "rank_bounds", lambda table, report: RankBounds(3, tietze_upper, note)
+            subgroups, "tietze_simplify", lambda pres: tietze_result(tietze_upper, note)
         )
         st = chains._level_stats(table, 4, (2,))
         assert (st.rank_upper, st.note) == (3, expected)
+
+
+def test_relator_cap_note_says_when_the_spec_words_give_rank_upper():
+    # Z/10001 x Z: rewriting trips the relator cap on every level, and from
+    # level 2 on the 2 spec words <a, t^n> undercut the Schreier count n + 1
+    pres = parsed("gens a t\nrel a^10001\nrel t^-1 a t a^-1\n")[0]
+    report = gradient_sequence(hnn_chain(pres, "t", 3))
+    cap = "relator length 10001 exceeds cap 10000 (coset 0)"
+    assert [(st.rank_lower, st.rank_upper) for st in report.levels] == [(1, 2)] * 4
+    assert [st.note for st in report.levels] == [
+        f"rank_upper is the Schreier count: {cap}",
+        f"rank_upper is the Schreier count: {cap}",
+        f"rank_upper comes from the spec words, not the Schreier count 3: {cap}",
+        f"rank_upper comes from the spec words, not the Schreier count 4: {cap}",
+    ]
+
+
+def test_spec_word_bound_below_the_homology_floor_is_crossed(monkeypatch):
+    # fig8 level 4: its 3 spec words fall below a homology floor patched to
+    # 4, under a Tietze count of 5; the bound is checked, not lifted to 4
+    table = hnn_chain(parsed(FIG8)[0], "t", 4).levels[4]
+    assert len(table.spec.generators) == 3
+    monkeypatch.setattr(
+        chains, "subgroup_homology", lambda table, primes: HomologyReport(4, {2: 4})
+    )
+    monkeypatch.setattr(subgroups, "tietze_simplify", lambda pres: tietze_result(5))
+    with pytest.raises(AssertionError, match=r"rank bounds crossed: 4 > 3"):
+        chains._level_stats(table, 4, (2,))

@@ -347,6 +347,33 @@ def test_lamplighter_chain_of_another_group_is_a_parse_error(capsys, argv, messa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m", ["14", "1000000000"])
+def test_lamplighter_m_is_checked_before_w_m_is_built(capsys, m):
+    # W_m has 2^(m-1) + 2 relators of about 4^m letters in all: the preset
+    # W_2's relator count refuses m at once
+    start = time.monotonic()
+    code, out, err = run(capsys, "chain", "--preset", "lamplighter2", "--m", m, "--depth", "2")
+    assert time.monotonic() - start < 1
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"preset:lamplighter2 is not the lamplighter presentation for --m {m}" in err
+    assert "Traceback" not in err
+
+
+def test_lamplighter_letter_count_is_checked_before_w_m_is_built(capsys, tmp_path):
+    # 2 + 2^11 short relators have W_12's relator count but not its
+    # 2 * 2048^2 + 8 * 2048 + 2 letters, about 8.4 M
+    path = tmp_path / "short.txt"
+    path.write_text("gens a t\n" + "rel a t\n" * 2050)
+    start = time.monotonic()
+    code, out, err = run(capsys, "chain", "--input", str(path), "--kind", "lamplighter",
+                         "--m", "12", "--depth", "2")
+    assert time.monotonic() - start < 1
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "is not the lamplighter presentation for --m 12" in err
+
+
 def test_lamplighter_chain_reads_its_input(capsys, tmp_path):
     from importlib import resources
 

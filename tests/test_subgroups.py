@@ -6,13 +6,14 @@ from importlib import resources
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from rankgradient.chains import gradient_sequence, hnn_chain, lamplighter_chain
 from rankgradient.cosets import CosetTable, enumerate_cosets, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
     _canonical_relator_key,
+    _join_reduced,
     rank_bounds,
     rewrite_presentation,
     schreier_generators,
@@ -694,6 +695,32 @@ def relator_keys(draw):
 @settings(max_examples=500, deadline=None)
 def test_canonical_key_is_least_rotation(w):
     assert _canonical_relator_key(w) == rotation_key(w)
+
+
+@st.composite
+def capped_joins(draw):
+    """Freely reduced chunks, some starting with the inverse of the end of
+    the chunk before so that letters cancel across joins, the free
+    reduction of their concatenation, and a cap around its length."""
+    rank = draw(st.integers(1, 3))
+    chunks = []
+    for _ in range(draw(st.integers(0, 5))):
+        w = draw(words(rank))
+        if chunks and draw(st.booleans()):
+            last = chunks[-1]
+            w = invert(last[len(last) - draw(st.integers(0, len(last))):]) + w
+        chunks.append(free_reduce(w))
+    joined = free_reduce(tuple(x for w in chunks for x in w))
+    return chunks, joined, max(len(joined) + draw(st.integers(-3, 3)), 0)
+
+
+@seed(20070111)
+@given(capped_joins())
+@settings(max_examples=500, deadline=None)
+def test_capped_join_refuses_exactly_past_the_cap(data):
+    chunks, joined, cap = data
+    expected = None if len(joined) > cap else joined
+    assert _join_reduced(chunks, cap) == expected
 
 
 @st.composite
