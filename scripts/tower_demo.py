@@ -10,7 +10,7 @@ Run from the repository root:
 import argparse
 from fractions import Fraction
 
-from rankgradient.towers import build_tower, injectivity_radius, tower_report
+from rankgradient.towers import DEFAULT_TOWER_SCALE, build_tower, injectivity_radius, tower_report
 from rankgradient.words import parse_presentation
 
 S3 = "gens a b\nrel a^3\nrel b^2\nrel a b a b\n"
@@ -20,7 +20,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mu", type=Fraction, default=Fraction(3, 4))
     parser.add_argument("--depth", type=int, default=3)
-    parser.add_argument("--scale", type=int, default=12)
+    parser.add_argument("--scale", type=int, default=DEFAULT_TOWER_SCALE)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

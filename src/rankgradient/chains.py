@@ -178,6 +178,20 @@ def lamplighter_presentation(m: int) -> Presentation:
     return Presentation(generators=("a", "t"), relators=tuple(relators))
 
 
+def lamplighter_exponent(pres: Presentation):
+    """The m with ``pres == lamplighter_presentation(m)``, or None.
+
+    W_m has r = 2^(m-1) commutators and 2r^2 + 8r + 2 letters in all: the
+    names and both counts are compared before W_m is built.
+    """
+    r = len(pres.relators) - 2
+    if (pres.generators != ("a", "t") or r < 1 or r & (r - 1)
+            or sum(map(len, pres.relators)) != 2 * r * r + 8 * r + 2):
+        return None
+    m = r.bit_length()
+    return m if pres == lamplighter_presentation(m) else None
+
+
 def lamplighter_chain(m: int, depth: int, coset_cap: int = DEFAULT_COSET_CAP) -> Chain:
     """Levels inside the finite wreath quotient of exponent m.
 

@@ -27,7 +27,7 @@ from .chains import (
     gradient_sequence,
     hnn_chain,
     lamplighter_chain,
-    lamplighter_presentation,
+    lamplighter_exponent,
     report_to_csv,
     report_to_obj,
 )
@@ -36,6 +36,7 @@ from .errors import BudgetError, InternalInvariantError
 from .graphings import edge_measure, graphing_to_json_obj, minimize_graphing
 from .homology import DEFAULT_PRIMES
 from .towers import (
+    DEFAULT_TOWER_SCALE,
     build_tower,
     cover_to_json_obj,
     tower_report,
@@ -162,53 +163,32 @@ def cmd_lowindex(args):
     return emit(args, source, body_obj=obj, body_csv=csv_body, body_text=text)
 
 
-def build_chain(args, pres, specs, source):
-    kind = args.kind
-    if kind == "auto":
-        if args.sub:
-            kind = "farber"
-        elif source.startswith("preset:lamplighter"):
-            kind = "lamplighter"
-        elif args.stable in pres.generators:
-            kind = "hnn"
-        elif len(specs) == 1:
-            kind = "farber"
-        else:
+def build_chain(args, pres, specs):
+    """The chain the input and options name, in this order: --sub gives a
+    normal-core chain, an input equal to some W_m its lamplighter chain, a
+    --stable letter among the generators an HNN chain, and an input with one
+    subgroup a normal-core chain seeded by it."""
+    spec = pick_spec(args, specs)
+    if spec is None:
+        m = lamplighter_exponent(pres)
+        if m is not None:
+            return lamplighter_chain(m, args.depth, coset_cap=args.coset_cap)
+        if args.stable in pres.generators:
+            return hnn_chain(pres, args.stable, args.depth, coset_cap=args.coset_cap)
+        if len(specs) != 1:
             raise ParseError(
-                "cannot infer the chain kind; pass --kind farber|hnn|lamplighter"
+                "cannot tell which chain to build; pass --sub NAME for a normal-core "
+                "chain or --stable LETTER for an HNN chain"
             )
-    if kind == "farber":
-        spec = pick_spec(args, specs)
-        if spec is None:
-            if len(specs) != 1:
-                raise ParseError("farber chains need --sub naming the seed subgroup")
-            spec = next(iter(specs.values()))
-        return farber_chain(
-            pres, spec, args.depth, coset_cap=args.coset_cap, index_cap=args.index_cap
-        )
-    if kind == "hnn":
-        return hnn_chain(pres, args.stable, args.depth, coset_cap=args.coset_cap)
-    if kind == "lamplighter":
-        m = args.m
-        if m is None and source.startswith("preset:lamplighter"):
-            m = int(source.rsplit("lamplighter", 1)[1])
-        if m is None:
-            raise ParseError("lamplighter chains need --m")
-        # W_m has r = 2^(m-1) commutators and 2r^2 + 8r + 2 letters in all:
-        # compare the names and both counts before building it
-        r = len(pres.relators) - 2
-        if m >= 1 and not (
-            pres.generators == ("a", "t") and r.bit_length() == m and r == 1 << (m - 1)
-            and sum(map(len, pres.relators)) == 2 * r * r + 8 * r + 2
-        ) or pres != lamplighter_presentation(m):
-            raise ParseError(f"{source} is not the lamplighter presentation for --m {m}")
-        return lamplighter_chain(m, args.depth, coset_cap=args.coset_cap)
-    raise ParseError(f"unknown chain kind {kind!r}")
+        (spec,) = specs.values()
+    return farber_chain(
+        pres, spec, args.depth, coset_cap=args.coset_cap, index_cap=args.index_cap
+    )
 
 
 def cmd_chain(args, gradient_only=False):
     pres, specs, source = load_source(args)
-    chain = build_chain(args, pres, specs, source)
+    chain = build_chain(args, pres, specs)
     report = gradient_sequence(chain, primes=args.primes)
     body = report_to_obj(report)
     if not gradient_only:
@@ -242,7 +222,7 @@ def cmd_chain(args, gradient_only=False):
 
 def cmd_graphing(args):
     pres, specs, source = load_source(args)
-    chain = build_chain(args, pres, specs, source)
+    chain = build_chain(args, pres, specs)
     if not 0 <= args.level < len(chain.levels):
         raise ParseError(f"level {args.level} out of range 0..{len(chain.levels) - 1}")
     gens = None
@@ -399,11 +379,8 @@ def build_parser():
     cache_dir = _parent("--cache-dir", default=None, help="coset table cache")
 
     chain = argparse.ArgumentParser(add_help=False)
-    chain.add_argument("--kind", choices=("auto", "farber", "hnn", "lamplighter"),
-                       default="auto")
     chain.add_argument("--sub", help="seed subgroup name (farber)")
     chain.add_argument("--stable", default="t", help="stable letter (hnn)")
-    chain.add_argument("--m", type=int, default=None, help="wreath exponent (lamplighter)")
     chain.add_argument("--depth", type=int, required=True)
     chain.add_argument("--index-cap", type=_positive_int, default=DEFAULT_CHAIN_INDEX_CAP)
 
@@ -438,7 +415,7 @@ def build_parser():
     p.add_argument("--group", choices=("s3", "z2z2"), required=True)
     p.add_argument("--mu", type=_mu, required=True, help="rational, e.g. 3/4")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--scale", type=_positive_int, default=12)
+    p.add_argument("--scale", type=_positive_int, default=DEFAULT_TOWER_SCALE)
     p.add_argument("--seed", type=int, default=0, help="tower search seed")
     p.add_argument("--covers", action="store_true", help="embed the cover permutations")
 

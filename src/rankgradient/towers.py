@@ -30,6 +30,7 @@ STABLE_LETTER = "t"  # the generator of the Z factor
 DEFAULT_RADIUS_CAP = 64
 DEFAULT_SEARCH_RESTARTS = 6
 DEFAULT_SEARCH_MOVES = 300_000
+DEFAULT_TOWER_SCALE = 12  # multiplies the level-0 counts of fixed points and regular blocks
 BASE_POINT_CAP = 5_000  # points of a level-0 cover
 ROUTE_TRIES = 200  # at most 200 seeded sigma routes scored per level-0 layout
 
@@ -739,16 +740,16 @@ class _TwistSearch:
             return None
         return rng.choice(path)[0]
 
-    def solve(self, rng, restarts=DEFAULT_SEARCH_RESTARTS, moves=DEFAULT_SEARCH_MOVES):
+    def solve(self, rng):
         """Min-conflicts annealing over twist vectors; the budget is counted
         in moves, not wall time, so runs are reproducible."""
-        for _ in range(restarts):
+        for _ in range(DEFAULT_SEARCH_RESTARTS):
             twists = [rng.randrange(self.kmax) for _ in range(self.n0)]
             prods = self._products(twists)
             tables, totals = self._tables(prods)
             obj = self._objective(totals)
             temperature = 3.0
-            for _ in range(moves):
+            for _ in range(DEFAULT_SEARCH_MOVES):
                 if obj == 0:
                     return twists
                 x = self._conflict_point(prods, tables, totals, rng)
@@ -862,7 +863,9 @@ def _layouts(group, mu, scale, seed, depth, errors):
     yield from bumped_layouts
 
 
-def build_tower(a_pres: Presentation, mu_target, depth: int, scale: int = 1, seed: int = 0):
+def build_tower(
+    a_pres: Presentation, mu_target, depth: int, scale: int = DEFAULT_TOWER_SCALE, seed: int = 0
+):
     """Nested covers with exactly constant fixed-vertex ratio mu and strictly
     increasing injectivity radius.
 

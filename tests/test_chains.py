@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -14,6 +15,7 @@ from rankgradient.chains import (
     gradient_sequence,
     hnn_chain,
     lamplighter_chain,
+    lamplighter_exponent,
     lamplighter_presentation,
     report_to_csv,
     report_to_json,
@@ -103,6 +105,42 @@ def test_lamplighter_chain_w3():
 def test_lamplighter_depth_cap():
     with pytest.raises(ValueError):
         lamplighter_chain(2, 3)
+
+
+def test_lamplighter_presentation_needs_positive_m():
+    with pytest.raises(ValueError, match="need m >= 1"):
+        lamplighter_presentation(0)
+
+
+def test_lamplighter_exponent_recognizes_w_1_to_w_4():
+    for m in (1, 2, 3, 4):
+        assert lamplighter_exponent(lamplighter_presentation(m)) == m
+    for m in (2, 3):  # the presets, as parsed
+        assert lamplighter_exponent(parsed(preset_text(f"lamplighter{m}"))[0]) == m
+
+
+W3 = lamplighter_presentation(3)
+
+
+@pytest.mark.parametrize("pres", [
+    parsed(preset_text("f2"))[0],
+    parsed(preset_text("fig8"))[0],
+    parsed(preset_text("s3"))[0],
+    # W_3 with [a, t^-1 a t] replaced by (a t)^4, a word of the same length
+    Presentation(W3.generators, W3.relators[:2] + ((1, 2) * 4,) + W3.relators[3:]),
+], ids=["f2", "fig8", "s3", "w3-other-commutator"])
+def test_lamplighter_exponent_rejects_other_groups(pres):
+    assert lamplighter_exponent(pres) is None
+
+
+def test_lamplighter_exponent_checks_counts_before_building_w_m(monkeypatch):
+    # 2 + 2^11 short relators have W_12's relator count but not its
+    # 2 * 2048^2 + 8 * 2048 + 2 letters, about 8.4 M
+    start = time.monotonic()
+    pres, _ = parsed("gens a t\n" + "rel a t\n" * 2050)
+    monkeypatch.setattr(chains, "lamplighter_presentation", None)  # never built
+    assert lamplighter_exponent(pres) is None
+    assert time.monotonic() - start < 1
 
 
 def test_farber_chain_f2():

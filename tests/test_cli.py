@@ -332,59 +332,51 @@ def test_hnn_input_without_a_z_quotient_is_a_parse_error(capsys, tmp_path):
     assert "does not map onto Z" in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("--preset", "f2", "--kind", "lamplighter", "--m", "2"),
-     "preset:f2 is not the lamplighter presentation for --m 2"),
-    (("--preset", "lamplighter2", "--m", "3"),
-     "preset:lamplighter2 is not the lamplighter presentation for --m 3"),
-    (("--preset", "lamplighter2", "--m", "0"), "need m >= 1"),
+@pytest.mark.parametrize("preset", ["f3", "surface2"])
+def test_chain_of_an_input_naming_no_chain_is_a_parse_error(capsys, preset):
+    # no subgroup, no generator t and not W_m: nothing picks the chain
+    code, out, err = run(capsys, "chain", "--preset", preset, "--depth", "2")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "pass --sub NAME for a normal-core chain or --stable LETTER" in err
+    assert "Traceback" not in err
+
+
+W2_CHAIN = ("--preset", "lamplighter2", "--depth", "2")
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (("chain", *W2_CHAIN, "--kind", "lamplighter"), "--kind lamplighter"),
+    (("gradient", *W2_CHAIN, "--m", "2"), "--m 2"),
+    (("graphing", *W2_CHAIN, "--level", "1", "--kind", "hnn"), "--kind hnn"),
+    (("graphing", *W2_CHAIN, "--level", "1", "--m", "2"), "--m 2"),
 ])
-def test_lamplighter_chain_of_another_group_is_a_parse_error(capsys, argv, message):
-    code, out, err = run(capsys, "chain", *argv, "--depth", "2")
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert message in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("m", ["14", "1000000000"])
-def test_lamplighter_m_is_checked_before_w_m_is_built(capsys, m):
-    # W_m has 2^(m-1) + 2 relators of about 4^m letters in all: the preset
-    # W_2's relator count refuses m at once
-    start = time.monotonic()
-    code, out, err = run(capsys, "chain", "--preset", "lamplighter2", "--m", m, "--depth", "2")
-    assert time.monotonic() - start < 1
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert f"preset:lamplighter2 is not the lamplighter presentation for --m {m}" in err
-    assert "Traceback" not in err
-
-
-def test_lamplighter_letter_count_is_checked_before_w_m_is_built(capsys, tmp_path):
-    # 2 + 2^11 short relators have W_12's relator count but not its
-    # 2 * 2048^2 + 8 * 2048 + 2 letters, about 8.4 M
-    path = tmp_path / "short.txt"
-    path.write_text("gens a t\n" + "rel a t\n" * 2050)
-    start = time.monotonic()
-    code, out, err = run(capsys, "chain", "--input", str(path), "--kind", "lamplighter",
-                         "--m", "12", "--depth", "2")
-    assert time.monotonic() - start < 1
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert "is not the lamplighter presentation for --m 12" in err
+def test_removed_chain_options_are_usage_errors(capsys, argv, removed):
+    # the chain is read off the input, so --kind and --m are gone; they are
+    # rejected while parsing, before the input is read
+    with mock.patch("rankgradient.cli.load_source") as load:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    assert exc.value.code == EXIT_PARSE
+    assert not load.called
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {removed}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_lamplighter_chain_reads_its_input(capsys, tmp_path):
     from importlib import resources
 
+    # the chain is read off the presentation, not off the preset's name
     text = resources.files("rankgradient.presets").joinpath("lamplighter2.txt").read_text()
     path = tmp_path / "w2.txt"
     path.write_text(text)
-    code, by_file, _ = run(capsys, "chain", "--input", str(path), "--kind", "lamplighter",
-                           "--m", "2", "--depth", "2")
+    code, by_file, _ = run(capsys, "chain", "--input", str(path), "--depth", "2")
     assert code == EXIT_OK
     _, by_preset, _ = run(capsys, "chain", "--preset", "lamplighter2", "--depth", "2")
     assert json.loads(by_file)["report"] == json.loads(by_preset)["report"]
+    assert json.loads(by_file)["report"]["chain"]["indices"] == [1, 2, 4]
 
 
 def test_reserved_generator_name_in_input_is_a_parse_error(capsys, tmp_path):
@@ -520,7 +512,7 @@ def test_effort_zero_does_not_rewrite_long_relators(capsys, tmp_path):
     # Schreier count with a note naming the cap
     path = tmp_path / "long.txt"
     path.write_text("gens a t\nrel a^10001\n")
-    argv = ("gradient", "--input", str(path), "--kind", "hnn", "--depth", "1")
+    argv = ("gradient", "--input", str(path), "--depth", "1")
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == EXIT_OK
     assert out.splitlines()[2:] == [
