@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .cosets import (
     DEFAULT_COSET_CAP,
@@ -166,9 +167,11 @@ def hnn_chain(
     return _finish_chain(pres, levels, f"hnn(stable={stable}, depth={depth})")
 
 
+@lru_cache(maxsize=1)
 def lamplighter_presentation(m: int) -> Presentation:
     """Finite wreath quotient (Z/2 by Z/2^m): <a,t | a^2, t^(2^m),
-    [a, t^-i a t^i] for 1 <= i <= 2^(m-1)>."""
+    [a, t^-i a t^i] for 1 <= i <= 2^(m-1)>.  The last W_m built is kept,
+    so recognising an input as W_m and building its chain build it once."""
     if m < 1:
         raise ValueError("need m >= 1")
     relators = [(1, 1), (2,) * (2 ** m)]

@@ -4,8 +4,9 @@ Todd-Coxeter enumeration (HLT style), low-index subgroup search by
 conjugacy class, subgroup intersection via product actions, and normal
 cores via the regular representation of the permutation image.  Enumeration
 fills one flat int table under a live-coset cap.  Low-index search finds one
-table per conjugacy class with its class size, checks only the relator
-traces through each new edge (see ``enumerate_cosets``, ``_search_index``).
+table per conjugacy class with its class size; it scans the relator traces
+through each edge it sets and fills the edges they force, so it branches
+only on free slots (see ``enumerate_cosets``, ``_search_index``).
 
 Conventions: coset 0 is the subgroup itself, words act on the right, and a
 table's permutations are listed per generator.  Enumeration, intersection
@@ -385,47 +386,74 @@ def _search_index(pres, k, out, budget):
     is compared in full: the bases giving the table itself number
     [N_G(H) : H], and the class holds k / [N_G(H) : H] subgroups.
 
-    Each descent to a slot is one node against ``budget``.  A node is also
-    pruned when some relator trace is fully defined and does not close.
-    Only traces through the edge c -g-> d just set are checked, which prunes
-    exactly what a scan of all k * |R| traces would: every other defined
-    trace was defined, and closed, at the parent.  A trace crosses the edge
-    at some occurrence of g^+-1 in its relator; as the partial table is
-    injective, it is fully defined iff the prefix traced backward from one
-    end of the edge and the suffix traced forward from the other both are,
-    and then it closes iff they meet.
+    Each edge set, chosen or deduced, has every relator trace through it
+    scanned, as HLT scans a relator (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 5.4): the rest of the relator is read
+    cyclically, forward from one end of the edge and backward from the
+    other, as far as the partial table is defined.  A trace read in full
+    that does not close prunes the node.  A gap of one letter between two
+    known cosets forces that edge; both of its slots are free, as each scan
+    stopped at one of them, so it is set and its traces scanned in turn.
+    Deduced edges join cosets already in use and hold in every completion,
+    so every table is still reached once, in its least first-touch
+    numbering.  The search branches only on slots left free: it passes
+    through a deduced slot, with its renumbering check if the slot ends a
+    row, and undoes the deductions with the image that made them.  Each
+    descent to a slot, branching or not, is one node against ``budget``.
     """
     rank = pres.rank
     act = [[None] * k for _ in range(2 * rank)]  # per column, as in _hlt
     rows = act[0::2]  # the generators' columns, in slot order within a row
-    # through[g]: (is g, prefix rows backward, suffix rows forward) per g^+-1
-    through = [[] for _ in range(rank)]
+    # per generator g: its row, its inverse's row and the relator traces
+    # through g, one per occurrence of g^+-1 in the root u of a relator u^e
+    # (the occurrences in the other e - 1 copies of u give the same
+    # traces): (is g, then per letter of the rest of the relator, read
+    # cyclically from just after the occurrence, its row, its inverse's row
+    # and (its generator's entry, is positive), then the rest's last index)
+    gens = [(act[2 * g], act[2 * g + 1], []) for g in range(rank)]
     for w in pres.relators:
-        for i, letter in enumerate(w):
-            through[abs(letter) - 1].append((
+        for i, letter in enumerate(primitive_root(w)[0]):
+            rest = w[i + 1:] + w[:i]
+            gens[abs(letter) - 1][2].append((
                 letter > 0,
-                [act[_column(-x)] for x in reversed(w[:i])],
-                [act[_column(x)] for x in w[i + 1:]],
+                [act[_column(x)] for x in rest],
+                [act[_column(-x)] for x in rest],
+                [(gens[abs(x) - 1], x > 0) for x in rest],
+                len(rest) - 1,
             ))
-    # (c, g, row of g, row of g^-1) per slot, then a sentinel at which
-    # every branch ends
-    slots = [(c, g, act[2 * g], act[2 * g + 1]) for c in range(k) for g in range(rank)]
-    slots.append((k, None, None, None))
+    # (c, g, row of g, row of g^-1, traces through g) per slot, then a sentinel
+    # at which every branch ends
+    slots = [(c, g, *gens[g]) for c in range(k) for g in range(rank)]
+    slots.append((k, None, None, None, None))
 
-    def edge_ok(g, c, d):
-        for forward, back, ahead in through[g]:
-            s, e = (c, d) if forward else (d, c)
-            for r in back:
-                if (s := r[s]) is None:
-                    break
-            else:
-                for r in ahead:
-                    if (e := r[e]) is None:
-                        break
-                else:
-                    if e != s:
+    trail = []  # (generator's entry, c, d) per deduced edge c -g-> d
+
+    def deduce(traces, c, d):
+        """Scan ``traces``, those through the edge c -g-> d just set, then
+        those through each edge they force, which is set and put on the
+        trail in turn.  False as soon as a trace read in full does not
+        close."""
+        t = len(trail)
+        while True:
+            for forward, ahead, back, sets, j in traces:
+                # the rest runs from the edge's head back to its tail
+                f, b = (d, c) if forward else (c, d)
+                i = 0
+                while i <= j and (x := ahead[i][f]) is not None:
+                    f, i = x, i + 1
+                while j >= i and (x := back[j][b]) is not None:
+                    b, j = x, j - 1
+                if j < i:
+                    if f != b:
                         return False
-        return True
+                elif j == i:
+                    ahead[i][f], back[i][b] = b, f
+                    gen, positive = sets[i]
+                    trail.append((gen, f, b) if positive else (gen, b, f))
+            if t == len(trail):
+                return True
+            (_, _, traces), c, d = trail[t]
+            t += 1
 
     slot_rows = [(c, row) for c in range(k) for row in rows]  # in slot order
 
@@ -433,12 +461,14 @@ def _search_index(pres, k, out, budget):
         """Renumber the table from ``base`` by first touch and compare it
         with the table slot by slot while both are defined: the sign of the
         difference (0 if they agree that far), and the old coset of each
-        new one.  ``order[j]`` exists when read: rows 0..j-1 of the two
-        agree, and the search only tests tables whose rows 0..j-1 reach
-        past j."""
+        new one.  Deduced rows can be complete past the cosets numbered so
+        far: where rows 0..j-1 agree and reach no coset past j - 1,
+        ``order[j]`` does not exist, and the walk stops."""
         number = {base: 0}
         order = [base]
         for j, row in slot_rows:
+            if j >= len(order):
+                break
             mine, image = row[j], row[order[j]]
             if mine is None or image is None:
                 break
@@ -473,15 +503,17 @@ def _search_index(pres, k, out, budget):
         return len(orbit)
 
     # Depth-first over the slots in a loop, not by recursion, which would
-    # nest k * rank calls deep.  Per slot: the points used on entering it
-    # and the images left to try there; the image set there is in ``act``.
+    # nest k * rank calls deep.  Per slot: the points used on entering it,
+    # the images left to try there (None where the slot was deduced) and
+    # the trail's length before its image was set.
     points = [1] * len(slots)  # only points[0] is read before it is set
     tries = [None] * len(slots)
+    marks = [0] * len(slots)
     nodes, cap = budget[0], budget[1]
     last = rank - 1
     pos, descending = 0, True
     while pos >= 0:
-        c, g, fwd, bwd = slots[pos]
+        c, g, fwd, bwd, traces = slots[pos]
         if descending:
             nodes += 1  # one node per descent
             if nodes > cap:
@@ -495,14 +527,30 @@ def _search_index(pres, k, out, budget):
                     out.append((tuple(tuple(row) for row in rows), k // n))
                 pos, descending = pos - 1, False
                 continue
+            if fwd[c] is not None:  # deduced: pass through
+                tries[pos] = None
+                points[pos + 1] = used
+                if g != last or used == c + 1 or not c or renumbered(c)[0] >= 0:
+                    pos += 1
+                else:
+                    pos, descending = pos - 1, False
+                continue
             tries[pos] = iter(range(min(used + 1, k)))
+            marks[pos] = mark = len(trail)
+        elif tries[pos] is None:
+            pos -= 1
+            continue
         else:
-            bwd[fwd[c]] = fwd[c] = None  # undo the image tried last
+            mark = marks[pos]
+            while len(trail) > mark:  # undo the image tried last
+                (r, inv, _), a, b = trail.pop()
+                r[a] = inv[b] = None
+            bwd[fwd[c]] = fwd[c] = None
         for d in tries[pos]:
             if bwd[d] is None:
                 fwd[c] = d
                 bwd[d] = c
-                if edge_ok(g, c, d):
+                if not traces or deduce(traces, c, d):
                     points[pos + 1] = used = max(points[pos], d + 1)
                     # Once row c is complete, the renumbering from base
                     # coset c is compared as far as it is defined; a leaf
@@ -510,6 +558,9 @@ def _search_index(pres, k, out, budget):
                     if g != last or used == c + 1 or not c or renumbered(c)[0] >= 0:
                         pos, descending = pos + 1, True
                         break
+                while len(trail) > mark:
+                    (r, inv, _), a, b = trail.pop()
+                    r[a] = inv[b] = None
                 fwd[c] = bwd[d] = None
         else:
             pos, descending = pos - 1, False

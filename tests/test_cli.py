@@ -379,6 +379,18 @@ def test_lamplighter_chain_reads_its_input(capsys, tmp_path):
     assert json.loads(by_file)["report"]["chain"]["indices"] == [1, 2, 4]
 
 
+def test_lamplighter_chain_builds_w_m_once(capsys):
+    from rankgradient import chains
+
+    # lamplighter_exponent builds W_3 to compare it with the input, and
+    # lamplighter_chain takes that same W_3 as its ambient group
+    chains.lamplighter_presentation.cache_clear()
+    code, _, _ = run(capsys, "chain", "--preset", "lamplighter3", "--depth", "2")
+    assert code == EXIT_OK
+    info = chains.lamplighter_presentation.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_reserved_generator_name_in_input_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("gens 1 a\nrel 1 a\n")

@@ -28,7 +28,7 @@ from rankgradient.cosets import (
     with_schreier_spec,
 )
 from rankgradient.errors import BudgetError, IndexBoundExceeded, IntersectionTooLarge, LowIndexBudget
-from rankgradient.words import SubgroupSpec, free_reduce, invert, parse_presentation
+from rankgradient.words import Presentation, SubgroupSpec, free_reduce, invert, parse_presentation
 
 
 def parsed(text):
@@ -739,19 +739,19 @@ def assert_budget_trips(pres, nodes, node_caps, monkeypatch):
 LOW_INDEX_CASES = [("surface2", 3), ("fig8", 5), ("s3", 5), ("z2z2", 5), ("lamplighter2", 5)]
 # nodes of the class search at index 1, 2, ... of each case
 CLASS_SEARCH_NODES = {
-    "surface2": [5, 91, 2056],
-    "fig8": [4, 24, 125, 614, 3612],
-    "s3": [3, 9, 22, 27, 32],
-    "z2z2": [3, 13, 18, 24, 26],
-    "lamplighter2": [3, 13, 24, 57, 84],
+    "surface2": [5, 91, 1502],
+    "fig8": [4, 16, 57, 162, 447],
+    "s3": [3, 9, 19, 20, 21],
+    "z2z2": [3, 13, 15, 20, 20],
+    "lamplighter2": [3, 13, 22, 51, 71],
 }
 # the text at the last node cap that trips, one below the total
 LAST_TRIP = {
-    "surface2": "low-index search exceeded 2151 nodes (16 tables found)",
-    "fig8": "low-index search exceeded 4378 nodes (5 tables found)",
-    "s3": "low-index search exceeded 92 nodes (3 tables found)",
-    "z2z2": "low-index search exceeded 83 nodes (5 tables found)",
-    "lamplighter2": "low-index search exceeded 180 nodes (11 tables found)",
+    "surface2": "low-index search exceeded 1597 nodes (16 tables found)",
+    "fig8": "low-index search exceeded 685 nodes (5 tables found)",
+    "s3": "low-index search exceeded 71 nodes (3 tables found)",
+    "z2z2": "low-index search exceeded 70 nodes (5 tables found)",
+    "lamplighter2": "low-index search exceeded 159 nodes (11 tables found)",
 }
 
 
@@ -850,15 +850,18 @@ def recursive_search_index(pres, k, out, budget):
 
 
 # nodes of the class search at index 1, 2, ... (surface2 at index 4 takes
-# 67,976; the search that listed every subgroup took 135,447)
+# 32,377; without deductions it took 67,976, and the search that listed
+# every subgroup 135,447).  A free group has no trace to scan, so f2 and
+# f3 take what they took without deductions.
 DEEPER_NODES = {
-    "surface2": [5, 91, 2056, 67976],
-    "fig8": [4, 24, 125, 614, 3612, 26106],
+    "surface2": [5, 91, 1502, 32377],
+    "fig8": [4, 16, 57, 162, 447, 1154],
     "f2": [3, 13, 49, 195, 907],
+    "f3": [4, 36, 383, 5370],
 }
 
 
-@pytest.mark.parametrize("name, n_max", [("surface2", 4), ("fig8", 6), ("f2", 5)])
+@pytest.mark.parametrize("name, n_max", [("surface2", 4), ("fig8", 6), ("f2", 5), ("f3", 4)])
 def test_low_index_loop_matches_recursive_search(name, n_max, monkeypatch):
     pres, _ = preset(name)
     for k in range(1, n_max + 1):
@@ -871,6 +874,30 @@ def test_low_index_loop_matches_recursive_search(name, n_max, monkeypatch):
         assert budget[0] <= recursive_budget[0]
     node_caps = (1, 2, 3, 7, 50, 333, 1000, 4000, 20000, 60000, 200000)
     assert_budget_trips(pres, DEEPER_NODES[name], node_caps, monkeypatch)
+
+
+def test_low_index_search_matches_full_rescan_on_random_presentations():
+    # ranks 1-3 with 0-3 relators of 1-7 letters before cyclic reduction,
+    # which leaves relators of every length from 0 to 7, 1 and 2 included
+    rng = random.Random(33)
+    lengths = set()
+    for _ in range(200):
+        rank = rng.randint(1, 3)
+        letters = [x for g in range(1, rank + 1) for x in (g, -g)]
+        relators = [
+            tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        pres = Presentation(tuple("abc"[:rank]), relators)
+        lengths.update(map(len, pres.relators))
+        for k in range(1, 6 if rank < 3 else 5):
+            classes, subgroups = [], []
+            budget, reference_budget = [0, DEFAULT_NODE_CAP, []], [0, DEFAULT_NODE_CAP, []]
+            _search_index(pres, k, classes, budget)
+            reference_search_index(pres, k, subgroups, reference_budget)
+            assert_classes_expand_to(pres, k, classes, subgroups)
+            assert budget[0] <= reference_budget[0]
+    assert lengths == set(range(8))
 
 
 def test_low_index_search_needs_no_recursion_depth():
