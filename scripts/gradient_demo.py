@@ -14,6 +14,7 @@ from rankgradient.chains import (
     gradient_sequence,
     hnn_chain,
     lamplighter_chain,
+    lamplighter_presentation,
 )
 from rankgradient.words import parse_presentation
 
@@ -49,7 +50,7 @@ def main():
     show("Ascending HNN (figure-eight group): rank gradient falls to 0",
          chain, gradient_sequence(chain))
 
-    chain = lamplighter_chain(3, 2)
+    chain = lamplighter_chain(lamplighter_presentation(3), 2)
     show("Lamplighter quotient W3: (b_{1,2}-1)/index stays at 1",
          chain, gradient_sequence(chain))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .cosets import (
     DEFAULT_COSET_CAP,
@@ -167,11 +166,9 @@ def hnn_chain(
     return _finish_chain(pres, levels, f"hnn(stable={stable}, depth={depth})")
 
 
-@lru_cache(maxsize=1)
 def lamplighter_presentation(m: int) -> Presentation:
     """Finite wreath quotient (Z/2 by Z/2^m): <a,t | a^2, t^(2^m),
-    [a, t^-i a t^i] for 1 <= i <= 2^(m-1)>.  The last W_m built is kept,
-    so recognising an input as W_m and building its chain build it once."""
+    [a, t^-i a t^i] for 1 <= i <= 2^(m-1)>."""
     if m < 1:
         raise ValueError("need m >= 1")
     relators = [(1, 1), (2,) * (2 ** m)]
@@ -195,17 +192,19 @@ def lamplighter_exponent(pres: Presentation):
     return m if pres == lamplighter_presentation(m) else None
 
 
-def lamplighter_chain(m: int, depth: int, coset_cap: int = DEFAULT_COSET_CAP) -> Chain:
-    """Levels inside the finite wreath quotient of exponent m.
+def lamplighter_chain(pres: Presentation, depth: int, coset_cap: int = DEFAULT_COSET_CAP) -> Chain:
+    """Levels inside ``pres``, which is ``lamplighter_presentation(m)`` for
+    some m, as ``lamplighter_exponent`` checks; m is read off its 2^(m-1)
+    commutators, so W_m is not built again.
 
     Level n is generated by the 2^n conjugates t^-i a t^i (0 <= i < 2^n)
     plus t^(2^n); its index 2^n is verified by enumeration.  The point of
     the family: rank grows like the index while beta1-type invariants keep
     the ratio (b_{1,2}-1)/index pinned at 1.
     """
+    m = (len(pres.relators) - 2).bit_length()
     if not 1 <= depth <= m:
         raise ValueError("need 1 <= depth <= m")
-    pres = lamplighter_presentation(m)
     levels = [_whole_group_level(pres)]
     for n in range(1, depth + 1):
         gens = tuple(

@@ -170,9 +170,8 @@ def build_chain(args, pres, specs):
     subgroup a normal-core chain seeded by it."""
     spec = pick_spec(args, specs)
     if spec is None:
-        m = lamplighter_exponent(pres)
-        if m is not None:
-            return lamplighter_chain(m, args.depth, coset_cap=args.coset_cap)
+        if lamplighter_exponent(pres) is not None:
+            return lamplighter_chain(pres, args.depth, coset_cap=args.coset_cap)
         if args.stable in pres.generators:
             return hnn_chain(pres, args.stable, args.depth, coset_cap=args.coset_cap)
         if len(specs) != 1:

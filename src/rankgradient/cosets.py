@@ -2,8 +2,9 @@
 
 Todd-Coxeter enumeration (HLT style), low-index subgroup search by
 conjugacy class, subgroup intersection via product actions, and normal
-cores via the regular representation of the permutation image.  Enumeration
-fills one flat int table under a live-coset cap.  Low-index search finds one
+cores via the regular representation of the permutation image.  Both
+enumeration and the low-index search keep one list per table column.
+Enumeration fills it under a live-coset cap.  Low-index search finds one
 table per conjugacy class with its class size; it scans the relator traces
 through each edge it sets and fills the edges they force, so it branches
 only on free slots (see ``enumerate_cosets``, ``_search_index``).
@@ -149,11 +150,15 @@ def canonicalize(table: CosetTable) -> CosetTable:
 # ---------------------------------------------------------------------------
 
 
+_BLOCK = 1024  # cosets added to every column of the HLT table at a time
+
+
 def _hlt(rank, relators, point_words, cap):
     """HLT as in ``enumerate_cosets``: (pre-canonical perms, cosets defined)."""
-    width = 2 * rank
-    blank = [-1] * width
-    table, p, alive = blank[:], [0], 1  # p: union-find, roots are minima
+    block = [-1] * _BLOCK
+    act = [block[:] for _ in range(2 * rank)]  # act[col][c], -1 while undefined
+    cols = [(act[col], act[col ^ 1]) for col in range(2 * rank)]  # (column, inverse's)
+    p, alive = [0], 1  # p: union-find, roots are minima
 
     def rep(c):
         root = c
@@ -163,46 +168,51 @@ def _hlt(rank, relators, point_words, cap):
             p[c], c = root, p[c]
         return root
 
-    def define(c, col):
+    def define(c, row, inv):
         nonlocal alive
         if alive >= cap:
             raise IndexBoundExceeded(cap)
         beta = len(p)
-        table.extend(blank)
+        if beta == len(row):
+            for column in act:
+                column += block
         p.append(beta)
         alive += 1
-        table[c * width + col], table[beta * width + (col ^ 1)] = beta, c
+        row[c], inv[beta] = beta, c
 
     def coincidence(a, b):
-        queue = []
-
-        def merge(a, b):
-            nonlocal alive
-            a, b = rep(a), rep(b)
-            if a != b:
-                a, b = min(a, b), max(a, b)
-                p[b] = a
-                alive -= 1
-                queue.append(b)
-
-        merge(a, b)
-        for gamma in queue:  # merge appends while the loop runs
-            for col in range(width):
-                delta = table[gamma * width + col]
+        """Merge the live cosets a != b and every pair that forces, in the
+        order the cosets die; the number of cosets killed."""
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        queue = [b]
+        for gamma in queue:  # grows while the loop runs
+            for row, inv in cols:
+                delta = row[gamma]
                 if delta < 0:
                     continue
-                inv = col ^ 1
-                table[delta * width + inv] = -1
+                inv[delta] = -1
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu * width + col] >= 0:
-                    merge(nu, table[mu * width + col])
-                elif table[nu * width + inv] >= 0:
-                    merge(mu, table[nu * width + inv])
+                if (x := row[mu]) >= 0:
+                    a = nu
+                elif (x := inv[nu]) >= 0:
+                    a = mu
                 else:
-                    table[mu * width + col], table[nu * width + inv] = nu, mu
+                    row[mu], inv[nu] = nu, mu
+                    continue
+                b = rep(x)
+                if a != b:
+                    if a > b:
+                        a, b = b, a
+                    p[b] = a
+                    queue.append(b)
+        return len(queue)
 
-    points = [([_column(x) for x in w], [_column(-x) for x in w]) for w in point_words]
-    words = [([_column(x) for x in w], [_column(-x) for x in w]) for w in relators]
+    points, words = (  # per word: its letters' columns, its inverse letters' columns
+        [([act[_column(x)] for x in w], [act[_column(-x)] for x in w]) for w in ws]
+        for ws in (point_words, relators)
+    )
     step = -1  # step -1 scans the point words at coset 0
     while step < len(p):
         alpha, scans = (0, points) if step < 0 else (step, words)
@@ -214,34 +224,39 @@ def _hlt(rank, relators, point_words, cap):
             # a deduction, a wider one a definition, no gap a coincidence.
             f, i, b, j = alpha, 0, alpha, len(fwd) - 1
             while True:
-                while i <= j and (x := table[f * width + fwd[i]]) >= 0:
+                while i <= j and (x := fwd[i][f]) >= 0:
                     f, i = x, i + 1
-                while j >= i and (x := table[b * width + bwd[j]]) >= 0:
+                while j >= i and (x := bwd[j][b]) >= 0:
                     b, j = x, j - 1
                 if j < i:
                     if f != b:
-                        coincidence(f, b)
+                        alive -= coincidence(f, b)
                     break
                 if j == i:
-                    table[f * width + fwd[i]], table[b * width + bwd[i]] = b, f
+                    fwd[i][f], bwd[i][b] = b, f
                     break
-                define(f, fwd[i])
+                define(f, fwd[i], bwd[i])
             if p[alpha] != alpha:
                 break
         else:
             if step:  # a relator pass, not the point-word pass
-                for col in range(width):
-                    if table[alpha * width + col] < 0:
-                        define(alpha, col)
+                for row, inv in cols:
+                    if row[alpha] < 0:
+                        define(alpha, row, inv)
 
+    # Every entry of a live coset's row is -1 or a live coset, so the
+    # renumbering reads no union-find: the spare last slot of ``number``
+    # answers -1, and a dead coset numbers -1 too.
     live = [c for c in range(len(p)) if p[c] == c]
-    if any(table[c * width + col] < 0 for c in live for col in range(0, width, 2)):
+    number = [-1] * (len(p) + 1)
+    for i, c in enumerate(live):
+        number[c] = i
+    perms = tuple(
+        tuple(map(number.__getitem__, map(row.__getitem__, live))) for row in act[0::2]
+    )
+    if any(-1 in perm for perm in perms):
         raise InternalInvariantError("incomplete table after HLT loop")
-    number = {c: i for i, c in enumerate(live)}
-    return tuple(
-        tuple(number[rep(table[c * width + col])] for c in live)
-        for col in range(0, width, 2)
-    ), len(p)
+    return perms, len(p)
 
 
 def enumerate_cosets(
@@ -252,10 +267,12 @@ def enumerate_cosets(
     """Todd-Coxeter coset enumeration over a finitely presented group.
 
     HLT with coincidence processing (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 5.1-5.3) on one flat int list: entry
-    ``c * 2 * rank + col`` is where column ``col`` (generator g at 2g, its
-    inverse at 2g + 1) sends coset c, -1 while undefined.  Each relator and
-    subgroup word is encoded once as forward and inverse column lists.
+    Computational Group Theory, 5.1-5.3) on one int list per column:
+    ``act[col][c]`` is where column ``col`` (generator g at 2g, its inverse
+    at 2g + 1) sends coset c, -1 while undefined.  The columns grow by a
+    block of 1,024 cosets at a time.  Each relator and subgroup word is
+    encoded once as the lists of its letters' columns and of their
+    inverses' columns, so a scan reads ``fwd[i][c]``.
     ``cap`` bounds the live cosets: a definition made while ``cap`` are
     alive raises IndexBoundExceeded, so index n needs ``cap >= n`` and may
     need more before pending coincidences collapse the table.  The result

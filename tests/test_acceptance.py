@@ -18,6 +18,7 @@ from rankgradient.chains import (
     gradient_sequence,
     hnn_chain,
     lamplighter_chain,
+    lamplighter_presentation,
 )
 from rankgradient.cosets import low_index, schreier_generators, with_schreier_spec
 from rankgradient.graphings import (
@@ -86,7 +87,7 @@ def hall_counts(rank, n_max):
 def corpus():
     chains = {
         "hnn fig8 depth 12": hnn_chain(parsed(FIG8)[0], "t", 12),
-        "lamplighter W3 depth 2": lamplighter_chain(3, 2),
+        "lamplighter W3 depth 2": lamplighter_chain(lamplighter_presentation(3), 2),
         "farber f2 depth 3": farber_chain(*parsed(F2_SEED), 3),
     }
     reports = {
@@ -127,7 +128,7 @@ def test_criterion_3_hnn_chain():
 
 def test_criterion_4_lamplighter():
     with criterion(4, "W3 kernels pin (b_{1,2}-1)/index at 1; a has defect 1", 300):
-        chain = lamplighter_chain(3, 2)
+        chain = lamplighter_chain(lamplighter_presentation(3), 2)
         report = gradient_sequence(chain)
         for n in (1, 2):
             st = report.levels[n]

@@ -90,7 +90,7 @@ def test_lamplighter_presentation_order():
 
 
 def test_lamplighter_chain_w3():
-    chain = lamplighter_chain(3, 2)
+    chain = lamplighter_chain(lamplighter_presentation(3), 2)
     assert chain.indices() == (1, 2, 4)
     report = gradient_sequence(chain)
     for n in (1, 2):
@@ -104,7 +104,7 @@ def test_lamplighter_chain_w3():
 
 def test_lamplighter_depth_cap():
     with pytest.raises(ValueError):
-        lamplighter_chain(2, 3)
+        lamplighter_chain(lamplighter_presentation(2), 3)
 
 
 def test_lamplighter_presentation_needs_positive_m():
@@ -300,7 +300,7 @@ def test_farber_chain_node_cap_covers_one_index(monkeypatch):
 
 
 def test_farber_defect_rejects_identity():
-    chain = lamplighter_chain(2, 1)
+    chain = lamplighter_chain(lamplighter_presentation(2), 1)
     with pytest.raises(ValueError):
         farber_defect(chain, (), 1)
 
@@ -309,7 +309,7 @@ def test_schreier_ratio_monotone_on_corpus():
     pres, spec = parsed("gens a b\nsub H a, b^2, b a b^-1\n")
     chains = [
         hnn_chain(parsed(FIG8)[0], "t", 5),
-        lamplighter_chain(3, 2),
+        lamplighter_chain(lamplighter_presentation(3), 2),
         farber_chain(pres, spec, 3),
     ]
     for chain in chains:

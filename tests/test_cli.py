@@ -379,16 +379,17 @@ def test_lamplighter_chain_reads_its_input(capsys, tmp_path):
     assert json.loads(by_file)["report"]["chain"]["indices"] == [1, 2, 4]
 
 
-def test_lamplighter_chain_builds_w_m_once(capsys):
+def test_lamplighter_chain_builds_w_m_once(capsys, monkeypatch):
     from rankgradient import chains
 
     # lamplighter_exponent builds W_3 to compare it with the input, and
-    # lamplighter_chain takes that same W_3 as its ambient group
-    chains.lamplighter_presentation.cache_clear()
+    # lamplighter_chain takes the checked input as its ambient group
+    built = []
+    monkeypatch.setattr(chains, "lamplighter_presentation",
+                        lambda m, build=chains.lamplighter_presentation: built.append(m) or build(m))
     code, _, _ = run(capsys, "chain", "--preset", "lamplighter3", "--depth", "2")
     assert code == EXIT_OK
-    info = chains.lamplighter_presentation.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert built == [3]
 
 
 def test_reserved_generator_name_in_input_is_a_parse_error(capsys, tmp_path):

@@ -429,8 +429,9 @@ def test_membership_closed_under_products(gen_words):
 
 
 class ReferenceTC:
-    """The HLT state that the flat table replaced: one list per coset with
-    None holes, a method call per letter.  Kept verbatim as the oracle."""
+    """HLT on one list per coset with None holes and a method call per
+    letter, written apart from ``_hlt``'s column lists.  Kept verbatim as
+    the oracle."""
 
     def __init__(self, rank, cap):
         self.rank = rank
@@ -637,6 +638,48 @@ def test_hlt_trips_every_small_cap_like_the_reference(text):
         if cap < first_ok:
             assert o == ("cap", cap, str(IndexBoundExceeded(cap)))
     assert first_ok >= len(outcomes[-1][0][0])  # index n needs cap >= n
+
+
+def test_hlt_matches_reference_on_random_presentations():
+    # ranks 1-3 with 0-4 relators and 0-2 point words of 1-8 letters, as a
+    # plain subgroup or a normal closure, at the default cap and small caps
+    rng = random.Random(34)
+    caps = (DEFAULT_COSET_CAP, 1, 2, 7, 40, 300)
+    kinds = set()
+    for _ in range(30):
+        rank = rng.randint(1, 3)
+        letters = [x for g in range(1, rank + 1) for x in (g, -g)]
+
+        def word():
+            return tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+
+        pres = Presentation(tuple("abc"[:rank]), [word() for _ in range(rng.randint(0, 4))])
+        points = tuple(word() for _ in range(rng.randint(0, 2)))
+        spec = SubgroupSpec(points, normal=rng.random() < 0.25) if points else None
+        kinds.add("normal" if spec and spec.normal else "plain" if spec else "trivial")
+        for cap in caps:
+            outcome = assert_hlt_matches_reference(pres, spec, cap)
+            kinds.add((cap, outcome[0] == "cap"))
+    # every cap both completes a table and trips on some presentation
+    assert kinds == {"normal", "plain", "trivial"} | {(c, t) for c in caps for t in (False, True)}
+
+
+ZZ32 = "gens a b\nrel a^32\nrel b^32\nrel a b a^-1 b^-1\n"
+
+
+@pytest.mark.parametrize("cap", [1023, 1024, 1025, 2047, 2048, 2049, 3073])
+def test_hlt_matches_reference_at_block_boundaries(cap):
+    # _hlt's columns grow 1,024 cosets at a time: f2 defines exactly cap
+    # cosets before it trips, fig8 more, and Z/32 x Z/32 completes its
+    # 1,024 cosets past the first block once the cap allows
+    outcomes = [
+        assert_hlt_matches_reference(pres, None, cap)
+        for pres in (preset("f2")[0], preset("fig8")[0], parse_presentation(ZZ32)[0])
+    ]
+    assert outcomes[0] == outcomes[1] == ("cap", cap, str(IndexBoundExceeded(cap)))
+    if cap >= 2047:
+        perms, defined = outcomes[2]
+        assert len(perms[0]) == 1024 < defined
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from rankgradient.chains import farber_chain, hnn_chain, lamplighter_chain
+from rankgradient.chains import farber_chain, hnn_chain, lamplighter_chain, lamplighter_presentation
 from rankgradient.cosets import DEFAULT_COSET_CAP, enumerate_cosets, schreier_generators
 from rankgradient.errors import IndexBoundExceeded
 from rankgradient.graphings import (
@@ -88,7 +88,7 @@ def test_coset_cap_reaches_every_loop_image_check(monkeypatch):
 
     # the lamplighter2 level of index 4: its seed has 5 labels, one above
     # the homology floor 4, so minimization checks candidates
-    chain = lamplighter_chain(2, 2)
+    chain = lamplighter_chain(lamplighter_presentation(2), 2)
     m = graphing_from_generators(chain, 2, chain.levels[2].spec.generators)
     # index 4 needs at least 4 live cosets: the check is indeterminate
     assert is_l_graphing(m, coset_cap=3).verdict is None
@@ -387,9 +387,9 @@ CHAINS = {
     "fig8 depth 2": lambda: hnn_chain(preset("fig8")[0], "t", 2),
     "f2 depth 2": f2_chain,
     "<a, b^2, b a b^-1> depth 2": f2_delta2_chain,
-    "lamplighter2 depth 2": lambda: lamplighter_chain(2, 2),
-    "lamplighter3 depth 2": lambda: lamplighter_chain(3, 2),
-    "lamplighter3 depth 3": lambda: lamplighter_chain(3, 3),
+    "lamplighter2 depth 2": lambda: lamplighter_chain(lamplighter_presentation(2), 2),
+    "lamplighter3 depth 2": lambda: lamplighter_chain(lamplighter_presentation(3), 2),
+    "lamplighter3 depth 3": lambda: lamplighter_chain(lamplighter_presentation(3), 3),
 }
 
 

@@ -8,7 +8,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from rankgradient.chains import gradient_sequence, hnn_chain, lamplighter_chain
+from rankgradient.chains import (
+    gradient_sequence,
+    hnn_chain,
+    lamplighter_chain,
+    lamplighter_presentation,
+)
 from rankgradient.cosets import CosetTable, enumerate_cosets, with_schreier_spec
 from rankgradient import subgroups
 from rankgradient.subgroups import (
@@ -112,7 +117,7 @@ def homology_corpus():
     yield enumerate_cosets(s3, spec)
     yield from every_subgroup(preset("surface2"), 4)
     for chain, levels in ((hnn_chain(preset("fig8"), "t", 8), range(1, 9)),
-                          (lamplighter_chain(3, 2), range(3))):
+                          (lamplighter_chain(lamplighter_presentation(3), 2), range(3))):
         for level in levels:
             yield chain.levels[level]
     for cover in build_tower(preset("z2z2"), Fraction(1, 2), 1, scale=12, seed=0):
@@ -332,7 +337,7 @@ def power_relator_covers():
     for group, mu, depth in (("s3", Fraction(3, 4), 3), ("z2z2", Fraction(1, 2), 1)):
         for cover in build_tower(preset(group), mu, depth, scale=12, seed=0):
             yield cover_table(cover)
-    yield from lamplighter_chain(3, 2).levels
+    yield from lamplighter_chain(lamplighter_presentation(3), 2).levels
 
 
 def test_orbit_walk_matches_full_edge_matrix():
