@@ -69,6 +69,8 @@ def deserialize_table(
     cache miss.
     """
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("cache entry is not a JSON object")
     payload = obj.get("payload")
     if not isinstance(payload, dict) or obj.get("checksum") != _checksum(payload):
         raise ValueError("cache entry failed its checksum")

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: enumerate, lowindex, chain, gradient, graphing, tower, validate.
+Commands: enumerate, lowindex, chain, graphing, tower, validate.
 Each command takes only the options it reads, and offers --format csv
 only where a CSV form exists.  Every report embeds the tool version and a
 config echo: the command, its source and every option its parser defines,
@@ -185,19 +185,18 @@ def build_chain(args, pres, specs):
     )
 
 
-def cmd_chain(args, gradient_only=False):
+def cmd_chain(args):
     pres, specs, source = load_source(args)
     chain = build_chain(args, pres, specs)
     report = gradient_sequence(chain, primes=args.primes)
     body = report_to_obj(report)
-    if not gradient_only:
-        body["chain"] = {
-            "provenance": body["chain"],
-            "indices": list(chain.indices()),
-            "nested": list(chain.nested),
-            "stabilized": list(chain.stabilized),
-            "truncated": chain.truncated,
-        }
+    body["chain"] = {
+        "provenance": body["chain"],
+        "indices": list(chain.indices()),
+        "nested": list(chain.nested),
+        "stabilized": list(chain.stabilized),
+        "truncated": chain.truncated,
+    }
     lines = []
     if chain.truncated:
         lines.append(f"TRUNCATED: {chain.truncated}")
@@ -400,8 +399,6 @@ def build_parser():
 
     subs.add_parser("chain", parents=[source, with_csv, primes, coset_cap, chain],
                     help="build a chain and report its gradient sequence")
-    subs.add_parser("gradient", parents=[source, with_csv, primes, coset_cap, chain],
-                    help="gradient sequence only (no chain structure block)")
 
     p = subs.add_parser("graphing", parents=[source, plain, coset_cap, chain],
                         help="minimized graphing and rank bound at one chain level")
@@ -426,8 +423,7 @@ def build_parser():
 COMMANDS = {
     "enumerate": cmd_enumerate,
     "lowindex": cmd_lowindex,
-    "chain": lambda args: cmd_chain(args, gradient_only=False),
-    "gradient": lambda args: cmd_chain(args, gradient_only=True),
+    "chain": cmd_chain,
     "graphing": cmd_graphing,
     "tower": cmd_tower,
     "validate": cmd_validate,

@@ -579,11 +579,9 @@ class _TwistSearch:
         every earlier basis row, so the basis has distinct top bits, each
         absent from the rows after it, and one pass in order reduces a row."""
         masks = [0] * len(self.walks)  # points passed an odd number of times
-        by_vertex = {}
-        for i, (v, path, _, parent) in enumerate(self.walks):
+        for i, (_, path, _, parent) in enumerate(self.walks):
             if path:
                 masks[i] = masks[parent] ^ (2 << path[-1][0])
-            by_vertex.setdefault(v, []).append(i)
         basis = []
 
         def reduce(row):
@@ -591,7 +589,7 @@ class _TwistSearch:
                 row = min(row, row ^ b)
             return row
 
-        for members in by_vertex.values():
+        for members in self.at_vertex.values():
             inner = [i for i in members if self.walks[i][2] <= self.r0 + 1]
             for a in range(len(inner)):
                 for b in range(a + 1, len(inner)):
@@ -604,7 +602,7 @@ class _TwistSearch:
             return True, ""
         # level-1 ceiling: some pair entering at length r0 + 2 must not be
         # forced odd by the system above
-        for members in by_vertex.values():
+        for members in self.at_vertex.values():
             window = [i for i in members if self.walks[i][2] <= self.r0 + 2]
             for a in range(len(window)):
                 for b in range(a + 1, len(window)):

@@ -216,6 +216,12 @@ def test_concurrent_cold_writers_of_one_key(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def enumerate_s3(cache_dir, capsys):
+    """The text report line of ``enumerate --preset s3`` through the cache."""
+    argv = ["enumerate", "--preset", "s3", "--cache-dir", str(cache_dir), "--format", "text"]
+    assert main(argv) == EXIT_OK
+    return capsys.readouterr().out.splitlines()[-1]
+
 
 @pytest.mark.parametrize(
     "perms",
@@ -228,16 +234,9 @@ def test_concurrent_cold_writers_of_one_key(tmp_path):
 )
 def test_invalid_table_with_good_checksum_is_a_miss(tmp_path, capsys, perms):
     from rankgradient.cache import _checksum
-    from rankgradient.cli import EXIT_OK, main
 
-    argv = ["enumerate", "--preset", "s3", "--cache-dir", str(tmp_path), "--format", "text"]
-
-    def run():
-        assert main(argv) == EXIT_OK
-        return capsys.readouterr().out.splitlines()[-1]
-
-    assert run() == "index 6 (subgroup 1, cache miss)"
-    assert run() == "index 6 (subgroup 1, cache hit)"
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache miss)"
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache hit)"
     pres, _ = parsed("gens a b\nrel a^3\nrel b^2\nrel a b a b\n")
     path = os.path.join(str(tmp_path), cache_key(pres) + ".json")
     good = enumerate_cosets(pres).perms
@@ -250,8 +249,24 @@ def test_invalid_table_with_good_checksum_is_a_miss(tmp_path, capsys, perms):
     with pytest.raises(ValueError, match="permutation list|not a valid coset table"):
         with open(path, encoding="utf-8") as fh:
             deserialize_table(fh.read(), pres, None)
-    assert run() == "index 6 (subgroup 1, cache miss)"
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache miss)"
     with open(path, encoding="utf-8") as fh:
         rewritten = deserialize_table(fh.read(), pres, None)
     assert rewritten.perms == good
-    assert run() == "index 6 (subgroup 1, cache hit)"
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache hit)"
+
+
+@pytest.mark.parametrize("entry", ["[]", "null", "1", '"x"'])
+def test_entry_that_is_not_an_object_is_a_miss(tmp_path, capsys, entry):
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache miss)"
+    pres, _ = parsed("gens a b\nrel a^3\nrel b^2\nrel a b a b\n")
+    path = os.path.join(str(tmp_path), cache_key(pres) + ".json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(entry)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        deserialize_table(entry, pres, None)
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache miss)"
+    with open(path, encoding="utf-8") as fh:
+        rewritten = deserialize_table(fh.read(), pres, None)
+    assert rewritten.perms == enumerate_cosets(pres).perms
+    assert enumerate_s3(tmp_path, capsys) == "index 6 (subgroup 1, cache hit)"

@@ -75,11 +75,24 @@ def test_chain_fig8(capsys):
         assert lv["rank_upper"] <= 3
 
 
-def test_gradient_omits_chain_block(capsys):
-    code, out, _ = run(capsys, "gradient", "--preset", "fig8", "--depth", "2")
+def test_chain_block_keeps_the_provenance(capsys):
+    code, out, _ = run(capsys, "chain", "--preset", "fig8", "--depth", "2")
     assert code == EXIT_OK
-    # gradient leaves the provenance string; chain expands it to a block
-    assert isinstance(json.loads(out)["report"]["chain"], str)
+    # the provenance string sits in the chain block beside the structure
+    assert isinstance(json.loads(out)["report"]["chain"]["provenance"], str)
+
+
+def test_gradient_is_not_a_command(capsys):
+    # chain prints the gradient report; there is no second front end for it
+    with mock.patch("rankgradient.cli.load_source") as load:
+        with pytest.raises(SystemExit) as exc:
+            main(["gradient", "--preset", "fig8", "--depth", "1"])
+    assert exc.value.code == EXIT_PARSE
+    assert not load.called
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'gradient'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_chain_farber_inferred_from_sole_sub(capsys):
@@ -247,7 +260,7 @@ def test_lowindex_cap_exits_0_or_3_and_names_the_cap(source, cap):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["chain", "gradient"])
+@pytest.mark.parametrize("command", ["chain"])
 @pytest.mark.parametrize("source", [
     ("--preset", "fig8", "--depth", "3", "--coset-cap", "2"),
     ("--preset", "lamplighter3", "--depth", "3", "--coset-cap", "4"),
@@ -288,7 +301,7 @@ def test_chain_index_cap_truncates_or_gives_the_full_chain(cap):
 @given(
     argv=st.sampled_from([
         ("chain", "--preset", "fig8", "--depth", "4"),
-        ("gradient", "--preset", "lamplighter3", "--depth", "3"),
+        ("chain", "--preset", "lamplighter3", "--depth", "3"),
         ("graphing", "--preset", "fig8", "--depth", "3", "--level", "3"),
         ("graphing", "--preset", "f2", "--depth", "2", "--level", "2"),
     ]),
@@ -347,7 +360,7 @@ W2_CHAIN = ("--preset", "lamplighter2", "--depth", "2")
 
 @pytest.mark.parametrize("argv, removed", [
     (("chain", *W2_CHAIN, "--kind", "lamplighter"), "--kind lamplighter"),
-    (("gradient", *W2_CHAIN, "--m", "2"), "--m 2"),
+    (("chain", *W2_CHAIN, "--m", "2"), "--m 2"),
     (("graphing", *W2_CHAIN, "--level", "1", "--kind", "hnn"), "--kind hnn"),
     (("graphing", *W2_CHAIN, "--level", "1", "--m", "2"), "--m 2"),
 ])
@@ -483,7 +496,6 @@ def test_csv_unavailable_for_validate(capsys):
 ENUMERATE = ("enumerate", "--preset", "s3")
 LOWINDEX = ("lowindex", "--preset", "f2", "--max", "2")
 CHAIN = ("chain", "--preset", "fig8", "--depth", "1")
-GRADIENT = ("gradient", "--preset", "fig8", "--depth", "1")
 GRAPHING = ("graphing", "--preset", "fig8", "--depth", "1", "--level", "1")
 TOWER = ("tower", "--group", "s3", "--mu", "3/4", "--depth", "1")
 VALIDATE = ("validate", "--preset", "s3")
@@ -496,8 +508,8 @@ VALIDATE = ("validate", "--preset", "s3")
     LOWINDEX + ("--cache-dir", "cache"),
     CHAIN + ("--cache-dir", "cache"),
     CHAIN + ("--effort", "2"),
-    GRADIENT + ("--cache-dir", "cache"),
-    GRADIENT + ("--effort", "0"),
+    CHAIN + ("--max", "2"),
+    CHAIN + ("--level", "1"),
     GRAPHING + ("--primes", "2"),
     GRAPHING + ("--effort", "0"),
     GRAPHING + ("--cache-dir", "cache"),
@@ -525,7 +537,7 @@ def test_effort_zero_does_not_rewrite_long_relators(capsys, tmp_path):
     # Schreier count with a note naming the cap
     path = tmp_path / "long.txt"
     path.write_text("gens a t\nrel a^10001\n")
-    argv = ("gradient", "--input", str(path), "--depth", "1")
+    argv = ("chain", "--input", str(path), "--depth", "1")
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == EXIT_OK
     assert out.splitlines()[2:] == [
@@ -555,8 +567,8 @@ def test_input_file_equivalent_to_preset(capsys, tmp_path):
     text = resources.files("rankgradient.presets").joinpath("fig8.txt").read_text()
     path = tmp_path / "mine.txt"
     path.write_text(text)
-    _, by_preset, _ = run(capsys, "gradient", "--preset", "fig8", "--depth", "2")
-    _, by_file, _ = run(capsys, "gradient", "--input", str(path), "--depth", "2")
+    _, by_preset, _ = run(capsys, "chain", "--preset", "fig8", "--depth", "2")
+    _, by_file, _ = run(capsys, "chain", "--input", str(path), "--depth", "2")
     assert (
         json.loads(by_preset)["report"] == json.loads(by_file)["report"]
     )
@@ -567,7 +579,6 @@ ECHO_ARGV = {
     "enumerate": ("--preset", "f2", "--sub", "K"),
     "lowindex": ("--preset", "f2", "--max", "2"),
     "chain": ("--preset", "fig8", "--depth", "2"),
-    "gradient": ("--preset", "fig8", "--depth", "2"),
     "graphing": ("--preset", "fig8", "--depth", "1", "--level", "1"),
     "tower": ("--group", "z2z2", "--mu", "1/2", "--depth", "0"),
     "validate": ("--preset", "s3"),
@@ -624,3 +635,22 @@ def test_lowindex_echoes_no_settings_it_does_not_take(capsys):
     assert config == {"command": "lowindex", "format": "json", "max": 2,
                       "source": "preset:f2"}
 
+
+
+def readme_tour():
+    """The rankgradient lines of the sh block under README's Command line."""
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("rankgradient ")]
+
+
+def test_readme_tour_runs(capsys):
+    tour = [argv for argv in readme_tour() if {"--preset", "--group"} & set(argv)]
+    assert len(tour) >= 5
+    for argv in tour:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        assert out

@@ -29,7 +29,7 @@ COMMANDS = {
     "chain_fig8_depth16": "chain --preset fig8 --depth 16",
     "chain_fig8_depth6_csv": "chain --preset fig8 --depth 6 --format csv",
     "chain_fig8_depth3_text": "chain --preset fig8 --depth 3 --format text",
-    "gradient_lamplighter3_depth2_text": "gradient --preset lamplighter3 --depth 2 --format text",
+    "chain_lamplighter3_depth2_text": "chain --preset lamplighter3 --depth 2 --format text",
     "chain_f2_depth3": "chain --preset f2 --depth 3",
     "tower_s3_mu34_depth2": "tower --group s3 --mu 3/4 --depth 2",
     "tower_s3_mu34_depth3": "tower --group s3 --mu 3/4 --depth 3 --seed 0",
@@ -55,8 +55,8 @@ REPORT_DIGESTS = {
     "chain_fig8_depth3_text": "f5459b449b2ccfef2eeeb3c8948ac8c21a544cafb26b6930088beb6601f7f993",
     "chain_fig8_depth6": "d7cb6dd32da0e2362fcc1de31d7c4273e93cb83dca8e4edd0200dd4a2e5e6a8e",
     "chain_fig8_depth6_csv": "20a5ab85b6dd7c5f5dd5ee327635ea93637b890009460c75530dc9b548b3f0d9",
+    "chain_lamplighter3_depth2_text": "6a629e8a7f097c0c997c6d53f1bf042ac9733fae7bb336f5abd7d0cb54733ba1",
     "enumerate_f2_sub_k_text": "130ce6c04765f586e41e71dff2b0a298b77e4a73282a2f20bfadb9566e76ab41",
-    "gradient_lamplighter3_depth2_text": "6a629e8a7f097c0c997c6d53f1bf042ac9733fae7bb336f5abd7d0cb54733ba1",
     "graphing_f2_depth2_level2": "682b0303b7a5ad62fa7116799ca2ab2c5f257a7c48228fd4cfb1c2639675d0dc",
     "graphing_fig8_depth3_level3": "1b7d78d3815c33120e0014eaa1f920b6dc8c5f77f4e52f05acd7f8d02e32d6a8",
     "lowindex_f2_max4": "35bf5e7e7e8b5a556cedf56d0fe7887bd25b7ffbd2fc021ee8d5542c24802afc",
